@@ -104,7 +104,7 @@ def run_check_suite(
     worst = 0.0
     for state in states:
         try:
-            K = system._phi_eval(state.z, state.w)
+            K = system._blocks_at(state)[0]
         except EvalDomainError:
             continue
         worst = max(worst, float(np.max(np.abs(K + K.T))))
@@ -116,7 +116,7 @@ def run_check_suite(
     for state in states:
         point = state.point()
         try:
-            K = system._phi_eval(state.z, state.w)
+            K = system._blocks_at(state)[0]
             scale = max(1.0, float(np.max(np.abs(K))))
             for _, term in closure:
                 worst = max(worst, abs(evaluate(term, point)) / scale)

@@ -16,18 +16,16 @@ timestamps or environment data, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from .checks import run_check_suite
 from .constraints import Classification, closedness_test, frobenius_test
 from .dynamics import (
     InconsistentConstraints,
-    LagrangianSystem,
     NonHolomorphicLagrangian,
     PhaseState,
     SingularKahlerMatrix,
@@ -94,8 +92,7 @@ def _csv_header(m: int, r: int) -> List[str]:
     return names
 
 
-def _trajectory_rows(system: LagrangianSystem, trajectory: Trajectory) -> List[List[float]]:
-    m, r = system.m, system.r
+def _trajectory_rows(trajectory: Trajectory) -> List[List[float]]:
     rows = []
     for sample in trajectory.samples:
         state, sol = sample.state, sample.solution
@@ -107,11 +104,7 @@ def _trajectory_rows(system: LagrangianSystem, trajectory: Trajectory) -> List[L
         for lam in sol.multipliers:
             row += [lam.real, lam.imag]
         row += [sample.energy.real, sample.energy.imag, sol.residual_symplectic]
-        if r:
-            W = system._W_eval(state.z, state.w)
-            xiv = np.asarray(sol.xi.components)
-            per_form = np.abs(W.T @ xiv)
-            row += [float(v) for v in per_form]
+        row += sol.constraint_residuals
         row += [sol.semispray_defect]
         rows.append([float(v) for v in row])
     return rows
@@ -135,7 +128,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header = _csv_header(system.m, system.r)
-    rows = _trajectory_rows(system, trajectory)
+    rows = _trajectory_rows(trajectory)
     if args.format == "csv":
         _write_csv(out / f"{spec.name}_trajectory.csv", header, rows)
     else:
@@ -353,7 +346,9 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = _ArgumentParser(
         prog="kahlermech",
         description="Constrained Lagrangian mechanics on flat complex phase charts.",

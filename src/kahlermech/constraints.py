@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expressions import EvalDomainError, Expr, Num, Sym, evaluate, make_point
+from .expressions import EvalDomainError, Expr, Num, Sym, evaluate, make_point, walk
 from .exterior import OneForm, TwoForm, VectorField, exterior_derivative
 
 RANK_RTOL = 1e-10
@@ -123,16 +123,10 @@ def is_basic(form: OneForm) -> bool:
             return False
     for c in form.a:
         if isinstance(c, Expr) and any(
-            isinstance(n, Sym) and n.kind == "w" for n in _walk(c)
+            isinstance(n, Sym) and n.kind == "w" for n in walk(c)
         ):
             return False
     return True
-
-
-def _walk(e: Expr):
-    yield e
-    for a in e.args:
-        yield from _walk(a)
 
 
 def sample_points(m: int, samples: int, seed: int) -> List[dict]:

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
 from .expressions import (
+    COMPILED_DOMAIN_ERRORS,
     Conj,
     EvalDomainError,
     Expr,
@@ -36,10 +37,13 @@ from .expressions import (
     Pow,
     Re,
     Sym,
-    compile_expr,
+    compile_function,
     diff,
+    domain_error,
+    emit,
     make_point,
     simplify,
+    walk,
 )
 from .exterior import (
     OneForm,
@@ -96,8 +100,8 @@ class PhaseState:
     def __post_init__(self):
         if len(self.z) != len(self.w):
             raise ValueError("position and velocity tuples must have equal length")
-        object.__setattr__(self, "z", tuple(complex(c) for c in self.z))
-        object.__setattr__(self, "w", tuple(complex(c) for c in self.w))
+        object.__setattr__(self, "z", tuple(map(complex, self.z)))
+        object.__setattr__(self, "w", tuple(map(complex, self.w)))
 
     @property
     def m(self) -> int:
@@ -113,71 +117,100 @@ class PhaseState:
         )
 
 
-def _walk(e: Expr):
-    yield e
-    for a in e.args:
-        yield from _walk(a)
-
-
 def _assert_holomorphic(e: Expr) -> None:
-    for node in _walk(e):
+    for node in walk(e):
         if isinstance(node, (Conj, Re, Im)) and node.contains_symbol():
             raise NonHolomorphicLagrangian(node)
 
 
 def _max_symbol_index(e: Expr) -> int:
-    return max((n.index for n in _walk(e) if isinstance(n, Sym)), default=0)
+    return max((n.index for n in walk(e) if isinstance(n, Sym)), default=0)
 
 
-class _CompiledMatrix:
-    """Evaluates a matrix of expressions at (z, w); constants are prefilled."""
+def _as_expr(c) -> Expr:
+    return c if isinstance(c, Expr) else Num(c)
 
-    def __init__(self, shape: Tuple[int, int]):
-        self._base = np.zeros(shape, dtype=complex)
-        self._fns: List[Tuple[int, int, Callable]] = []
 
-    def set(self, i: int, j: int, e: Expr) -> None:
+def _assembly_body(m, kahler, dL, A, H, B, W, L) -> List[str]:
+    """Source lines of a system's assembly function ``(z, w, blocks)``.
+
+    Every entry is evaluated once.  Arithmetic on constant entries is done
+    here, so the generated code is short to compile; only the sign of a
+    zero can differ from doing it at run time.  The function returns the
+    row lists (K, S, rhs, L), where K is Phi_L mirrored from its upper
+    triangle with exact negation and
+
+        S = [[K^T - M_E, -W], [W^T, 0]],   rhs = [-dL, 0],
+
+    with M_E = [[i A^T, -i H], [i H^T, -i B^T]] the frozen-field energy
+    coefficient (dE_L = M_E xi - dL).  With ``blocks`` true it also
+    returns (dL, A, H, B, M_E, W).
+    """
+    n, r = 2 * m, len(W[0])
+    body: List[str] = []
+
+    # An entry is a complex constant, or the source text of its value.
+    def value(name: str, e: Expr):
         if isinstance(e, Num):
-            self._base[i, j] = e.value
-        else:
-            self._fns.append((i, j, compile_expr(e)))
+            return e.value
+        body.append(f"{name} = {emit(e)}")
+        return name
 
-    def __call__(self, z: Tuple[complex, ...], w: Tuple[complex, ...]) -> np.ndarray:
-        out = self._base.copy()
-        for i, j, fn in self._fns:
-            out[i, j] = fn(z, w)
-        return out
+    def src(x) -> str:
+        return emit(Num(x)) if isinstance(x, complex) else x
 
+    def neg(x):
+        return -x if isinstance(x, complex) else f"-{x}"
 
-class _CompiledAntisym:
-    """Upper-triangle compiled entries, mirrored with exact negation."""
+    def times(i: complex, x):  # i is 1j or -1j
+        return i * x if isinstance(x, complex) else f"{'1j' if i == 1j else '-1j'} * {x}"
 
-    def __init__(self, n: int):
-        self._base = np.zeros((n, n), dtype=complex)
-        self._fns: List[Tuple[int, int, Callable]] = []
+    def minus(x, y):
+        if isinstance(x, complex) and isinstance(y, complex):
+            return x - y
+        return f"{src(x)} - {src(y)}"
 
-    def set_upper(self, p: int, q: int, e: Expr) -> None:
-        if isinstance(e, Num):
-            self._base[p, q] = e.value
-            self._base[q, p] = -e.value
-        else:
-            self._fns.append((p, q, compile_expr(e)))
+    def table(name: str, entries):
+        return [[value(f"{name}{i}_{j}", e) for j, e in enumerate(row)]
+                for i, row in enumerate(entries)]
 
-    def __call__(self, z, w) -> np.ndarray:
-        out = self._base.copy()
-        for p, q, fn in self._fns:
-            v = fn(z, w)
-            out[p, q] = v
-            out[q, p] = -v
-        return out
+    def row(entries) -> str:
+        return "[" + ", ".join(map(src, entries)) + "]"
+
+    def rows(entries) -> str:
+        return "[" + ", ".join(map(row, entries)) + "]"
+
+    upper = table("k", [[e if p < q else Num(0) for q, e in enumerate(row)]
+                        for p, row in enumerate(kahler)])
+    d = [value(f"d{p}", e) for p, e in enumerate(dL)]
+    a, h, b, c = table("a", A), table("h", H), table("b", B), table("c", W)
+    K = [[upper[i][j] if i <= j else neg(upper[j][i]) for j in range(n)] for i in range(n)]
+    ME = [[times(1j, a[j][i]) if j < m else times(-1j, h[i][j - m]) for j in range(n)]
+          for i in range(m)]
+    ME += [[times(1j, h[j][i]) if j < m else times(-1j, b[j - m][i]) for j in range(n)]
+           for i in range(m)]
+    S = [[minus(K[j][i], ME[i][j]) for j in range(n)] + [neg(x) for x in c[i]]
+         for i in range(n)]
+    S += [[c[j][s] for j in range(n)] + [0j] * r for s in range(r)]
+    lag = src(value("lag", L))
+    return body + [
+        f"K = {rows(K)}",
+        f"S = {rows(S)}",
+        f"rhs = {row([neg(x) for x in d] + [0j] * r)}",
+        "if blocks:",
+        f"    return K, S, rhs, {lag}, {row(d)}, {rows(a)}, {rows(h)}, {rows(b)},"
+        f" {rows(ME)}, {rows(c)}",
+        f"return K, S, rhs, {lag}",
+    ]
 
 
 class LagrangianSystem:
     """A Lagrangian with optional linear velocity constraints.
 
     Second derivatives, the symbolic two-form Phi_L and all constraint
-    coefficients are differentiated once at construction and compiled, so
-    per-state assembly is a handful of closed-form evaluations.
+    coefficients are differentiated once at construction and compiled
+    into one generated function, so per-state assembly is a single call
+    that returns the saddle system as row lists.
     """
 
     def __init__(
@@ -226,33 +259,14 @@ class LagrangianSystem:
         self.kahler_form: TwoForm = exterior_derivative(vertical_d(lagrangian, m)).scaled(-1)
 
         n = 2 * m
-        self._phi_eval = _CompiledAntisym(n)
-        for p in range(n):
-            for q in range(p + 1, n):
-                entry = self.kahler_form.entry(p, q)
-                self._phi_eval.set_upper(p, q, entry if isinstance(entry, Expr) else Num(entry))
-
-        self._dL_eval = _CompiledMatrix((n, 1))
-        for i in range(m):
-            self._dL_eval.set(i, 0, self._Lz[i])
-            self._dL_eval.set(m + i, 0, self._Lw[i])
-
-        self._hess_eval = _CompiledMatrix((n, n))
-        for i in range(m):
-            for j in range(m):
-                self._hess_eval.set(i, j, self._A[i][j])
-                self._hess_eval.set(i, m + j, self._H[i][j])
-                self._hess_eval.set(m + i, m + j, self._B[i][j])
-                # The (w, z) block mirrors L_{z_j w_i} for completeness.
-                self._hess_eval.set(m + i, j, self._H[j][i])
-
-        r = len(constraints)
-        self._W_eval = _CompiledMatrix((n, r))
-        for a, omega in enumerate(constraints):
-            for p, c in enumerate(omega.coefficients):
-                self._W_eval.set(p, a, c if isinstance(c, Expr) else Num(c))
-
-        self._L_fn = compile_expr(lagrangian)
+        kahler = [[_as_expr(self.kahler_form.entry(p, q)) for q in range(n)] for p in range(n)]
+        W = [[_as_expr(omega.coefficients[p]) for omega in constraints] for p in range(n)]
+        dL = self._Lz + self._Lw
+        body = _assembly_body(m, kahler, dL, self._A, self._H, self._B, W, lagrangian)
+        self._assemble = compile_function("z, w, blocks", body, zs + ws)
+        # Every entry, for the tree walker to name a domain error.
+        self._entries = [e for block in (kahler, [dL], self._A, self._H, self._B, W, [[lagrangian]])
+                         for row in block for e in row]
 
     @property
     def r(self) -> int:
@@ -260,66 +274,90 @@ class LagrangianSystem:
 
     # -- per-state assembly -------------------------------------------------
 
-    def _blocks_at(self, state: PhaseState):
-        """(K, A, H, B, dL, W) evaluated at the state."""
-        z, w = state.z, state.w
-        K = self._phi_eval(z, w)
-        hess = self._hess_eval(z, w)
-        m = self.m
-        A = hess[:m, :m]
-        H = hess[:m, m:]
-        B = hess[m:, m:]
-        dL = self._dL_eval(z, w)[:, 0]
-        W = self._W_eval(z, w)
-        return K, A, H, B, dL, W
+    def _evaluate(self, state: PhaseState, blocks: bool = False):
+        """The generated function at the state; see :func:`_assembly_body`."""
+        try:
+            return self._assemble(state.z, state.w, blocks)
+        except COMPILED_DOMAIN_ERRORS:
+            raise self._domain_error(state) from None
 
-    def _frozen_energy_coefficient(self, A, H, B) -> np.ndarray:
-        """Matrix M with dE_L = M xi - dL when the field is held frozen."""
-        return np.block([
-            [1j * A.T, -1j * H],
-            [1j * H.T, -1j * B.T],
-        ])
+    def _domain_error(self, state: PhaseState) -> EvalDomainError:
+        """Cold path: re-evaluate the entries with the tree walker."""
+        point = state.point()
+        for e in self._entries:
+            err = domain_error(e, point)
+            if err is not None:
+                return err
+        # Finite entries whose combination in the saddle overflowed.
+        return EvalDomainError("non-finite value in the assembled saddle", self.lagrangian)
+
+    def _blocks_at(self, state: PhaseState):
+        """(K, A, H, B, dL, W) evaluated at the state, as arrays."""
+        K, _, _, _, dL, A, H, B, _, W = self._evaluate(state, blocks=True)
+        return tuple(np.array(x, dtype=complex) for x in (K, A, H, B, dL, W))
 
     def saddle_system(self, state: PhaseState):
-        """Assembled saddle data at the state.
+        """Assembled saddle data at the state, as arrays.
 
         Returns (K, ME, dL, W, saddle, rhs): K alone decides Lagrangian
         degeneracy, the bordered saddle decides constraint consistency.
         """
-        K, A, H, B, dL, W = self._blocks_at(state)
-        ME = self._frozen_energy_coefficient(A, H, B)
-        n, r = 2 * self.m, self.r
-        saddle = np.zeros((n + r, n + r), dtype=complex)
-        saddle[:n, :n] = K.T - ME
-        if r:
-            saddle[:n, n:] = -W
-            saddle[n:, :n] = W.T
-        rhs = np.concatenate([-dL, np.zeros(r, dtype=complex)])
-        return K, ME, dL, W, saddle, rhs
+        K, S, rhs, _, dL, _, _, _, ME, W = self._evaluate(state, blocks=True)
+        return tuple(np.array(x, dtype=complex) for x in (K, ME, dL, W, S, rhs))
 
-    def _solution_from(self, state: PhaseState, K, W, ME, dL, vec) -> "SemispraySolution":
-        m, r = self.m, self.r
-        xiv = vec[: 2 * m]
-        lams = tuple(complex(v) for v in vec[2 * m:])
-        xi = VectorField(tuple(complex(v) for v in xiv[:m]), tuple(complex(v) for v in xiv[m:]))
-        lhs = K.T @ xiv
-        dE = ME @ xiv - dL
-        lam_term = W @ np.asarray(lams) if r else 0.0
-        res_sym = float(np.max(np.abs(lhs - dE - lam_term)))
-        res_con = float(np.max(np.abs(W.T @ xiv))) if r else 0.0
-        defect = float(max(abs(xi.hol[i] - state.w[i]) for i in range(m)))
-        return SemispraySolution(xi, lams, res_sym, res_con, defect)
+    def _solution_from(self, state: PhaseState, S, rhs, L, vec) -> "SemispraySolution":
+        """Field, multipliers and bookkeeping from a solved saddle vector.
+
+        The residuals are those of the saddle rows S @ vec = rhs; the energy
+        is left out when ``L`` (the Lagrangian's value) is None.
+        """
+        m, n = self.m, 2 * self.m
+        hol, fib = tuple(vec[:m]), tuple(vec[m:n])
+        per_form = tuple(abs(_dot(row, vec[:n])) for row in S[n:])
+        return SemispraySolution(
+            VectorField(hol, fib),
+            tuple(vec[n:]),
+            max(abs(_dot(S[i], vec) - rhs[i]) for i in range(n)),
+            max(per_form, default=0.0),
+            max(abs(x - v) for x, v in zip(hol, state.w)),
+            per_form,
+            None if L is None else _energy(rhs, L, hol, fib),
+        )
+
+
+def _dot(row, vec) -> complex:
+    acc = 0j
+    for x, v in zip(row, vec):
+        acc += x * v
+    return acc
+
+
+def _energy(rhs, L: complex, hol, fib) -> complex:
+    """E_L from the assembled rhs (which is -dL) and the Lagrangian's value."""
+    m = len(hol)
+    total = 0j
+    for i in range(m):
+        total += 1j * hol[i] * -rhs[i] - 1j * fib[i] * -rhs[m + i]
+    return total - L
 
 
 @dataclass(frozen=True)
 class SemispraySolution:
-    """Solved field components, multipliers, and pointwise residuals."""
+    """Solved field components, multipliers, and pointwise bookkeeping.
+
+    A solve for the field alone (``residuals=False``) leaves the residual,
+    defect and energy fields None.
+    """
 
     xi: VectorField
     multipliers: Tuple[complex, ...]
-    residual_symplectic: float
-    residual_constraints: float
-    semispray_defect: float
+    residual_symplectic: Optional[float]
+    residual_constraints: Optional[float]
+    semispray_defect: Optional[float]
+    # |omega_a(xi)| per constraint form, in declaration order.
+    constraint_residuals: Tuple[float, ...] = ()
+    # E_L with the solved field.
+    energy: Optional[complex] = None
 
 
 @dataclass(frozen=True)
@@ -369,7 +407,7 @@ def build_standard_lagrangian(masses: Sequence[float], potential: Optional[Expr]
     for i, mass in enumerate(masses, start=1):
         terms = terms + Num(0.5 * mass) * Pow(Sym("w", i), 2)
     if potential is not None:
-        for node in _walk(potential):
+        for node in walk(potential):
             if isinstance(node, Sym) and node.kind == "w":
                 raise ValueError("potential must depend on position symbols only")
         if _max_symbol_index(potential) > m:
@@ -380,49 +418,60 @@ def build_standard_lagrangian(masses: Sequence[float], potential: Optional[Expr]
 
 def assemble_kahler_matrix(system: LagrangianSystem, state: PhaseState) -> TwoForm:
     """Phi_L evaluated at the state, exactly antisymmetric."""
-    z, w = state.z, state.w
-    return TwoForm.from_matrix(system._phi_eval(z, w))
+    return TwoForm.from_matrix(system._blocks_at(state)[0])
 
 
 def energy(system: LagrangianSystem, state: PhaseState, xi: VectorField) -> complex:
     """E_L at the state with the supplied field components."""
     if xi.m != system.m:
         raise ValueError("field dimension does not match the system")
-    z, w = state.z, state.w
-    dL = system._dL_eval(z, w)[:, 0]
-    m = system.m
-    total = 0j
-    for i in range(m):
-        total += 1j * xi.hol[i] * dL[i] - 1j * xi.fib[i] * dL[m + i]
-    return total - system._L_fn(z, w)
+    _, _, rhs, L = system._evaluate(state)
+    return _energy(rhs, L, xi.hol, xi.fib)
 
 
 def energy_differential(system: LagrangianSystem, state: PhaseState, xi: VectorField) -> OneForm:
     """dE_L at the state with the field components held frozen."""
     if xi.m != system.m:
         raise ValueError("field dimension does not match the system")
-    K, A, H, B, dL, W = system._blocks_at(state)
-    ME = system._frozen_energy_coefficient(A, H, B)
+    K, ME, dL, W, saddle, rhs = system.saddle_system(state)
     xiv = np.asarray(xi.components)
     coeffs = ME @ xiv - dL
     m = system.m
     return OneForm(tuple(coeffs[:m]), tuple(coeffs[m:]))
 
 
-def solve_semispray(system: LagrangianSystem, state: PhaseState) -> SemispraySolution:
-    """Solve the constrained equalization problem at one state."""
+def solve_semispray(
+    system: LagrangianSystem, state: PhaseState, residuals: bool = True
+) -> SemispraySolution:
+    """Solve the constrained equalization problem at one state.
+
+    Phi_L is factored on its own first, so that a degenerate Lagrangian is
+    reported as :class:`SingularKahlerMatrix` and not as inconsistent
+    constraints.  An infinite or NaN entry of the assembled system raises
+    :class:`EvalDomainError`.  With ``residuals=False`` only the field and
+    the multipliers are computed (all an RK stage needs).
+    """
     if state.m != system.m:
         raise ValueError("state dimension does not match the system")
-    K, ME, dL, W, saddle, rhs = system.saddle_system(state)
+    K, S, rhs, L = system._evaluate(state)
     try:
-        linalg.assert_nonsingular(K)
-    except linalg.SingularMatrixError as err:
-        raise SingularKahlerMatrix(state, err.condition_estimate) from None
-    try:
-        vec = linalg.solve(saddle, rhs)
-    except linalg.SingularMatrixError as err:
-        raise InconsistentConstraints(state, err.condition_estimate) from None
-    return system._solution_from(state, K, W, ME, dL, vec)
+        try:
+            linalg.lu_factor(K)
+        except linalg.SingularMatrixError as err:
+            raise SingularKahlerMatrix(state, err.condition_estimate) from None
+        try:
+            lu, perm, _ = linalg.lu_factor(S)
+        except linalg.SingularMatrixError as err:
+            raise InconsistentConstraints(state, err.condition_estimate) from None
+        vec = linalg.lu_solve(lu, perm, rhs)
+    except linalg.NonFiniteEntryError:
+        raise system._domain_error(state) from None
+    if residuals:
+        return system._solution_from(state, S, rhs, L, vec)
+    m, n = system.m, 2 * system.m
+    return SemispraySolution(
+        VectorField(tuple(vec[:m]), tuple(vec[m:n])), tuple(vec[n:]), None, None, None
+    )
 
 
 def el_residual(
@@ -440,45 +489,33 @@ def el_residual(
     """
     m = system.m
     K, A, H, B, dL, W = system._blocks_at(state)
-    xiv = np.asarray(solution.xi.components)
-    xih, xif = xiv[:m], xiv[m:]
-    lams = np.asarray(solution.multipliers)
-    out: List[complex] = []
-    for j in range(m):
-        dt_Lz = A[j, :] @ xih + H[j, :] @ xif
-        value = dL[j] - 1j * dt_Lz
-        if system.r:
-            value -= lams @ W[j, :]
-        out.append(complex(value))
-    for j in range(m):
-        dt_Lw = H[:, j] @ xih + B[j, :] @ xif
-        value = dL[m + j] + 1j * dt_Lw
-        if system.r:
-            value -= lams @ W[m + j, :]
-        out.append(complex(value))
-    return tuple(out)
+    xih, xif = np.asarray(solution.xi.hol), np.asarray(solution.xi.fib)
+    z_eqs = dL[:m] - 1j * (A @ xih + H @ xif)
+    w_eqs = dL[m:] + 1j * (H.T @ xih + B @ xif)
+    lam_terms = W @ np.asarray(solution.multipliers, dtype=complex)
+    return tuple(complex(v) for v in np.concatenate([z_eqs, w_eqs]) - lam_terms)
 
 
 def _advance(state: PhaseState, xi: VectorField, h: float) -> PhaseState:
     return PhaseState(
         state.t + h,
-        tuple(z + h * k for z, k in zip(state.z, xi.hol)),
-        tuple(w + h * k for w, k in zip(state.w, xi.fib)),
+        [z + h * k for z, k in zip(state.z, xi.hol)],
+        [w + h * k for w, k in zip(state.w, xi.fib)],
     )
 
 
-def _rk4_combine(state: PhaseState, ks: Sequence[VectorField], dt: float) -> PhaseState:
+def _rk4_combine(state: PhaseState, ks: Sequence[VectorField], dt: float, t: float) -> PhaseState:
     k1, k2, k3, k4 = ks
     sixth = dt / 6.0
-    z = tuple(
+    z = [
         z0 + sixth * (a + 2 * b + 2 * c + d)
         for z0, a, b, c, d in zip(state.z, k1.hol, k2.hol, k3.hol, k4.hol)
-    )
-    w = tuple(
+    ]
+    w = [
         w0 + sixth * (a + 2 * b + 2 * c + d)
         for w0, a, b, c, d in zip(state.w, k1.fib, k2.fib, k3.fib, k4.fib)
-    )
-    return PhaseState(state.t + dt, z, w)
+    ]
+    return PhaseState(t, z, w)
 
 
 _SOLVER_ERRORS = (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError)
@@ -507,19 +544,20 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
             sol = solve_semispray(system, state)
         except _SOLVER_ERRORS as err:
             return Trajectory(samples, dt, "solver_failure", state.t, type(err).__name__)
-        samples.append(TrajectorySample(state, sol, energy(system, state, sol.xi)))
+        samples.append(TrajectorySample(state, sol, sol.energy))
         if step == n_steps:
             break
         try:
             k1 = sol.xi
-            k2 = solve_semispray(system, _advance(state, k1, dt / 2)).xi
-            k3 = solve_semispray(system, _advance(state, k2, dt / 2)).xi
-            k4 = solve_semispray(system, _advance(state, k3, dt)).xi
+            k2 = solve_semispray(system, _advance(state, k1, dt / 2), residuals=False).xi
+            k3 = solve_semispray(system, _advance(state, k2, dt / 2), residuals=False).xi
+            k4 = solve_semispray(system, _advance(state, k3, dt), residuals=False).xi
         except _SOLVER_ERRORS as err:
             failed_at = getattr(err, "state", None)
             t_fail = failed_at.t if failed_at is not None else state.t
             return Trajectory(samples, dt, "solver_failure", t_fail, type(err).__name__)
-        state = _rk4_combine(state, (k1, k2, k3, k4), dt)
+        # Sample times are s0.t + step*dt, not a running sum of dt.
+        state = _rk4_combine(state, (k1, k2, k3, k4), dt, s0.t + (step + 1) * dt)
     return Trajectory(samples, dt, "completed")
 
 

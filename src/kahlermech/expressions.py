@@ -24,7 +24,8 @@ always re-parses.
 from __future__ import annotations
 
 import cmath
-from typing import Callable, Dict, Mapping, Tuple
+import math
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 
 class ExprError(Exception):
@@ -134,7 +135,13 @@ def _coerce(value) -> Expr:
 
 
 def _fmt_unsigned(x: float) -> str:
-    """Format a nonnegative real as an unsigned decimal literal."""
+    """Format a nonnegative real as an unsigned decimal literal.
+
+    Infinity prints as ``1e999``, which parses back to infinity; NaN has
+    no literal in the grammar and prints as ``nan``.
+    """
+    if not math.isfinite(x):
+        return "1e999" if x > 0 else "nan"
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
@@ -349,7 +356,10 @@ class Pow(Expr):
         b = self.base.evaluate(point)
         if b == 0 and self.exponent < 0:
             raise EvalDomainError("zero base with negative exponent", self)
-        return b ** self.exponent
+        try:
+            return b ** self.exponent
+        except OverflowError:
+            raise EvalDomainError("argument out of range", self) from None
 
     def diff(self, s):
         if self.exponent == 0:
@@ -739,14 +749,6 @@ def diff(e: Expr, s: Sym) -> Expr:
     return e.diff(s)
 
 
-def position_symbols(m: int) -> Tuple[Sym, ...]:
-    return tuple(Sym("z", i) for i in range(1, m + 1))
-
-
-def velocity_symbols(m: int) -> Tuple[Sym, ...]:
-    return tuple(Sym("w", i) for i in range(1, m + 1))
-
-
 def make_point(z_values, w_values) -> Dict[Sym, complex]:
     """Build an evaluation point from position and velocity value vectors."""
     point: Dict[Sym, complex] = {}
@@ -757,65 +759,87 @@ def make_point(z_values, w_values) -> Dict[Sym, complex]:
     return point
 
 
+def walk(e: Expr) -> Iterator[Expr]:
+    """Every node of ``e``, parents before children."""
+    yield e
+    for a in e.args:
+        yield from walk(a)
+
+
+def _is_finite(value: complex) -> bool:
+    return math.isfinite(value.real) and math.isfinite(value.imag)
+
+
+def domain_error(e: Expr, point: Mapping[Sym, complex]) -> Optional[EvalDomainError]:
+    """Why ``e`` has no finite value at ``point``, or None when it has one.
+
+    The tree walker finds the offending subtree: the division, log or
+    power that raised, or else the innermost node whose value is infinite
+    or NaN.
+    """
+    try:
+        value = e.evaluate(point)
+    except EvalDomainError as err:
+        return err
+    if _is_finite(value):
+        return None
+    while True:
+        bad = next((a for a in e.args if not _is_finite(a.evaluate(point))), None)
+        if bad is None:
+            return EvalDomainError("non-finite value", e)
+        e = bad
+
+
 # ---------------------------------------------------------------------------
 # Compiled evaluation (internal fast path for the dynamics layer)
+#
+# The dynamics layer emits one function per system from these pieces.  On
+# a domain failure it falls back to the tree walker through domain_error,
+# which names the offending subtree.
+
+# What generated code raises where the tree walker raises EvalDomainError.
+COMPILED_DOMAIN_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+
+_TEMPLATES = {
+    Neg: "(-{})",
+    Conj: "({}).conjugate()",
+    Re: "complex(({}).real)",
+    Im: "complex(({}).imag)",
+}
 
 
-def _emit(e: Expr) -> str:
-    if isinstance(e, Num):
-        return f"({e.value!r})"
-    if isinstance(e, Sym):
-        return f"{e.kind}[{e.index - 1}]"
-    if isinstance(e, Add):
-        return f"({_emit(e.left)} + {_emit(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_emit(e.left)} - {_emit(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_emit(e.left)} * {_emit(e.right)})"
-    if isinstance(e, Div):
-        return f"({_emit(e.left)} / {_emit(e.right)})"
-    if isinstance(e, Pow):
-        return f"({_emit(e.base)} ** {e.exponent})"
-    if isinstance(e, Neg):
-        return f"(-{_emit(e.arg)})"
-    if isinstance(e, Conj):
-        return f"({_emit(e.arg)}).conjugate()"
-    if isinstance(e, Re):
-        return f"complex(({_emit(e.arg)}).real)"
-    if isinstance(e, Im):
-        return f"complex(({_emit(e.arg)}).imag)"
-    if isinstance(e, Sin):
-        return f"_sin({_emit(e.arg)})"
-    if isinstance(e, Cos):
-        return f"_cos({_emit(e.arg)})"
-    if isinstance(e, Exp):
-        return f"_exp({_emit(e.arg)})"
-    if isinstance(e, Log):
-        return f"_log({_emit(e.arg)})"
-    raise TypeError(f"unknown node {e!r}")
+def emit(e: Expr) -> str:
+    """Python source for ``e`` over the locals z1.., w1...
 
-
-def compile_expr(e: Expr) -> Callable[[Tuple[complex, ...], Tuple[complex, ...]], complex]:
-    """Compile ``e`` to a callable ``f(z_tuple, w_tuple) -> complex``.
-
-    Domain failures are re-raised as :class:`EvalDomainError` carrying the
-    whole expression (the tree walker in :meth:`Expr.evaluate` can be used
-    to pinpoint the exact subtree when that matters).
+    Infinite and NaN literals have no Python literal and are parsed from
+    their repr at run time.
     """
-    namespace = {
-        "_sin": cmath.sin,
-        "_cos": cmath.cos,
-        "_exp": cmath.exp,
-        "_log": cmath.log,
-    }
-    code = compile(_emit(e), "<expr>", "eval")
+    if isinstance(e, Num):
+        return f"({e.value!r})" if _is_finite(e.value) else f"complex({str(e.value)!r})"
+    if isinstance(e, Sym):
+        return e.name
+    if isinstance(e, Pow):
+        return f"({emit(e.base)} ** {e.exponent})"
+    if isinstance(e, _Binary):
+        return f"({emit(e.left)} {e._symbol} {emit(e.right)})"
+    arg = emit(e.arg)
+    if type(e) in _TEMPLATES:
+        return _TEMPLATES[type(e)].format(arg)
+    return f"_{e._name}({arg})"  # sin, cos, exp, log
 
-    def fn(z, w, _code=code, _ns=namespace, _e=e):
-        try:
-            return eval(_code, {"__builtins__": {}, "complex": complex, **_ns}, {"z": z, "w": w})
-        except ZeroDivisionError:
-            raise EvalDomainError("division by zero", _e) from None
-        except (ValueError, OverflowError):
-            raise EvalDomainError("argument out of range", _e) from None
 
-    return fn
+def compile_function(signature: str, body: List[str], symbols) -> Callable:
+    """Compile ``def f(signature): body`` with one ``compile`` call.
+
+    ``signature`` starts with the value tuples ``z, w``; each symbol in
+    ``symbols`` is unpacked from them into the local :func:`emit` names.
+    """
+    unpack = [
+        f"{s.name} = {s.kind}[{s.index - 1}]"
+        for s in sorted(set(symbols), key=lambda s: (s.kind, s.index))
+    ]
+    source = "\n    ".join([f"def f({signature}):"] + unpack + body)
+    namespace = dict(__builtins__={}, complex=complex, _sin=cmath.sin, _cos=cmath.cos,
+                     _exp=cmath.exp, _log=cmath.log)
+    exec(compile(source, "<generated>", "exec"), namespace)
+    return namespace["f"]

@@ -41,12 +41,6 @@ def _is_expr(c: Coef) -> bool:
     return isinstance(c, Expr)
 
 
-def _coef_value(c: Coef, point) -> complex:
-    if isinstance(c, Expr):
-        return evaluate(c, point)
-    return complex(c)
-
-
 def _coef_neg(c: Coef) -> Coef:
     if isinstance(c, Expr):
         return simplify(-c)
@@ -184,10 +178,6 @@ class TwoForm:
 
     def scaled(self, s: complex) -> "TwoForm":
         return TwoForm(self.m, lambda p, q: _coef_scale(self.entries[p][q], s))
-
-
-def zero_two_form(m: int) -> TwoForm:
-    return TwoForm(m, lambda p, q: 0j)
 
 
 # ---------------------------------------------------------------------------

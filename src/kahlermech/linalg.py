@@ -1,18 +1,18 @@
-"""Dense complex linear solves for the semispray saddle systems.
+"""Dense complex LU for the semispray saddle systems, in plain Python.
 
-This is a plain LU factorization with partial (row) pivoting, written out
-directly because the solver contract needs an explicit relative pivot
-threshold: a pivot smaller than 1e-12 times the largest entry of the
-input matrix is treated as a rank deficiency rather than silently divided
-by.  Matrices here are tiny (a handful of rows), so clarity wins over
-performance tricks.
+The matrices are 2x2 to 12x12, where numpy's per-call overhead costs more
+than the arithmetic, so elimination runs on lists of rows of Python
+complex numbers.  Partial pivoting takes the first row of largest
+magnitude, as ``np.argmax`` does.  Two checks are explicit: a pivot below
+``PIVOT_RTOL`` times the largest input entry is a rank deficiency, not a
+divisor, and an infinite or NaN entry is rejected up front (a NaN never
+compares greater than a pivot candidate, so it would slip through).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from math import isfinite
+from typing import List, Sequence, Tuple
 
 PIVOT_RTOL = 1e-12
 
@@ -31,69 +31,93 @@ class SingularMatrixError(Exception):
         self.condition_estimate = condition_estimate
 
 
-def lu_factor(matrix: np.ndarray) -> Tuple[np.ndarray, List[int], float]:
-    """Factor ``matrix`` in place on a copy; returns (LU, perm, scale).
+class NonFiniteEntryError(Exception):
+    """An entry of the matrix or right-hand side is infinite or NaN."""
 
-    ``scale`` is the largest absolute entry of the input, against which
-    pivots were compared.  Raises :class:`SingularMatrixError` on a pivot
-    below ``PIVOT_RTOL * scale``.
+
+def _reject_non_finite(values) -> None:
+    """Called when the sum of |values| is not finite: raise unless that was
+    only finite magnitudes overflowing the sum."""
+    for v in values:
+        if not (isfinite(v.real) and isfinite(v.imag)):
+            raise NonFiniteEntryError(f"non-finite value {v!r}")
+
+
+def lu_factor(matrix) -> Tuple[List[List[complex]], List[int], float]:
+    """Factor a copy of ``matrix`` (row lists or a 2-D array).
+
+    Returns (LU rows, perm, scale), where ``scale`` is the largest absolute
+    input entry that pivots are compared against.  Raises
+    :class:`NonFiniteEntryError` on an infinite or NaN entry and
+    :class:`SingularMatrixError` on a pivot below ``PIVOT_RTOL * scale``.
     """
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    scale = float(np.max(np.abs(a))) if n else 0.0
+    a = matrix.tolist() if hasattr(matrix, "tolist") else [list(row) for row in matrix]
+    n = len(a)
+    scale = total = 0.0
+    for row in a:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        for v in row:
+            x = abs(v)
+            total += x
+            if x > scale:
+                scale = x
+    if not isfinite(total):
+        _reject_non_finite(v for row in a for v in row)
     threshold = PIVOT_RTOL * scale
-    perm: List[int] = list(range(n))
+    perm = list(range(n))
     for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = abs(a[pivot_row, k])
+        p = k
+        pivot = abs(a[k][k])
+        for i in range(k + 1, n):
+            x = abs(a[i][k])
+            if x > pivot:
+                pivot = x
+                p = i
         if pivot <= threshold or pivot == 0.0:
-            cond = np.inf if pivot == 0.0 else scale / pivot
+            cond = float("inf") if pivot == 0.0 else scale / pivot
             raise SingularMatrixError(
                 f"pivot {pivot:.3e} below threshold at elimination step {k}", cond
             )
-        if pivot_row != k:
-            a[[k, pivot_row]] = a[[pivot_row, k]]
-            perm[k], perm[pivot_row] = perm[pivot_row], perm[k]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            perm[k], perm[p] = perm[p], perm[k]
+        head = a[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            if row[k]:  # a zero in the pivot column needs no elimination
+                f = row[k] = row[k] / head[k]
+                for j in range(k + 1, n):
+                    row[j] -= f * head[j]
     return a, perm, scale
 
 
-def lu_solve(lu: np.ndarray, perm: List[int], rhs: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    x = np.asarray(rhs, dtype=complex)[perm].copy()
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
+def lu_solve(lu: Sequence[Sequence[complex]], perm: Sequence[int], rhs) -> List[complex]:
+    """Solve with a factorization from :func:`lu_factor`.
+
+    Raises :class:`NonFiniteEntryError` on an infinite or NaN ``rhs`` entry.
+    """
+    x = [complex(rhs[p]) for p in perm]
+    total = 0.0
+    for v in x:
+        total += abs(v)
+    if not isfinite(total):
+        _reject_non_finite(x)
+    n = len(x)
+    for k in range(n):
+        row, acc = lu[k], x[k]
+        for j in range(k):
+            acc -= row[j] * x[j]
+        x[k] = acc
     for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+        row, acc = lu[k], x[k]
+        for j in range(k + 1, n):
+            acc -= row[j] * x[j]
+        x[k] = acc / row[k]
     return x
 
 
-def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve(matrix, rhs) -> List[complex]:
     """Solve ``matrix @ x = rhs`` with partial pivoting."""
     lu, perm, _ = lu_factor(matrix)
     return lu_solve(lu, perm, rhs)
-
-
-def assert_nonsingular(matrix: np.ndarray) -> None:
-    """Raise :class:`SingularMatrixError` if elimination would break down."""
-    lu_factor(matrix)
-
-
-def condition_estimate(matrix: np.ndarray) -> float:
-    """1-norm condition estimate via the explicit inverse (small matrices)."""
-    a = np.asarray(matrix, dtype=complex)
-    n = a.shape[0]
-    try:
-        lu, perm, _ = lu_factor(a)
-    except SingularMatrixError as err:
-        return err.condition_estimate
-    inv = np.empty((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for j in range(n):
-        inv[:, j] = lu_solve(lu, perm, eye[:, j])
-    norm = np.max(np.sum(np.abs(a), axis=0)) if n else 0.0
-    inv_norm = np.max(np.sum(np.abs(inv), axis=0)) if n else 0.0
-    return float(norm * inv_norm)

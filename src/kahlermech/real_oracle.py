@@ -117,7 +117,9 @@ def realify_and_solve(system: LagrangianSystem, state: PhaseState) -> SemisprayS
         xr = gauss_jordan_solve(Sr, br)
     except EliminationFailure as err:
         raise InconsistentConstraints(state, err.condition_estimate) from None
-    return system._solution_from(state, K, W, ME, dL, derealify(xr))
+    return system._solution_from(
+        state, saddle.tolist(), rhs.tolist(), None, derealify(xr).tolist()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,7 @@ def classical_el_check(system: LagrangianSystem, trajectory: Trajectory) -> Clas
     m = system.m
 
     def momenta_forces(state: PhaseState):
-        dL = system._dL_eval(state.z, state.w)[:, 0]
+        dL = system._blocks_at(state)[4]
         Lz, Lw = dL[:m], dL[m:]
         # (x_i then y_i) components for each index.
         force = np.concatenate([Lz, 1j * Lz])
@@ -189,7 +191,7 @@ def classical_el_check(system: LagrangianSystem, trajectory: Trajectory) -> Clas
         residual = force - p_dot
         if system.r:
             state = samples[k].state
-            W = system._W_eval(state.z, state.w)
+            W = system._blocks_at(state)[5]
             lams = np.asarray(samples[k].solution.multipliers)
             cz = W[:m, :] @ lams  # dz components only
             residual -= np.concatenate([cz, 1j * cz])

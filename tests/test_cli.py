@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -112,6 +113,26 @@ def test_simulate_reports_failure_with_exit_two(tmp_path, capsys):
     assert summary["failure_time"] == 0.0
     assert summary["samples"] == 0
     assert summary["energy_initial"] is None
+
+
+@pytest.mark.parametrize("coefficient", ["1e200*1e200*z1", "(1e999 - 1e999)*z1"])
+def test_simulate_reports_non_finite_assembly_as_a_domain_error(tmp_path, coefficient):
+    # The coefficient overflows to infinity, or is infinity minus infinity.
+    path = tmp_path / "overflow.system"
+    path.write_text(
+        "[system]\nm = 1\nname = overflow\n\n"
+        "[lagrangian]\nL = z1*w1 + w1^2\n\n"
+        f"[constraints]\nbig = {coefficient} ; 1\n\n"
+        "[initial]\nz1 = 0.9+0.2i\nw1 = 0.3-0.4i\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--system", str(path), "--out", str(tmp_path), "--t1", "0.1"])
+    assert code == 2
+    summary = json.loads((tmp_path / "overflow_summary.json").read_text())
+    assert summary["status"] == "solver_failure"
+    assert summary["failure_kind"] == "EvalDomainError"
+    assert summary["failure_time"] == 0.0
 
 
 def test_simulate_is_deterministic(tmp_path):

@@ -27,6 +27,8 @@ from kahlermech.dynamics import (
 from kahlermech.exterior import contract, one_form, vector
 from kahlermech.expressions import (
     Conj,
+    Div,
+    EvalDomainError,
     Mul,
     Num,
     Re,
@@ -280,6 +282,48 @@ def test_exchange_saddle_degenerates_on_the_matching_locus():
         solve_semispray(system, state)
 
 
+def test_domain_error_names_the_offending_division():
+    # The two-form of z1*w1 + w1^2 is regular; only the constraint
+    # coefficient 1/z1 is singular at z1 = 0.
+    form = one_form([parse_expression("1/z1", 1)], [1.0])
+    system = _system("z1*w1 + w1^2", constraints=[form])
+    with pytest.raises(EvalDomainError) as info:
+        solve_semispray(system, PhaseState(0.0, (0.0,), (1.0,)))
+    assert isinstance(info.value.subtree, Div)
+    assert info.value.subtree == parse_expression("1/z1", 1)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_assembly_is_a_domain_error(value):
+    form = one_form([Num(value) * Sym("z", 1)], [1.0])
+    system = _system("z1*w1 + w1^2", constraints=[form])
+    state = PhaseState(0.0, (0.5,), (1.0,))
+    with pytest.raises(EvalDomainError, match="non-finite value") as info:
+        solve_semispray(system, state)
+    assert isinstance(info.value.subtree, Num)
+    assert not math.isfinite(abs(info.value.subtree.value))
+    traj = integrate(system, state, 0.1, 0.01)
+    assert traj.status == "solver_failure"
+    assert traj.failure_kind == "EvalDomainError"
+
+
+def test_solution_bookkeeping_and_field_only_solves():
+    entry = desksuite.BY_NAME["exchange_constrained"]
+    system = desksuite.build(entry.name)
+    state = desksuite.initial_state(entry)
+    sol = solve_semispray(system, state)
+    point = state.point()
+    xiv = np.array(sol.xi.components)
+    expected = [abs(omega.coefficient_vector(point) @ xiv) for omega in system.constraints]
+    assert len(sol.constraint_residuals) == 2
+    assert max(abs(a - b) for a, b in zip(sol.constraint_residuals, expected)) < 1e-15
+    assert sol.residual_constraints == max(sol.constraint_residuals)
+    assert sol.energy == energy(system, state, sol.xi)
+    stage = solve_semispray(system, state, residuals=False)
+    assert stage.xi == sol.xi and stage.multipliers == sol.multipliers
+    assert stage.residual_symplectic is None and stage.energy is None
+
+
 # ------------------------------------------------------------- EL residuals
 
 
@@ -302,7 +346,7 @@ def _reference_residual(system, state, xi_hol, xi_fib, lams):
     H = [[d(diff(L, zi), wj) for wj in ws] for zi in zs]
     B = [[d(diff(L, wi), wj) for wj in ws] for wi in ws]
     if system.r:
-        W = system._W_eval(state.z, state.w)
+        W = np.array([omega.coefficient_vector(point) for omega in system.constraints]).T
     res = []
     for j in range(m):
         value = Lz[j] - 1j * (
@@ -364,6 +408,14 @@ def test_el_residual_of_the_zero_field():
 
 
 # -------------------------------------------------------------- integration
+
+
+def test_sample_times_lie_on_the_exact_grid():
+    system = desksuite.build("bilinear_pair")
+    tr = integrate(system, PhaseState(0.0, (1.0,), (0.5,)), 10.0, 1e-3)
+    assert len(tr.samples) == 10001
+    assert tr.samples[-1].state.t == 10.0
+    assert all(s.state.t == k * 1e-3 for k, s in enumerate(tr.samples))
 
 
 def test_integrate_sample_counts_and_times():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from kahlermech.expressions import (
+    COMPILED_DOMAIN_ERRORS,
     Add,
     Conj,
     Cos,
@@ -23,14 +24,15 @@ from kahlermech.expressions import (
     Sin,
     Sub,
     Sym,
-    compile_expr,
+    compile_function,
     diff,
+    domain_error,
+    emit,
     evaluate,
     make_point,
     parse_expression,
-    position_symbols,
     simplify,
-    velocity_symbols,
+    walk,
 )
 from fdtools import domain_clear, expr_evaluator, first_fd
 
@@ -119,8 +121,8 @@ def test_structural_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     # Structural, not algebraic: commuted operands differ.
     assert parse_expression("w1 + z1", 2) != a
-    assert Sym("z", 1) == position_symbols(2)[0]
-    assert Sym("w", 2) == velocity_symbols(2)[1]
+    assert Sym("z", 1) == parse_expression("z1", 2)
+    assert Sym("w", 2) == parse_expression("w2", 2)
 
 
 # ---------------------------------------------------------------- printing
@@ -184,6 +186,12 @@ def test_evaluate_conjugation_family():
     assert evaluate(Im(Z1), point) == 2.0
 
 
+def _compiled(e):
+    """The expression as generated code, the way the dynamics layer builds it."""
+    symbols = [n for n in walk(e) if isinstance(n, Sym)]
+    return compile_function("z, w", [f"return {emit(e)}"], symbols)
+
+
 def test_compile_matches_evaluate():
     rng = random.Random(11)
     texts = [
@@ -194,7 +202,7 @@ def test_compile_matches_evaluate():
     ]
     for text in texts:
         e = parse_expression(text, 2)
-        fn = compile_expr(e)
+        fn = _compiled(e)
         for _ in range(10):
             point, z, w = _random_point(rng, 2)
             try:
@@ -205,9 +213,15 @@ def test_compile_matches_evaluate():
 
 
 def test_compile_raises_domain_error():
-    fn = compile_expr(parse_expression("1/z1", 1))
-    with pytest.raises(EvalDomainError):
-        fn((0.0,), (0.0,))
+    # Generated code raises a plain Python error; the tree walker then
+    # names the offending subtree, not the whole expression.
+    e = parse_expression("z1*w1 + 2/(z1 - 1)", 1)
+    with pytest.raises(COMPILED_DOMAIN_ERRORS):
+        _compiled(e)((1.0,), (3.0,))
+    err = domain_error(e, make_point((1.0,), (3.0,)))
+    assert isinstance(err, EvalDomainError)
+    assert err.subtree == parse_expression("2/(z1 - 1)", 1)
+    assert domain_error(e, make_point((2.0,), (3.0,))) is None
 
 
 # ---------------------------------------------------------------- derivatives
@@ -303,7 +317,7 @@ def test_diff_matches_finite_differences():
             if not base < 1e3:
                 continue
             for slot, sym in enumerate(
-                list(position_symbols(2)) + list(velocity_symbols(2))
+                [Sym("z", 1), Sym("z", 2), Sym("w", 1), Sym("w", 2)]
             ):
                 formal = evaluate(diff(e, sym), point)
                 if not abs(formal) < 1e3:

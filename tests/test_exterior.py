@@ -16,7 +16,6 @@ from kahlermech.exterior import (
     one_form,
     vector,
     vertical_d,
-    zero_two_form,
 )
 from kahlermech.expressions import (
     Num,
@@ -184,7 +183,7 @@ def test_two_form_from_matrix_round_trip():
     assert form.entry(0, 1) == 2j
     scaled = form.scaled(-1)
     assert np.array_equal(scaled.as_matrix(), -M)
-    assert np.array_equal(zero_two_form(2).as_matrix(), np.zeros((4, 4)))
+    assert np.array_equal(TwoForm(2, lambda p, q: 0j).as_matrix(), np.zeros((4, 4)))
 
 
 def test_contract_against_hand_values():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from kahlermech.linalg import (
+    NonFiniteEntryError,
     SingularMatrixError,
-    assert_nonsingular,
-    condition_estimate,
     lu_factor,
     lu_solve,
     solve,
@@ -45,7 +44,7 @@ def test_singular_matrix_is_rejected():
         info.value.condition_estimate
     )
     with pytest.raises(SingularMatrixError):
-        assert_nonsingular(np.zeros((3, 3), dtype=complex))
+        lu_factor(np.zeros((3, 3), dtype=complex))
 
 
 def test_near_singular_matrix_is_rejected_relative_to_scale():
@@ -65,8 +64,26 @@ def test_scaling_does_not_change_singularity_verdicts():
     assert np.allclose(x, np.linalg.solve(A, b), atol=1e-12)
 
 
-def test_condition_estimate_tracks_conditioning():
-    well = np.eye(2, dtype=complex)
-    assert condition_estimate(well) == pytest.approx(1.0)
-    skewed = np.array([[1.0, 0.0], [0.0, 1e-8]], dtype=complex)
-    assert condition_estimate(skewed) > 1e7
+@pytest.mark.parametrize("bad", [float("inf"), complex(0.0, float("-inf")), float("nan")])
+def test_non_finite_entries_are_rejected(bad):
+    # The bad entry sits after a larger one, where a max() would skip a NaN.
+    A = np.array([[4.0, 1.0], [bad, 2.0]], dtype=complex)
+    with pytest.raises(NonFiniteEntryError):
+        lu_factor(A)
+    lu, perm, _ = lu_factor(np.eye(2, dtype=complex))
+    with pytest.raises(NonFiniteEntryError):
+        lu_solve(lu, perm, np.array([1.0, bad], dtype=complex))
+
+
+def test_finite_entries_whose_magnitudes_overflow_a_sum_still_factor():
+    A = np.array([[1e308, 0.0], [0.0, 1e308]], dtype=complex)
+    x = solve(A, np.array([1e308, 2e307], dtype=complex))
+    assert np.allclose(x, [1.0, 0.2], atol=1e-15)
+
+
+def test_first_maximal_pivot_wins_like_argmax():
+    # Rows 1 and 2 tie in the first column; the first of them is chosen.
+    A = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 1.0], [-2.0, 1.0, 0.0]], dtype=complex)
+    _, perm, scale = lu_factor(A)
+    assert perm[0] == 1
+    assert scale == 2.0
