@@ -25,7 +25,7 @@ from .dynamics import (
     integrate,
     solve_semispray,
 )
-from .expressions import EvalDomainError, Expr, Num, Sym, evaluate, diff, simplify
+from .expressions import EvalDomainError, Expr, Num, evaluate, diff, simplify
 from .real_oracle import realify_and_solve
 
 DEFAULT_THRESHOLDS: Dict[str, float] = {
@@ -48,13 +48,7 @@ class CheckResult:
 
 
 def _sample_states(system: LagrangianSystem, initial: PhaseState, samples: int, seed: int):
-    m = system.m
-    states = [initial]
-    for point in sample_points(m, samples, seed):
-        z = tuple(point[Sym("z", i)] for i in range(1, m + 1))
-        w = tuple(point[Sym("w", i)] for i in range(1, m + 1))
-        states.append(PhaseState(0.0, z, w))
-    return states
+    return [initial] + [PhaseState(0.0, z, w) for z, w in sample_points(system.m, samples, seed)]
 
 
 def _closure_terms(system: LagrangianSystem) -> List[Tuple[Tuple[int, int, int], Expr]]:

@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from .checks import run_check_suite
 from .constraints import Classification, closedness_test, frobenius_test
 from .dynamics import (
@@ -392,16 +394,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, NonHolomorphicLagrangian) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as err:
+    except np.linalg.LinAlgError as err:  # a ValueError, but never bad input
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except (SystemFileError, ParseError, NonHolomorphicLagrangian, FileNotFoundError,
+            ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:  # runtime failures keep the 0/1/2 contract

@@ -8,6 +8,12 @@ orthonormal kernel basis at seeded random sample states.  All thresholds
 are applied relative to the magnitude of the form's own coefficients at
 the sample, so rescaling a form cannot change any verdict.
 
+Each set compiles, on first use, one generated function that returns every
+coefficient and the upper triangle of every d omega_a at a state.  Both
+tests share one pass over the samples and run their SVDs on the whole
+stack; a sample where an entry is undefined or not finite is skipped with
+a warning that names the subtree.
+
 Verdicts:
 
 * ``CLOSED``           every form has d omega = 0 at all samples;
@@ -24,12 +30,14 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expressions import EvalDomainError, Expr, Num, Sym, evaluate, make_point, walk
-from .exterior import OneForm, TwoForm, VectorField, exterior_derivative
+from .expressions import (COMPILED_DOMAIN_ERRORS, Expr, Num, Sym, compile_function,
+                          domain_error, emit, make_point, walk)
+from .exterior import OneForm, VectorField, exterior_derivative
 
 RANK_RTOL = 1e-10
 
@@ -81,6 +89,29 @@ class ConstraintSet:
     def r(self) -> int:
         return len(self.forms)
 
+    @cached_property
+    def _entries(self) -> Tuple[Expr, ...]:
+        """Every coefficient (r x 2m, row-major), then the strict upper
+        triangle of each d omega_a (row-major)."""
+        n = 2 * self.m
+        coefficients = [c if isinstance(c, Expr) else Num(c)
+                        for f in self.forms for c in f.coefficients]
+        uppers = [d.entry(p, q) for d in map(exterior_derivative, self.forms)
+                  for p in range(n) for q in range(p + 1, n)]
+        return tuple(coefficients + uppers)
+
+    @cached_property
+    def _evaluate(self) -> Callable:
+        """Generated ``(z, w) -> list`` of every entry, in ``_entries`` order."""
+        symbols = [Sym(kind, i) for kind in "zw" for i in range(1, self.m + 1)]
+        body = [f"return [{', '.join(emit(e) for e in self._entries)}]"]
+        return compile_function("z, w", body, symbols)
+
+    @cached_property
+    def _last_pass(self) -> dict:
+        """The most recent sample pass, keyed by (samples, seed)."""
+        return {}
+
 
 def constraint_set(forms: Sequence[OneForm], names: Optional[Sequence[str]] = None) -> ConstraintSet:
     if names is None:
@@ -129,48 +160,77 @@ def is_basic(form: OneForm) -> bool:
     return True
 
 
-def sample_points(m: int, samples: int, seed: int) -> List[dict]:
-    """Seeded uniform draws from the per-component box [-1,1] + [-1,1]i."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(samples):
-        vals = rng.uniform(-1.0, 1.0, size=(2, 2 * m))
-        zw = vals[0] + 1j * vals[1]
-        out.append(make_point(zw[:m], zw[m:]))
-    return out
+def sample_points(m: int, samples: int, seed: int) -> List[Tuple[tuple, tuple]]:
+    """Seeded uniform (z, w) draws from the per-component box [-1,1] + [-1,1]i."""
+    vals = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, 2, 2 * m))
+    zw = (vals[:, 0] + 1j * vals[:, 1]).tolist()
+    return [(tuple(row[:m]), tuple(row[m:])) for row in zw]
 
 
-def _coefficient_matrix(cs: ConstraintSet, point) -> np.ndarray:
-    """r x 2m matrix of evaluated constraint coefficients."""
-    rows = []
-    for form in cs.forms:
-        rows.append([
-            evaluate(c, point) if isinstance(c, Expr) else complex(c)
-            for c in form.coefficients
-        ])
-    return np.asarray(rows, dtype=complex)
+def _evaluate_at(cs: ConstraintSet, points: Sequence[Tuple[tuple, tuple]]):
+    """Rows of every ``_entries`` value at the points where each entry is
+    defined and finite, those points' indices, and the others' errors."""
+    rows, good, bad = [], [], []
+    for i, (z, w) in enumerate(points):
+        try:
+            rows.append(cs._evaluate(z, w))
+            good.append(i)
+        except COMPILED_DOMAIN_ERRORS:
+            bad.append(i)
+    values = np.array(rows, dtype=complex).reshape(len(rows), len(cs._entries))
+    finite = np.isfinite(values).all(axis=1)
+    errors = {}
+    for i in sorted(bad + [i for i, ok in zip(good, finite) if not ok]):
+        point = make_point(*points[i])  # cold path: the tree walker names the subtree
+        errors[i] = next(filter(None, (domain_error(e, point) for e in cs._entries)))
+    return values[finite], [i for i, ok in zip(good, finite) if ok], errors
 
 
-def _form_scales(omega_matrix: np.ndarray) -> np.ndarray:
-    """Per-form coefficient magnitude used to normalize thresholds."""
-    return np.max(np.abs(omega_matrix), axis=1)
+def _sample_forms(cs: ConstraintSet, samples: int, seed: int):
+    """Read-only stacks over the samples without a domain error: the points,
+    the (N, r, 2m) coefficients, the (N, r, 2m, 2m) d omega_a, and the (N, r)
+    largest coefficient magnitudes with 0 taken as 1.  The last pass is kept
+    on ``cs``, so the two tests evaluate once between them; each warns."""
+    key = (samples, seed)
+    if key not in cs._last_pass:
+        points = sample_points(cs.m, samples, seed)
+        values, kept, errors = _evaluate_at(cs, points)
+        n, r = 2 * cs.m, cs.r
+        omega = values[:, :r * n].reshape(-1, r, n)
+        upper = values[:, r * n:].reshape(-1, r, n * (n - 1) // 2)
+        d_omega = np.zeros((len(values), r, n, n), dtype=complex)
+        rows, cols = np.triu_indices(n, 1)
+        d_omega[:, :, rows, cols] = upper
+        d_omega[:, :, cols, rows] = -upper
+        scales = np.max(np.abs(omega), axis=2)
+        scales[scales == 0] = 1.0
+        for a in (omega, d_omega, scales):
+            a.flags.writeable = False
+        cs._last_pass.clear()
+        cs._last_pass[key] = ([points[i] for i in kept], omega, d_omega, scales, errors)
+    *found, errors = cs._last_pass[key]
+    for err in errors.values():
+        warnings.warn(f"skipping sample with undefined coefficients: {err}")
+    return found
+
+
+def _rank(sigma: np.ndarray) -> np.ndarray:
+    """Numerical rank from singular values, stacked over leading axes."""
+    return np.sum(sigma > RANK_RTOL * sigma[..., :1], axis=-1)
 
 
 def annihilator_basis(cs: ConstraintSet, state) -> List[VectorField]:
-    """Orthonormal basis of the kernel of the constraint forms at a state.
-
-    ``state`` is anything with ``z``/``w`` tuples (a PhaseState) or a
-    ready-made evaluation point mapping.
-    """
-    point = state if isinstance(state, dict) else make_point(state.z, state.w)
-    omega = _coefficient_matrix(cs, point)
-    _, sigma, vh = np.linalg.svd(omega)
-    rank = int(np.sum(sigma > RANK_RTOL * (sigma[0] if sigma.size else 0.0)))
-    if rank < cs.r:
-        raise RankDeficientConstraints(rank, cs.r)
-    kernel = vh[cs.r:].conj()
-    m = cs.m
-    return [VectorField(tuple(row[:m]), tuple(row[m:])) for row in kernel]
+    """Orthonormal basis of the kernel of the constraint forms at a state
+    with ``z``/``w`` tuples (a PhaseState)."""
+    m, r = cs.m, cs.r
+    values, _, errors = _evaluate_at(cs, [(state.z, state.w)])
+    if errors:
+        raise errors[0]
+    _, sigma, vh = np.linalg.svd(values[0, :r * 2 * m].reshape(r, 2 * m))
+    rank = int(_rank(sigma))
+    if rank < r:
+        raise RankDeficientConstraints(rank, r)
+    return [VectorField(tuple(row[:m]), tuple(row[m:])) for row in vh[r:].conj()]
 
 
 def closedness_test(
@@ -179,27 +239,14 @@ def closedness_test(
     seed: int = 0,
     tol: float = 1e-8,
 ) -> List[bool]:
-    """Per-form booleans: does d omega vanish at all valid sample states?"""
-    d_forms = [exterior_derivative(f) for f in cs.forms]
-    points = sample_points(cs.m, samples, seed)
-    valid = 0
-    worst = np.zeros(cs.r)
-    for point in points:
-        try:
-            omega = _coefficient_matrix(cs, point)
-            scales = _form_scales(omega)
-            here = [
-                float(np.max(np.abs(d_form.as_matrix(point))))
-                / (scales[a] if scales[a] > 0 else 1.0)
-                for a, d_form in enumerate(d_forms)
-            ]
-        except EvalDomainError as err:
-            warnings.warn(f"skipping sample with undefined coefficients: {err}")
-            continue
-        worst = np.maximum(worst, here)
-        valid += 1
-    if valid == 0:
+    """Per-form booleans: does d omega vanish at all valid sample states?
+
+    Rank-deficient samples count here; only domain errors are skipped.
+    """
+    points, _, d_omega, scales = _sample_forms(cs, samples, seed)
+    if not points:
         raise ValueError("no valid sample states: every draw hit a domain error")
+    worst = np.max(np.max(np.abs(d_omega), axis=(2, 3)) / scales, axis=0)
     return [bool(w <= tol) for w in worst]
 
 
@@ -210,66 +257,49 @@ def frobenius_test(
     tol: float = 1e-8,
 ) -> Classification:
     """Classify the distribution cut out by the constraint forms."""
-    d_forms = [exterior_derivative(f) for f in cs.forms]
-    points = sample_points(cs.m, samples, seed)
+    points, omega, d_omega, scales = _sample_forms(cs, samples, seed)
     m, r = cs.m, cs.r
-
-    closed_flags = [True] * r
-    max_bracket = 0.0
-    best: Optional[Witness] = None
-    valid = 0
-    deficient = 0
-    for point in points:
-        try:
-            omega = _coefficient_matrix(cs, point)
-            scales = _form_scales(omega)
-            _, sigma, vh = np.linalg.svd(omega)
-            top = sigma[0] if sigma.size else 0.0
-            rank = int(np.sum(sigma > RANK_RTOL * top))
-            if rank < r:
-                deficient += 1
-                continue
-            kernel = vh[r:].conj().T  # columns: orthonormal kernel basis
-            d_mats = [d.as_matrix(point) for d in d_forms]
-        except EvalDomainError as err:
-            warnings.warn(f"skipping sample with undefined coefficients: {err}")
-            continue
-        valid += 1
-        for a in range(r):
-            scale = scales[a] if scales[a] > 0 else 1.0
-            if np.max(np.abs(d_mats[a])) / scale > tol:
-                closed_flags[a] = False
-            restricted = kernel.T @ d_mats[a] @ kernel
-            if restricted.size == 0:
-                continue
-            u, s, vh_r = np.linalg.svd(restricted)
-            value = float(s[0]) / scale
-            if value > max_bracket:
-                max_bracket = value
-                xv = kernel @ u[:, 0].conj()
-                yv = kernel @ vh_r[0].conj()
-                best = Witness(
-                    form_index=a,
-                    z=tuple(point[Sym("z", i)] for i in range(1, m + 1)),
-                    w=tuple(point[Sym("w", i)] for i in range(1, m + 1)),
-                    x=VectorField(tuple(xv[:m]), tuple(xv[m:])),
-                    y=VectorField(tuple(yv[:m]), tuple(yv[m:])),
-                    value=value,
-                )
-
+    _, sigma, vh = np.linalg.svd(omega)
+    full = _rank(sigma) == r
+    valid = int(np.count_nonzero(full))
+    deficient = len(points) - valid
     if valid == 0:
         return Classification(
-            Verdict.INDETERMINATE, tuple(closed_flags), 0.0, 0, deficient,
+            Verdict.INDETERMINATE, (True,) * r, 0.0, 0, deficient,
             None, samples, seed, tol,
         )
+    d_omega, scales = d_omega[full], scales[full]
+    closed = np.max(np.abs(d_omega), axis=(2, 3)) / scales <= tol
+    closed_flags = tuple(bool(c) for c in closed.all(axis=0))
+    # Rows of kernel_t[i] are the conjugated kernel basis at sample i, so
+    # kernel_t[i] @ D @ kernel_t[i].T restricts D to the distribution.
+    kernel_t = vh[full, r:].conj()[:, None]
+    restricted = kernel_t @ d_omega @ kernel_t.swapaxes(-1, -2)
+    u, s, vh_r = np.linalg.svd(restricted)
+    values = s[..., 0] / scales
+    best = int(np.argmax(values))  # first maximum in (sample, form) order
+    max_bracket = max(0.0, float(values.flat[best]))  # LAPACK can return -0.0
+
     if all(closed_flags):
         verdict = Verdict.CLOSED
     elif max_bracket <= tol:
         verdict = Verdict.LOCALLY_HOLONOMIC
     else:
         verdict = Verdict.ANHOLONOMIC
-    witness = best if verdict is Verdict.ANHOLONOMIC else None
+    witness = None
+    if verdict is Verdict.ANHOLONOMIC and max_bracket > 0:
+        i, a = divmod(best, r)
+        kernel = kernel_t[i, 0].T
+        xv = kernel @ u[i, a][:, 0].conj()
+        yv = kernel @ vh_r[i, a][0].conj()
+        z, w = [p for p, ok in zip(points, full) if ok][i]
+        witness = Witness(
+            form_index=a, z=z, w=w,
+            x=VectorField(tuple(xv[:m]), tuple(xv[m:])),
+            y=VectorField(tuple(yv[:m]), tuple(yv[m:])),
+            value=max_bracket,
+        )
     return Classification(
-        verdict, tuple(closed_flags), max_bracket, valid, deficient,
+        verdict, closed_flags, max_bracket, valid, deficient,
         witness, samples, seed, tol,
     )

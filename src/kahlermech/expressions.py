@@ -791,14 +791,17 @@ def domain_error(e: Expr, point: Mapping[Sym, complex]) -> Optional[EvalDomainEr
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation (internal fast path for the dynamics layer)
+# Compiled evaluation (internal fast path for dynamics and constraints)
 #
-# The dynamics layer emits one function per system from these pieces.  On
-# a domain failure it falls back to the tree walker through domain_error,
-# which names the offending subtree.
+# Each system and each constraint set emits one function from these pieces.
+# On a domain failure the caller falls back to the tree walker through
+# domain_error, which names the offending subtree.
 
 # What generated code raises where the tree walker raises EvalDomainError.
 COMPILED_DOMAIN_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+
+# Mixed-sign zeros have no constant expression; generated code reads globals.
+_MIXED_ZEROS = {"-0j": "_zero_negzero", "(-0+0j)": "_negzero_zero"}
 
 _TEMPLATES = {
     Neg: "(-{})",
@@ -808,14 +811,32 @@ _TEMPLATES = {
 }
 
 
-def emit(e: Expr) -> str:
-    """Python source for ``e`` over the locals z1.., w1...
+def _repr_is_exact(v: complex) -> bool:
+    """Whether ``repr(v)`` evaluates back to ``v``: ``(-0-1j)`` is
+    ``-0 - 1j``, whose real part is +0.0."""
+    positive = [math.copysign(1.0, x) > 0 for x in (v.real, v.imag)]
+    return _is_finite(v) and (all(positive) if v.real == 0 else v.imag != 0 or positive[1])
 
-    Infinite and NaN literals have no Python literal and are parsed from
-    their repr at run time.
-    """
+
+def _literal(v: complex) -> str:
+    """Source for exactly ``v``, signs of zeros included: a constant the
+    compiler folds, except for non-finite values and mixed-sign zeros."""
+    if not _is_finite(v):
+        return f"complex({str(v)!r})"
+    if _repr_is_exact(v):
+        return f"({v!r})"
+    if _repr_is_exact(-v):
+        return f"(-{-v!r})"
+    if v.imag != 0:  # a signed zero real part: 0.0 - |b|j is (0.0, -|b|)
+        return f"(0.0 - {-v.imag!r}j)" if v.imag < 0 else f"(-(0.0 - {v.imag!r}j))"
+    return _MIXED_ZEROS[repr(v)]
+
+
+def emit(e: Expr) -> str:
+    """Python source for ``e`` over the locals z1.., w1...; a literal
+    evaluates to exactly the value of its :class:`Num`."""
     if isinstance(e, Num):
-        return f"({e.value!r})" if _is_finite(e.value) else f"complex({str(e.value)!r})"
+        return _literal(e.value)
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Pow):
@@ -840,6 +861,7 @@ def compile_function(signature: str, body: List[str], symbols) -> Callable:
     ]
     source = "\n    ".join([f"def f({signature}):"] + unpack + body)
     namespace = dict(__builtins__={}, complex=complex, _sin=cmath.sin, _cos=cmath.cos,
-                     _exp=cmath.exp, _log=cmath.log)
+                     _exp=cmath.exp, _log=cmath.log, _zero_negzero=complex(0.0, -0.0),
+                     _negzero_zero=complex(-0.0, 0.0))
     exec(compile(source, "<generated>", "exec"), namespace)
     return namespace["f"]

@@ -5,8 +5,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
+from kahlermech import cli
 from kahlermech.cli import main
 import desksuite
 
@@ -202,6 +204,39 @@ def test_classify_is_deterministic(tmp_path):
         assert main(["classify", "--system", EXCHANGE, "--out", str(out)]) == 0
     name = "exchange_constrained_classification.json"
     assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("m, constraint", [
+    (1, "big = 1e200*1e200*z1 ; 1"),
+    (2, "c = 1e300*1e300*re(z1)*z2 + 1 ; 0 ; 0 ; 0"),
+])
+def test_classify_treats_non_finite_coefficients_as_domain_errors(tmp_path, capsys, m, constraint):
+    # Every sample overflows: each is skipped as a domain error, so no
+    # sample is valid.  This used to read as rank deficiency (m = 1) or
+    # fail inside the SVD (m = 2).
+    symbols = [f"{kind}{i}" for kind in "zw" for i in range(1, m + 1)]
+    path = tmp_path / "overflow.system"
+    path.write_text(
+        f"[system]\nm = {m}\nname = overflow\n\n"
+        f"[lagrangian]\nL = {' + '.join(f'z{i}*w{i}' for i in range(1, m + 1))}\n\n"
+        f"[constraints]\n{constraint}\n\n"
+        "[initial]\n" + "".join(f"{s} = 0.5\n" for s in symbols)
+    )
+    with pytest.warns(UserWarning, match="non-finite value"):
+        code = main(["classify", "--system", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: no valid sample states" in capsys.readouterr().err
+
+
+def test_linear_algebra_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, which otherwise means bad input.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "frobenius_test", fail)
+    code = main(["classify", "--system", EXCHANGE, "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: LinAlgError: SVD did not converge" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- check

@@ -16,7 +16,9 @@ from kahlermech.constraints import (
 )
 from kahlermech.dynamics import PhaseState
 from kahlermech.exterior import evaluate_two_form, exterior_derivative, one_form
-from kahlermech.expressions import make_point, parse_expression
+from kahlermech.expressions import EvalDomainError, make_point, parse_expression
+
+from classify_reference import reference_closedness, reference_frobenius
 
 
 def _form(m, a_texts, b_texts):
@@ -200,6 +202,81 @@ def test_classification_echoes_parameters():
     assert cls.tol == 1e-7
 
 
+def test_non_finite_samples_are_skipped_as_domain_errors():
+    # 1e308*re(z1)*4 overflows wherever |re(z1)| > 0.45: those samples are
+    # skipped with the offending subtree named, the rest classify.
+    cs = constraint_set([_form(2, ("1e308*re(z1)*4", "1"), ("0", "0"))])
+    with pytest.warns(UserWarning, match="non-finite value: 1e[+]?308 [*] re[(]z1[)] [*] 4"):
+        cls = frobenius_test(cs, samples=40, seed=2)
+    assert cls.verdict is Verdict.CLOSED
+    assert 0 < cls.valid_samples < 40
+    assert cls.deficient_samples == 0
+    with pytest.warns(UserWarning, match="non-finite value"):
+        assert closedness_test(cs, samples=40, seed=2) == [True]
+
+
+@pytest.mark.parametrize("m, a_texts, b_texts", [
+    (1, ("1e200*1e200*z1",), ("1",)),
+    (2, ("1e300*1e300*re(z1)*z2 + 1", "0"), ("0", "0")),
+])
+def test_forms_non_finite_everywhere_have_no_valid_sample(m, a_texts, b_texts):
+    cs = constraint_set([_form(m, a_texts, b_texts)])
+    with pytest.warns(UserWarning, match="non-finite value"):
+        cls = frobenius_test(cs, samples=10, seed=0)
+    assert cls.verdict is Verdict.INDETERMINATE
+    assert (cls.valid_samples, cls.deficient_samples) == (0, 0)
+    with pytest.warns(UserWarning, match="non-finite value"), \
+            pytest.raises(ValueError, match="no valid sample states"):
+        closedness_test(cs, samples=10, seed=0)
+    state = PhaseState(0.0, (0.5,) * m, (0.5,) * m)
+    with pytest.raises(EvalDomainError, match="non-finite value"):
+        annihilator_basis(cs, state)
+
+
+def test_each_test_warns_for_the_samples_it_skips():
+    # The two tests share one evaluation pass, but each still reports.
+    cs = constraint_set([_form(1, ("1e200*1e200*z1",), ("1",))])
+    with pytest.warns(UserWarning) as first:
+        frobenius_test(cs, samples=3, seed=0)
+    with pytest.warns(UserWarning) as second:
+        frobenius_test(cs, samples=3, seed=0)
+    assert [str(w.message) for w in first] == [str(w.message) for w in second]
+    assert len(first) == 3
+
+
+# ------------------------------------------------------ per-sample reference
+
+REFERENCE_SETS = {
+    "dz1": [DZ1_M2],
+    "w1 dz1": [MOMENTUM],
+    "contact": [CONTACT],
+    "dz1 + z2 dw1": [_form(2, ("1", "0"), ("z2", "0"))],
+    "dz1 + z2 dw1, dz2": [_form(2, ("1", "0"), ("z2", "0")), _form(2, ("0", "1"), ("0", "0"))],
+    "mixed m=3": [
+        _form(3, ("1", "w3", "0"), ("z2*z3", "0", "conj(z1)")),
+        _form(3, ("0", "exp(z1)", "1"), ("0", "w1^2", "0")),
+    ],
+    "dependent": [DZ1_M2, _form(2, ("2", "0"), ("0", "0"))],
+    "rank drop at w1 = 0": [_form(2, ("w1", "1"), ("0", "0")), MOMENTUM],
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_SETS)
+@pytest.mark.parametrize("seed", [0, 909])
+def test_stacked_classify_matches_the_per_sample_reference(name, seed):
+    cs = constraint_set(REFERENCE_SETS[name])
+    tol = 1e-8
+    assert closedness_test(cs, 30, seed, tol) == reference_closedness(cs, 30, seed, tol)
+    closed, max_bracket, valid, deficient, witness = reference_frobenius(cs, 30, seed, tol)
+    cls = frobenius_test(cs, 30, seed, tol)
+    assert (cls.closed, cls.valid_samples, cls.deficient_samples) == (closed, valid, deficient)
+    assert abs(cls.max_bracket - max_bracket) <= 1e-12 * max(max_bracket, 1e-300)
+    if cls.verdict is Verdict.ANHOLONOMIC:
+        assert (cls.witness.z, cls.witness.w, cls.witness.form_index) == witness
+    else:
+        assert cls.witness is None
+
+
 # ------------------------------------------------------------------ sampling
 
 
@@ -207,9 +284,14 @@ def test_sample_points_are_deterministic_per_seed():
     a = sample_points(2, 5, seed=9)
     b = sample_points(2, 5, seed=9)
     c = sample_points(2, 5, seed=10)
-    keys = list(a[0].keys())
-    assert [[p[k] for k in keys] for p in a] == [[p[k] for k in keys] for p in b]
-    assert any(a[i][keys[0]] != c[i][keys[0]] for i in range(5))
+    assert a == b
+    assert any(a[i][0][0] != c[i][0][0] for i in range(5))
+    assert all(len(z) == len(w) == 2 for z, w in a)
+    # One (samples, 2, 2m) draw gives the stream of one (2, 2m) draw per
+    # sample: real parts, then imaginary parts, of z then w.
+    assert a[0][0][0] == 0.7404984079401693 + 0.43214925920713054j
+    assert a[2][0][1] == 0.41066740917890754 + 0.565181830656263j
+    assert a[4][1][1] == -0.8754930051666732 - 0.5478033452736573j
 
 
 def test_constraint_set_dataclass_surface():

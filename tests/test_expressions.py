@@ -212,6 +212,21 @@ def test_compile_matches_evaluate():
             assert abs(fn(z, w) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
+def test_emitted_literals_are_exact_to_the_sign_of_zero():
+    # repr((-1-0j)) reads back as -1 - 0j, whose imaginary part is +0.0;
+    # at z1 = 2 that flips log((-1-0j)*z1) from -pi*i to +pi*i.
+    parts = [0.0, -0.0, 1.5, -1.5, 1e300, math.inf, -math.inf, math.nan]
+    for re_part in parts:
+        for im_part in parts:
+            value = complex(re_part, im_part)
+            got = _compiled(Num(value))((), ())
+            for x, y in ((got.real, value.real), (got.imag, value.imag)):
+                assert (math.isnan(x) and math.isnan(y)) or (
+                    x == y and math.copysign(1, x) == math.copysign(1, y)), (value, got)
+    e = Log(Mul(Num(complex(-1.0, -0.0)), Z1))
+    assert _compiled(e)((2.0 + 0j,), ()) == evaluate(e, make_point((2.0,), ()))
+
+
 def test_compile_raises_domain_error():
     # Generated code raises a plain Python error; the tree walker then
     # names the offending subtree, not the whole expression.
