@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -32,7 +33,6 @@ from .dynamics import (
     PhaseState,
     SingularKahlerMatrix,
     Trajectory,
-    assemble_kahler_matrix,
     diagnostics,
     energy_differential,
     integrate,
@@ -60,6 +60,15 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def finite(text: str) -> float:
+    """argparse type of ``--t1``, ``--dt`` and ``--tol``: an infinite or
+    NaN value would make the step count or a threshold meaningless."""
+    value = float(text)  # argparse reports a ValueError as "invalid finite value"
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _defaults_block() -> dict:
@@ -291,9 +300,8 @@ def cmd_derive(args) -> int:
     print()
     print("two-form coefficient matrix at the initial state"
           " (rows/columns ordered dz1..dzm, dw1..dwm):")
-    K = assemble_kahler_matrix(system, state).as_matrix()
-    for p in range(2 * m):
-        print("  [" + ", ".join(_format_complex(K[p, q]) for q in range(2 * m)) + "]")
+    for row in system._blocks_at(state).K:
+        print("  [" + ", ".join(map(_format_complex, row)) + "]")
     print()
 
     try:
@@ -364,10 +372,10 @@ def build_parser() -> _ArgumentParser:
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="trajectory output format")
         if with_integrator:
-            p.add_argument("--t1", type=float, default=None, help="final time override")
-            p.add_argument("--dt", type=float, default=None, help="step size override")
+            p.add_argument("--t1", type=finite, default=None, help="final time override")
+            p.add_argument("--dt", type=finite, default=None, help="step size override")
         if with_sampling:
-            p.add_argument("--tol", type=float, default=None, help="tolerance override")
+            p.add_argument("--tol", type=finite, default=None, help="tolerance override")
             p.add_argument("--samples", type=int, default=None, help="sample count")
             p.add_argument("--seed", type=int, default=None, help="sampling seed")
 

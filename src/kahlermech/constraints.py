@@ -31,12 +31,11 @@ import enum
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expressions import (COMPILED_DOMAIN_ERRORS, Expr, Num, Sym, compile_function,
-                          domain_error, emit, make_point, walk)
+from .expressions import EvalDomainError, GeneratedFunction, Num, Sym, as_expr, emit, walk
 from .exterior import OneForm, VectorField, exterior_derivative
 
 RANK_RTOL = 1e-10
@@ -90,22 +89,16 @@ class ConstraintSet:
         return len(self.forms)
 
     @cached_property
-    def _entries(self) -> Tuple[Expr, ...]:
-        """Every coefficient (r x 2m, row-major), then the strict upper
-        triangle of each d omega_a (row-major)."""
+    def _evaluate(self) -> GeneratedFunction:
+        """Generated ``(z, w) -> list`` of every coefficient (r x 2m,
+        row-major), then the strict upper triangle of each d omega_a
+        (row-major)."""
         n = 2 * self.m
-        coefficients = [c if isinstance(c, Expr) else Num(c)
-                        for f in self.forms for c in f.coefficients]
-        uppers = [d.entry(p, q) for d in map(exterior_derivative, self.forms)
-                  for p in range(n) for q in range(p + 1, n)]
-        return tuple(coefficients + uppers)
-
-    @cached_property
-    def _evaluate(self) -> Callable:
-        """Generated ``(z, w) -> list`` of every entry, in ``_entries`` order."""
-        symbols = [Sym(kind, i) for kind in "zw" for i in range(1, self.m + 1)]
-        body = [f"return [{', '.join(emit(e) for e in self._entries)}]"]
-        return compile_function("z, w", body, symbols)
+        entries = [as_expr(c) for f in self.forms for c in f.coefficients]
+        entries += [d.entry(p, q) for d in map(exterior_derivative, self.forms)
+                    for p in range(n) for q in range(p + 1, n)]
+        body = [f"return [{', '.join(map(emit, entries))}]"]
+        return GeneratedFunction("z, w", body, entries, self.m)
 
     @cached_property
     def _last_pass(self) -> dict:
@@ -146,18 +139,10 @@ class Classification:
 
 def is_basic(form: OneForm) -> bool:
     """True when the form has no dw components and no velocity dependence."""
-    for c in form.b:
-        if isinstance(c, Expr):
-            if not (isinstance(c, Num) and c.value == 0):
-                return False
-        elif c != 0:
-            return False
-    for c in form.a:
-        if isinstance(c, Expr) and any(
-            isinstance(n, Sym) and n.kind == "w" for n in walk(c)
-        ):
-            return False
-    return True
+    if any(as_expr(c) != Num(0) for c in form.b):
+        return False
+    return not any(isinstance(n, Sym) and n.kind == "w"
+                   for c in form.a for n in walk(as_expr(c)))
 
 
 def sample_points(m: int, samples: int, seed: int) -> List[Tuple[tuple, tuple]]:
@@ -167,25 +152,6 @@ def sample_points(m: int, samples: int, seed: int) -> List[Tuple[tuple, tuple]]:
     return [(tuple(row[:m]), tuple(row[m:])) for row in zw]
 
 
-def _evaluate_at(cs: ConstraintSet, points: Sequence[Tuple[tuple, tuple]]):
-    """Rows of every ``_entries`` value at the points where each entry is
-    defined and finite, those points' indices, and the others' errors."""
-    rows, good, bad = [], [], []
-    for i, (z, w) in enumerate(points):
-        try:
-            rows.append(cs._evaluate(z, w))
-            good.append(i)
-        except COMPILED_DOMAIN_ERRORS:
-            bad.append(i)
-    values = np.array(rows, dtype=complex).reshape(len(rows), len(cs._entries))
-    finite = np.isfinite(values).all(axis=1)
-    errors = {}
-    for i in sorted(bad + [i for i, ok in zip(good, finite) if not ok]):
-        point = make_point(*points[i])  # cold path: the tree walker names the subtree
-        errors[i] = next(filter(None, (domain_error(e, point) for e in cs._entries)))
-    return values[finite], [i for i, ok in zip(good, finite) if ok], errors
-
-
 def _sample_forms(cs: ConstraintSet, samples: int, seed: int):
     """Read-only stacks over the samples without a domain error: the points,
     the (N, r, 2m) coefficients, the (N, r, 2m, 2m) d omega_a, and the (N, r)
@@ -193,8 +159,14 @@ def _sample_forms(cs: ConstraintSet, samples: int, seed: int):
     on ``cs``, so the two tests evaluate once between them; each warns."""
     key = (samples, seed)
     if key not in cs._last_pass:
-        points = sample_points(cs.m, samples, seed)
-        values, kept, errors = _evaluate_at(cs, points)
+        evaluated, kept, errors = [], [], []
+        for z, w in sample_points(cs.m, samples, seed):
+            try:
+                evaluated.append(cs._evaluate.values(z, w))
+                kept.append((z, w))
+            except EvalDomainError as err:
+                errors.append(err)
+        values = np.array(evaluated, dtype=complex).reshape(len(kept), len(cs._evaluate.entries))
         n, r = 2 * cs.m, cs.r
         omega = values[:, :r * n].reshape(-1, r, n)
         upper = values[:, r * n:].reshape(-1, r, n * (n - 1) // 2)
@@ -207,9 +179,9 @@ def _sample_forms(cs: ConstraintSet, samples: int, seed: int):
         for a in (omega, d_omega, scales):
             a.flags.writeable = False
         cs._last_pass.clear()
-        cs._last_pass[key] = ([points[i] for i in kept], omega, d_omega, scales, errors)
+        cs._last_pass[key] = (kept, omega, d_omega, scales, errors)
     *found, errors = cs._last_pass[key]
-    for err in errors.values():
+    for err in errors:
         warnings.warn(f"skipping sample with undefined coefficients: {err}")
     return found
 
@@ -223,10 +195,8 @@ def annihilator_basis(cs: ConstraintSet, state) -> List[VectorField]:
     """Orthonormal basis of the kernel of the constraint forms at a state
     with ``z``/``w`` tuples (a PhaseState)."""
     m, r = cs.m, cs.r
-    values, _, errors = _evaluate_at(cs, [(state.z, state.w)])
-    if errors:
-        raise errors[0]
-    _, sigma, vh = np.linalg.svd(values[0, :r * 2 * m].reshape(r, 2 * m))
+    values = cs._evaluate.values(state.z, state.w)
+    _, sigma, vh = np.linalg.svd(np.array(values[:r * 2 * m], dtype=complex).reshape(r, 2 * m))
     rank = int(_rank(sigma))
     if rank < r:
         raise RankDeficientConstraints(rank, r)

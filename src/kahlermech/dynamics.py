@@ -28,18 +28,17 @@ import numpy as np
 
 from . import linalg
 from .expressions import (
-    COMPILED_DOMAIN_ERRORS,
     Conj,
     EvalDomainError,
     Expr,
+    GeneratedFunction,
     Im,
     Num,
     Pow,
     Re,
     Sym,
-    compile_function,
+    as_expr,
     diff,
-    domain_error,
     emit,
     make_point,
     simplify,
@@ -127,10 +126,6 @@ def _max_symbol_index(e: Expr) -> int:
     return max((n.index for n in walk(e) if isinstance(n, Sym)), default=0)
 
 
-def _as_expr(c) -> Expr:
-    return c if isinstance(c, Expr) else Num(c)
-
-
 def _assembly_body(m, kahler, dL, A, H, B, W, L) -> List[str]:
     """Source lines of a system's assembly function ``(z, w, blocks)``.
 
@@ -144,7 +139,7 @@ def _assembly_body(m, kahler, dL, A, H, B, W, L) -> List[str]:
 
     with M_E = [[i A^T, -i H], [i H^T, -i B^T]] the frozen-field energy
     coefficient (dE_L = M_E xi - dL).  With ``blocks`` true it also
-    returns (dL, A, H, B, M_E, W).
+    returns (dL, A, H, B, M_E, W), which :class:`Assembly` names.
     """
     n, r = 2 * m, len(W[0])
     body: List[str] = []
@@ -259,14 +254,16 @@ class LagrangianSystem:
         self.kahler_form: TwoForm = exterior_derivative(vertical_d(lagrangian, m)).scaled(-1)
 
         n = 2 * m
-        kahler = [[_as_expr(self.kahler_form.entry(p, q)) for q in range(n)] for p in range(n)]
-        W = [[_as_expr(omega.coefficients[p]) for omega in constraints] for p in range(n)]
+        kahler = [[as_expr(self.kahler_form.entry(p, q)) for q in range(n)] for p in range(n)]
+        W = [[as_expr(omega.coefficients[p]) for omega in constraints] for p in range(n)]
         dL = self._Lz + self._Lw
         body = _assembly_body(m, kahler, dL, self._A, self._H, self._B, W, lagrangian)
-        self._assemble = compile_function("z, w, blocks", body, zs + ws)
-        # Every entry, for the tree walker to name a domain error.
-        self._entries = [e for block in (kahler, [dL], self._A, self._H, self._B, W, [[lagrangian]])
-                         for row in block for e in row]
+        self._assemble = GeneratedFunction(
+            "z, w, blocks", body,
+            [e for block in (kahler, [dL], self._A, self._H, self._B, W, [[lagrangian]])
+             for row in block for e in row],
+            m,
+        )
 
     @property
     def r(self) -> int:
@@ -274,36 +271,10 @@ class LagrangianSystem:
 
     # -- per-state assembly -------------------------------------------------
 
-    def _evaluate(self, state: PhaseState, blocks: bool = False):
-        """The generated function at the state; see :func:`_assembly_body`."""
-        try:
-            return self._assemble(state.z, state.w, blocks)
-        except COMPILED_DOMAIN_ERRORS:
-            raise self._domain_error(state) from None
-
-    def _domain_error(self, state: PhaseState) -> EvalDomainError:
-        """Cold path: re-evaluate the entries with the tree walker."""
-        point = state.point()
-        for e in self._entries:
-            err = domain_error(e, point)
-            if err is not None:
-                return err
-        # Finite entries whose combination in the saddle overflowed.
-        return EvalDomainError("non-finite value in the assembled saddle", self.lagrangian)
-
-    def _blocks_at(self, state: PhaseState):
-        """(K, A, H, B, dL, W) evaluated at the state, as arrays."""
-        K, _, _, _, dL, A, H, B, _, W = self._evaluate(state, blocks=True)
-        return tuple(np.array(x, dtype=complex) for x in (K, A, H, B, dL, W))
-
-    def saddle_system(self, state: PhaseState):
-        """Assembled saddle data at the state, as arrays.
-
-        Returns (K, ME, dL, W, saddle, rhs): K alone decides Lagrangian
-        degeneracy, the bordered saddle decides constraint consistency.
-        """
-        K, S, rhs, _, dL, _, _, _, ME, W = self._evaluate(state, blocks=True)
-        return tuple(np.array(x, dtype=complex) for x in (K, ME, dL, W, S, rhs))
+    def _blocks_at(self, state: PhaseState) -> "Assembly":
+        """Everything the generated function assembles at the state."""
+        K, S, rhs, L, *blocks = self._assemble.at(state.z, state.w, True)
+        return Assembly(L, *(np.array(x, dtype=complex) for x in (K, S, rhs, *blocks)))
 
     def _solution_from(self, state: PhaseState, S, rhs, L, vec) -> "SemispraySolution":
         """Field, multipliers and bookkeeping from a solved saddle vector.
@@ -323,6 +294,26 @@ class LagrangianSystem:
             per_form,
             None if L is None else _energy(rhs, L, hol, fib),
         )
+
+
+@dataclass(frozen=True)
+class Assembly:
+    """The generated assembly at one state, as complex arrays.
+
+    K alone decides Lagrangian degeneracy, the bordered saddle S decides
+    constraint consistency.
+    """
+
+    L: complex  # the Lagrangian's value
+    K: np.ndarray  # Phi_L, mirrored from its upper triangle
+    S: np.ndarray  # [[K^T - ME, -W], [W^T, 0]]
+    rhs: np.ndarray  # [-dL, 0]
+    dL: np.ndarray  # (L_z, L_w)
+    A: np.ndarray  # L_{z_i z_j}
+    H: np.ndarray  # L_{z_i w_j}
+    B: np.ndarray  # L_{w_i w_j}
+    ME: np.ndarray  # frozen-field energy coefficient: dE_L = ME xi - dL
+    W: np.ndarray  # constraint coefficients, one column per form
 
 
 def _dot(row, vec) -> complex:
@@ -418,14 +409,14 @@ def build_standard_lagrangian(masses: Sequence[float], potential: Optional[Expr]
 
 def assemble_kahler_matrix(system: LagrangianSystem, state: PhaseState) -> TwoForm:
     """Phi_L evaluated at the state, exactly antisymmetric."""
-    return TwoForm.from_matrix(system._blocks_at(state)[0])
+    return TwoForm.from_matrix(system._blocks_at(state).K)
 
 
 def energy(system: LagrangianSystem, state: PhaseState, xi: VectorField) -> complex:
     """E_L at the state with the supplied field components."""
     if xi.m != system.m:
         raise ValueError("field dimension does not match the system")
-    _, _, rhs, L = system._evaluate(state)
+    _, _, rhs, L = system._assemble.at(state.z, state.w, False)
     return _energy(rhs, L, xi.hol, xi.fib)
 
 
@@ -433,9 +424,8 @@ def energy_differential(system: LagrangianSystem, state: PhaseState, xi: VectorF
     """dE_L at the state with the field components held frozen."""
     if xi.m != system.m:
         raise ValueError("field dimension does not match the system")
-    K, ME, dL, W, saddle, rhs = system.saddle_system(state)
-    xiv = np.asarray(xi.components)
-    coeffs = ME @ xiv - dL
+    a = system._blocks_at(state)
+    coeffs = a.ME @ np.asarray(xi.components) - a.dL
     m = system.m
     return OneForm(tuple(coeffs[:m]), tuple(coeffs[m:]))
 
@@ -453,7 +443,7 @@ def solve_semispray(
     """
     if state.m != system.m:
         raise ValueError("state dimension does not match the system")
-    K, S, rhs, L = system._evaluate(state)
+    K, S, rhs, L = system._assemble.at(state.z, state.w, False)
     try:
         try:
             linalg.lu_factor(K)
@@ -465,7 +455,10 @@ def solve_semispray(
             raise InconsistentConstraints(state, err.condition_estimate) from None
         vec = linalg.lu_solve(lu, perm, rhs)
     except linalg.NonFiniteEntryError:
-        raise system._domain_error(state) from None
+        # Finite entries can still overflow where the saddle combines them.
+        err = system._assemble.domain_error(state.z, state.w)
+        raise err or EvalDomainError("non-finite value in the assembled saddle",
+                                     system.lagrangian) from None
     if residuals:
         return system._solution_from(state, S, rhs, L, vec)
     m, n = system.m, 2 * system.m
@@ -488,11 +481,11 @@ def el_residual(
     the z-entries with their negatives.
     """
     m = system.m
-    K, A, H, B, dL, W = system._blocks_at(state)
+    a = system._blocks_at(state)
     xih, xif = np.asarray(solution.xi.hol), np.asarray(solution.xi.fib)
-    z_eqs = dL[:m] - 1j * (A @ xih + H @ xif)
-    w_eqs = dL[m:] + 1j * (H.T @ xih + B @ xif)
-    lam_terms = W @ np.asarray(solution.multipliers, dtype=complex)
+    z_eqs = a.dL[:m] - 1j * (a.A @ xih + a.H @ xif)
+    w_eqs = a.dL[m:] + 1j * (a.H.T @ xih + a.B @ xif)
+    lam_terms = a.W @ np.asarray(solution.multipliers, dtype=complex)
     return tuple(complex(v) for v in np.concatenate([z_eqs, w_eqs]) - lam_terms)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 class ExprError(Exception):
@@ -91,28 +91,28 @@ class Expr:
 
     # Convenience algebra, used when assembling derived expressions in code.
     def __add__(self, other):
-        return Add(self, _coerce(other))
+        return Add(self, as_expr(other))
 
     def __radd__(self, other):
-        return Add(_coerce(other), self)
+        return Add(as_expr(other), self)
 
     def __sub__(self, other):
-        return Sub(self, _coerce(other))
+        return Sub(self, as_expr(other))
 
     def __rsub__(self, other):
-        return Sub(_coerce(other), self)
+        return Sub(as_expr(other), self)
 
     def __mul__(self, other):
-        return Mul(self, _coerce(other))
+        return Mul(self, as_expr(other))
 
     def __rmul__(self, other):
-        return Mul(_coerce(other), self)
+        return Mul(as_expr(other), self)
 
     def __truediv__(self, other):
-        return Div(self, _coerce(other))
+        return Div(self, as_expr(other))
 
     def __rtruediv__(self, other):
-        return Div(_coerce(other), self)
+        return Div(as_expr(other), self)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -126,7 +126,8 @@ class Expr:
         return any(a.contains_symbol() for a in self.args)
 
 
-def _coerce(value) -> Expr:
+def as_expr(value) -> Expr:
+    """An expression as itself, a number (a constant coefficient) as a Num."""
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, float, complex)):
@@ -231,7 +232,7 @@ class _Binary(Expr):
     _prec = 0
 
     def __init__(self, left, right):
-        self.args = (_coerce(left), _coerce(right))
+        self.args = (as_expr(left), as_expr(right))
 
     @property
     def left(self):
@@ -330,7 +331,7 @@ class Pow(Expr):
     def __init__(self, base, exponent: int):
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError("Pow exponent must be a plain integer")
-        self.args = (_coerce(base),)
+        self.args = (as_expr(base),)
         self.exponent = exponent
 
     @property
@@ -358,7 +359,7 @@ class Pow(Expr):
             raise EvalDomainError("zero base with negative exponent", self)
         try:
             return b ** self.exponent
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # b^|k| under- or overflowed
             raise EvalDomainError("argument out of range", self) from None
 
     def diff(self, s):
@@ -374,7 +375,7 @@ class _Unary(Expr):
     _name = "?"
 
     def __init__(self, arg):
-        self.args = (_coerce(arg),)
+        self.args = (as_expr(arg),)
 
     @property
     def arg(self):
@@ -669,7 +670,7 @@ def simplify(e: Expr) -> Expr:
         if isinstance(base, Num) and not (base.value == 0 and e.exponent < 0):
             try:
                 return Num(base.value ** e.exponent)
-            except OverflowError:
+            except (OverflowError, ZeroDivisionError):
                 pass
         return Pow(base, e.exponent)
     if isinstance(e, _Unary):
@@ -791,11 +792,11 @@ def domain_error(e: Expr, point: Mapping[Sym, complex]) -> Optional[EvalDomainEr
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation (internal fast path for dynamics and constraints)
+# Compiled evaluation (internal fast path for dynamics, constraints, checks)
 #
-# Each system and each constraint set emits one function from these pieces.
-# On a domain failure the caller falls back to the tree walker through
-# domain_error, which names the offending subtree.
+# Each system, constraint set and check run emits one function from these
+# pieces as a GeneratedFunction; on a domain failure it falls back to the
+# tree walker through domain_error, which names the offending subtree.
 
 # What generated code raises where the tree walker raises EvalDomainError.
 COMPILED_DOMAIN_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
@@ -865,3 +866,44 @@ def compile_function(signature: str, body: List[str], symbols) -> Callable:
                      _negzero_zero=complex(-0.0, 0.0))
     exec(compile(source, "<generated>", "exec"), namespace)
     return namespace["f"]
+
+
+class GeneratedFunction:
+    """Generated code over ``entries``, with the tree walker kept to say
+    why it failed.
+
+    ``body`` is compiled under ``signature``, which starts with ``z, w`` (m
+    values each), and uses the entries through :func:`emit`.  Where the code
+    raises one of ``COMPILED_DOMAIN_ERRORS``, :meth:`at` raises instead the
+    tree walker's :class:`EvalDomainError` for the first entry without a
+    finite value; the two agree on every value and every domain error.
+    """
+
+    def __init__(self, signature: str, body: List[str], entries: Sequence[Expr], m: int):
+        self.entries = tuple(entries)
+        symbols = [Sym(kind, i) for kind in "zw" for i in range(1, m + 1)]
+        self._call = compile_function(signature, body, symbols)
+
+    def at(self, *args):
+        """The result for ``args`` (``z, w`` first), passed on as one tuple."""
+        try:
+            return self._call(*args)
+        except COMPILED_DOMAIN_ERRORS:
+            raise self.domain_error(*args[:2]) from None
+
+    def values(self, z, w) -> List[complex]:
+        """The entries' values from a body that returns them as one list;
+        :class:`EvalDomainError` unless every one is finite."""
+        values = self.at(z, w)
+        # One sum tests them all (an infinite or NaN term never cancels);
+        # only finite values that overflow the sum need the entry-by-entry
+        # test.  abs() is no help: it raises on |1.7e308 + 1.7e308j|.
+        if not _is_finite(sum(values)) and not all(map(_is_finite, values)):
+            raise self.domain_error(z, w)
+        return values
+
+    def domain_error(self, z, w) -> Optional[EvalDomainError]:
+        """The tree walker's error for the first entry without a finite
+        value at ``(z, w)``, or None when every entry has one."""
+        point = make_point(z, w)
+        return next(filter(None, (domain_error(e, point) for e in self.entries)), None)

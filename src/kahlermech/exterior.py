@@ -23,7 +23,7 @@ from typing import Callable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expressions import Expr, Num, Sym, diff, evaluate, simplify
+from .expressions import Expr, Neg, Num, Sym, as_expr, diff, evaluate, simplify
 
 Coef = Union[Expr, complex]
 
@@ -37,14 +37,12 @@ def coordinate_symbol(p: int, m: int) -> Sym:
     return Sym("w", p - m + 1)
 
 
-def _is_expr(c: Coef) -> bool:
-    return isinstance(c, Expr)
-
-
 def _coef_neg(c: Coef) -> Coef:
-    if isinstance(c, Expr):
-        return simplify(-c)
-    return -c
+    """-c, exactly: a Num's value is negated and a Neg unwrapped, so a
+    simplified entry gives what ``simplify(-c)`` gives without a new walk."""
+    if isinstance(c, Num):
+        return Num(-c.value)
+    return c.arg if isinstance(c, Neg) else -c
 
 
 def _coef_scale(c: Coef, s: complex) -> Coef:
@@ -55,10 +53,7 @@ def _coef_scale(c: Coef, s: complex) -> Coef:
 
 def _coef_sum(terms: Sequence[Coef]) -> Coef:
     if any(isinstance(t, Expr) for t in terms):
-        acc: Expr = Num(0)
-        for t in terms:
-            acc = acc + (t if isinstance(t, Expr) else Num(t))
-        return simplify(acc)
+        return simplify(sum(terms, Num(0)))
     return sum(terms, 0j)
 
 
@@ -160,7 +155,7 @@ class TwoForm:
 
     @property
     def is_numeric(self) -> bool:
-        return not any(_is_expr(c) for row in self.entries for c in row)
+        return not any(isinstance(c, Expr) for row in self.entries for c in row)
 
     def as_matrix(self, point=None) -> np.ndarray:
         n = 2 * self.m
@@ -210,7 +205,7 @@ def vertical_d(f: Expr, m: int) -> OneForm:
 def exterior_derivative(alpha: OneForm) -> TwoForm:
     """d of a one-form; constant coefficients are treated as literals."""
     m = alpha.m
-    coeffs = tuple(c if isinstance(c, Expr) else Num(c) for c in alpha.coefficients)
+    coeffs = tuple(map(as_expr, alpha.coefficients))
 
     def upper(p: int, q: int) -> Coef:
         sp = coordinate_symbol(p, m)

@@ -19,7 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .expressions import Expr, Num
+from .expressions import Expr, Num, as_expr
 from .dynamics import (
     InconsistentConstraints,
     LagrangianSystem,
@@ -106,19 +106,19 @@ def realify_and_solve(system: LagrangianSystem, state: PhaseState) -> SemisprayS
     """
     if state.m != system.m:
         raise ValueError("state dimension does not match the system")
-    K, ME, dL, W, saddle, rhs = system.saddle_system(state)
-    Kr, _ = realify(K, np.zeros(K.shape[0], dtype=complex))
+    a = system._blocks_at(state)
+    Kr, _ = realify(a.K, np.zeros(a.K.shape[0], dtype=complex))
     try:
         _probe_rank(Kr)
     except EliminationFailure as err:
         raise SingularKahlerMatrix(state, err.condition_estimate) from None
-    Sr, br = realify(saddle, rhs)
+    Sr, br = realify(a.S, a.rhs)
     try:
         xr = gauss_jordan_solve(Sr, br)
     except EliminationFailure as err:
         raise InconsistentConstraints(state, err.condition_estimate) from None
     return system._solution_from(
-        state, saddle.tolist(), rhs.tolist(), None, derealify(xr).tolist()
+        state, a.S.tolist(), a.rhs.tolist(), None, derealify(xr).tolist()
     )
 
 
@@ -152,16 +152,8 @@ def _all_literals_real(e: Expr) -> bool:
 
 def is_real_expressible(system: LagrangianSystem) -> bool:
     """True when every literal in L and the constraints is real."""
-    if not _all_literals_real(system.lagrangian):
-        return False
-    for form in system.constraints:
-        for c in form.coefficients:
-            if isinstance(c, Expr):
-                if not _all_literals_real(c):
-                    return False
-            elif complex(c).imag != 0.0:
-                return False
-    return True
+    coefficients = [as_expr(c) for form in system.constraints for c in form.coefficients]
+    return all(map(_all_literals_real, [system.lagrangian, *coefficients]))
 
 
 def classical_el_check(system: LagrangianSystem, trajectory: Trajectory) -> ClassicalElReport:
@@ -173,7 +165,7 @@ def classical_el_check(system: LagrangianSystem, trajectory: Trajectory) -> Clas
     m = system.m
 
     def momenta_forces(state: PhaseState):
-        dL = system._blocks_at(state)[4]
+        dL = system._blocks_at(state).dL
         Lz, Lw = dL[:m], dL[m:]
         # (x_i then y_i) components for each index.
         force = np.concatenate([Lz, 1j * Lz])
@@ -191,7 +183,7 @@ def classical_el_check(system: LagrangianSystem, trajectory: Trajectory) -> Clas
         residual = force - p_dot
         if system.r:
             state = samples[k].state
-            W = system._blocks_at(state)[5]
+            W = system._blocks_at(state).W
             lams = np.asarray(samples[k].solution.multipliers)
             cz = W[:m, :] @ lams  # dz components only
             residual -= np.concatenate([cz, 1j * cz])

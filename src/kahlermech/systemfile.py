@@ -18,6 +18,7 @@ Complex literals use the usual ``a+bi`` shape: ``2``, ``-0.5i``, ``1+2i``,
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -115,6 +116,16 @@ class SystemSpec:
         if not self.constraint_forms:
             raise ValueError(f"system {self.name!r} declares no constraints")
         return ConstraintSet(self.constraint_forms, self.constraint_names)
+
+
+def _finite_number(key: str, value: str, lineno: int) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        raise SystemFileError(f"{key} must be a number, got {value!r}", lineno) from None
+    if not math.isfinite(number):
+        raise SystemFileError(f"{key} must be finite, got {value!r}", lineno)
+    return number
 
 
 def _split_sections(text: str) -> List[Tuple[str, int, str, str]]:
@@ -247,10 +258,7 @@ def parse_system_file(path) -> SystemSpec:
 
     t1, dt = DEFAULT_T1, DEFAULT_DT
     for lineno, key, value in by_section.get("integrator", []):
-        try:
-            number = float(value)
-        except ValueError:
-            raise SystemFileError(f"{key} must be a number, got {value!r}", lineno) from None
+        number = _finite_number(key, value, lineno)
         if key == "t1":
             if number < 0:
                 raise SystemFileError("t1 must be nonnegative", lineno)
@@ -268,10 +276,7 @@ def parse_system_file(path) -> SystemSpec:
             raise SystemFileError(
                 f"unknown tolerance {key!r} (known: {', '.join(KNOWN_TOLERANCES)})", lineno
             )
-        try:
-            tolerances[key] = float(value)
-        except ValueError:
-            raise SystemFileError(f"{key} must be a number, got {value!r}", lineno) from None
+        tolerances[key] = _finite_number(key, value, lineno)
 
     return SystemSpec(
         name=name,

@@ -2,7 +2,13 @@
 
 import math
 
+import pytest
+
+from kahlermech import checks
 from kahlermech.checks import DEFAULT_THRESHOLDS, run_check_suite
+from kahlermech.cli import main
+from kahlermech.dynamics import PhaseState
+from kahlermech.expressions import Div, Expr, GeneratedFunction, Num, Sym, emit
 import desksuite
 
 
@@ -73,3 +79,43 @@ def test_constraint_check_measures_the_constrained_run():
     by_name = {r.name: r for r in results}
     assert by_name["constraint"].passed
     assert by_name["constraint"].measured < 1e-10
+
+
+def _node_classes(cls=Expr):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
+
+def test_check_walks_no_expression_tree_at_a_sampled_state(tmp_path, monkeypatch):
+    # Every sampled state goes through generated code; the tree walker is
+    # left to name domain errors, and none occurs here.  Constant folding
+    # while building evaluates at the empty point and is not counted.
+    walked = []
+    for cls in _node_classes():
+        if "evaluate" in vars(cls):
+            def counted(self, point, _evaluate=vars(cls)["evaluate"]):
+                if point:
+                    walked.append(self)
+                return _evaluate(self, point)
+
+            monkeypatch.setattr(cls, "evaluate", counted)
+    entry = desksuite.BY_NAME["exchange_constrained"]
+    assert entry.m >= 2
+    code = main(["check", "--system", str(entry.system_file()), "--out", str(tmp_path),
+                 "--t1", "0.05", "--samples", "5"])
+    assert code == 0
+    assert walked == []
+
+
+@pytest.mark.parametrize("second, expected", [(Num(0.25), 0.25), (Div(1, Sym("z", 1) - 1), 0.0)])
+def test_a_state_with_an_undefined_closure_sum_adds_nothing(monkeypatch, second, expected):
+    # Stand-in closure sums: 0.5, then either 0.25 or 1/(z1 - 1), which is
+    # undefined at the only state walked (samples=0 leaves the initial one).
+    # bilinear_pair's two-form has largest entry 2, the closedness scale.
+    terms = [Num(0.5), second]
+    generated = GeneratedFunction("z, w", [f"return [{', '.join(map(emit, terms))}]"], terms, 1)
+    monkeypatch.setattr(checks, "_closure_terms", lambda system: generated)
+    results = run_check_suite(desksuite.build("bilinear_pair"), PhaseState(0.0, (1.0,), (0.5,)),
+                              t1=0.01, dt=0.01, samples=0)
+    assert {r.name: r.measured for r in results}["closedness"] == expected

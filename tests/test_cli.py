@@ -366,6 +366,27 @@ def test_usage_errors_exit_one():
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--t1", "inf"),
+        ("simulate", "--t1", "nan"),
+        ("simulate", "--dt", "nan"),
+        ("simulate", "--dt", "inf"),
+        ("check", "--tol", "nan"),
+        ("check", "--tol", "inf"),
+    ],
+)
+def test_non_finite_flag_values_are_usage_errors(tmp_path, capsys, command, flag, value):
+    # Before: --t1 inf died with an OverflowError, --dt inf "completed" one
+    # sample, and --tol nan failed every check against threshold=nan.
+    with pytest.raises(SystemExit) as info:
+        main([command, "--system", BILINEAR, "--out", str(tmp_path), flag, value])
+    assert info.value.code == 1
+    assert f"argument {flag}: must be a finite number, got '{value}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_console_entry_point_round_trip(tmp_path):
     # One subprocess pass through the installed script keeps the packaging
     # wiring honest; everything else runs in process for speed.

@@ -13,6 +13,7 @@ from kahlermech.expressions import (
     Div,
     EvalDomainError,
     Exp,
+    GeneratedFunction,
     Im,
     Log,
     Mul,
@@ -179,6 +180,18 @@ def test_evaluate_domain_errors():
     assert abs(val - complex(0.0, math.pi)) < 1e-15
 
 
+def test_power_that_underflows_to_a_zero_divisor_is_a_domain_error():
+    # (1e-200)^-2 divides by the underflowed 1e-400: a ZeroDivisionError
+    # that must not escape the tree walker, nor simplify's folding.
+    e = Pow(Z1, -2)
+    with pytest.raises(EvalDomainError, match="argument out of range"):
+        evaluate(e, make_point((1e-200,), (1.0,)))
+    with pytest.raises(COMPILED_DOMAIN_ERRORS):
+        _compiled(e)((1e-200,), (1.0,))
+    assert domain_error(e, make_point((1e-200,), (1.0,))).subtree == e
+    assert simplify(Pow(Num(1e-200), -2)) == Pow(Num(1e-200), -2)
+
+
 def test_evaluate_conjugation_family():
     point = make_point((1.0 + 2.0j,), (0.0,))
     assert evaluate(Conj(Z1), point) == 1.0 - 2.0j
@@ -237,6 +250,19 @@ def test_compile_raises_domain_error():
     assert isinstance(err, EvalDomainError)
     assert err.subtree == parse_expression("2/(z1 - 1)", 1)
     assert domain_error(e, make_point((2.0,), (3.0,))) is None
+
+
+def test_generated_values_are_finite_or_a_named_domain_error():
+    huge = Num(complex(1.7e308, 1.7e308))  # finite; its abs() overflows
+    entries = [Mul(huge, Z1), Div(Num(1), Z1), Mul(Num(1e308), Z1)]
+    generated = GeneratedFunction("z, w", [f"return [{', '.join(map(emit, entries))}]"], entries, 1)
+    assert generated.values((1.0,), (0.0,)) == [complex(1.7e308, 1.7e308), 1, 1e308]
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        generated.values((0.0,), (0.0,))
+    with pytest.raises(EvalDomainError, match="non-finite value") as info:
+        generated.values((10.0,), (0.0,))
+    assert info.value.subtree == entries[0]
+    assert generated.domain_error((1.0,), (0.0,)) is None
 
 
 # ---------------------------------------------------------------- derivatives

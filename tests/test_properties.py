@@ -1,5 +1,6 @@
-"""Property tests on generated inputs: the complex LU, the solve path and
-generated expression code, and classify under rescaling."""
+"""Property tests on generated inputs: the complex LU, the solve path,
+generated expression code, the printer, simplify and diff, and classify
+under rescaling."""
 
 import cmath
 import math
@@ -31,15 +32,18 @@ from kahlermech.expressions import (
     Sub,
     Sym,
     compile_function,
+    diff,
     emit,
     make_point,
     parse_expression,
     simplify,
+    walk,
 )
-from kahlermech.exterior import one_form
+from kahlermech.exterior import exterior_derivative, one_form
 from kahlermech.real_oracle import realify_and_solve
 
 import desksuite
+from fdtools import expr_evaluator, first_fd
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -134,9 +138,9 @@ _UNARY = [Neg, Sin, Cos, Exp, Log, Conj, Re, Im]
 _BINARY = [Add, Sub, Mul, Div]
 
 
-def _extend(children):
+def _extend(children, unary=_UNARY):
     return st.one_of(
-        st.builds(lambda node, a: node(a), st.sampled_from(_UNARY), children),
+        st.builds(lambda node, a: node(a), st.sampled_from(unary), children),
         st.builds(lambda node, a, b: node(a, b), st.sampled_from(_BINARY), children, children),
         st.builds(Pow, children, st.integers(-3, 4)),
     )
@@ -166,6 +170,142 @@ def test_generated_code_matches_the_tree_walker(e, values):
             compiled(z, w)
         return
     assert _same(compiled(z, w), expected)
+
+
+# ------------------------------------------------- printer, simplify, diff
+
+# NaN has no literal in the grammar; infinity prints as 1e999.
+_printable_number = st.one_of(st.sampled_from([v for v in _SPECIAL if not cmath.isnan(v)]),
+                              st.complex_numbers(allow_nan=False))
+_printable_trees = st.recursive(
+    st.one_of(st.sampled_from(_SYMBOLS), st.builds(Num, _printable_number)), _extend, max_leaves=12
+)
+_OPERATORS = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+
+
+def _is_bare_imaginary(e) -> bool:
+    """A Num the printer writes as ``b*i`` where a product does not group it."""
+    return isinstance(e, Num) and e.value.real == 0 and e.value.imag > 0 and e.value.imag != 1
+
+
+def _items(e, level):
+    """The operands the printer joins with level-1 (+ -) or level-2 (* /)
+    operators and no parentheses, as (operator, parsed operand) pairs."""
+    if isinstance(e, Add if level == 1 else Mul):
+        (_, first), *rest = _items(e.right, level)
+        return _items(e.left, level) + [("+" if level == 1 else "*", first)] + rest
+    if isinstance(e, Sub if level == 1 else Div):
+        return _items(e.left, level) + [(e._symbol, _reparsed(e.right))]
+    if level == 2 and isinstance(e, Pow) and e.exponent < 0:
+        return [(None, Num(1)), ("/", Pow(_reparsed(e.base), -e.exponent))]
+    if level == 2 and _is_bare_imaginary(e):
+        return [(None, Num(e.value.imag)), ("*", Num(1j))]
+    return [(None, _reparsed(e))]
+
+
+def _reparsed(e):
+    """The tree the parser reads from ``str(e)``, derived from the tree: a
+    negation is 0 - x, a complex literal a + b*i, x^-k is 1 / x^k, and
+    chains of + or * that print without parentheses group to the left."""
+    if isinstance(e, (Add, Sub)):
+        level = 1
+    elif isinstance(e, (Mul, Div)) or (isinstance(e, Pow) and e.exponent < 0) or _is_bare_imaginary(e):
+        level = 2
+    elif isinstance(e, Num):
+        re, im = e.value.real, e.value.imag
+
+        def signed(x, unit):
+            magnitude = Num(abs(x)) if unit is None else Mul(Num(abs(x)), unit)
+            magnitude = unit if abs(x) == 1 and unit is not None else magnitude
+            return magnitude if x >= 0 else Sub(Num(0), magnitude)
+
+        if im == 0:
+            return signed(re, None)
+        return signed(im, Num(1j)) if re == 0 else Add(signed(re, None), signed(im, Num(1j)))
+    elif isinstance(e, Neg):
+        return Sub(Num(0), _reparsed(e.arg))
+    elif isinstance(e, Pow):
+        return Pow(_reparsed(e.base), e.exponent)
+    else:
+        return e if isinstance(e, Sym) else type(e)(_reparsed(e.arg))
+    (_, tree), *rest = _items(e, level)
+    for op, operand in rest:
+        tree = _OPERATORS[op](tree, operand)
+    return tree
+
+
+@PROPERTY_SETTINGS
+@given(_printable_trees)
+def test_printed_text_parses_back_to_the_same_tree(e):
+    # The printer spells negation and signed literals within the grammar
+    # and drops only the parentheses that the parser's grouping restores
+    # or that associativity makes moot; nothing else changes.
+    assert parse_expression(str(e), 2) == _reparsed(e)
+
+
+def _substituted(e, point):
+    """``e`` with every symbol replaced by its value at ``point``."""
+    if isinstance(e, Sym):
+        return Num(point[e])
+    if isinstance(e, Pow):
+        return Pow(_substituted(e.base, point), e.exponent)
+    return type(e)(*(_substituted(a, point) for a in e.args)) if e.args else e
+
+
+@PROPERTY_SETTINGS
+@given(_trees, st.lists(_value, min_size=4, max_size=4))
+def test_simplify_is_idempotent_and_keeps_values(e, values):
+    simple = simplify(e)
+    assert simplify(simple) == simple
+    # Folding x*0 to 0 can define what was undefined, and x + 0 -> x can flip
+    # the sign of a zero, which only log's branch cut tells apart.  So values
+    # are compared where every subtree is finite, on trees without log.
+    if any(isinstance(node, Log) for node in walk(e)):
+        return
+    point = make_point(values[:2], values[2:])
+    try:
+        if not all(cmath.isfinite(node.evaluate(point)) for node in walk(e)):
+            return
+    except EvalDomainError:
+        return
+    value = e.evaluate(point)
+    assert simple.evaluate(point) == value
+    # With the symbols' values in their place, every node folds.
+    assert simplify(_substituted(e, point)) == Num(value)
+
+
+# Parts are 0 or at least 1e-3 in size, so that no value of a derivative
+# is subnormal and short of relative precision.
+_fd_part = st.one_of(st.just(0.0), st.floats(1e-3, 1.2), st.floats(-1.2, -1e-3))
+_fd_coordinate = st.builds(complex, _fd_part, _fd_part)
+_holomorphic_trees = st.recursive(
+    st.one_of(st.sampled_from(_SYMBOLS), st.builds(Num, _entry)),
+    lambda children: _extend(children, [Neg, Sin, Cos, Exp, Log]),
+    max_leaves=8,
+)
+
+
+@PROPERTY_SETTINGS
+@given(_holomorphic_trees, st.lists(_fd_coordinate, min_size=4, max_size=4),
+       st.sampled_from(range(len(_SYMBOLS))))
+def test_diff_matches_central_differences(e, values, slot):
+    # Slots of fdtools are (z1, z2, w1, w2), the order of _SYMBOLS.  The
+    # difference of two step sizes estimates the finite difference's own
+    # error: the finer one is off by about a third of it.  Where they differ
+    # in the third digit the step does not resolve f (it straddles a pole or
+    # a branch cut), and nothing is compared.  Roundoff adds about eps |f| / h.
+    fn, z, w = expr_evaluator(e), tuple(values[:2]), tuple(values[2:])
+    try:
+        exact = diff(e, _SYMBOLS[slot]).evaluate(make_point(z, w))
+        coarse, fine = (first_fd(fn, z, w, slot, h) for h in (1e-4, 5e-5))
+        size = abs(fn(z, w))
+    except EvalDomainError:
+        return
+    if not all(map(cmath.isfinite, (exact, coarse, fine, size))):
+        return
+    if abs(coarse - fine) > 1e-3 * (1 + abs(fine)):
+        return
+    assert abs(fine - exact) <= abs(coarse - fine) + 1e-9 * (1 + abs(exact) + size)
 
 
 # ------------------------------------------------ classify under rescaling
@@ -202,3 +342,17 @@ def test_classify_verdict_is_invariant_under_rescaling_a_form(which, index, k, t
     scaled = frobenius_test(scaled_set, samples=20, seed=which)
     assert (scaled.verdict, scaled.closed) == (base.verdict, base.closed)
     assert closedness_test(scaled_set, samples=20, seed=which) == list(base.closed)
+
+
+def test_two_form_lower_entries_are_the_simplified_negated_upper_entries():
+    # TwoForm mirrors by exact negation instead of simplify(-c); on the
+    # simplified entries the package builds, the two agree.
+    forms = [desksuite.build(entry.name).kahler_form for entry in desksuite.ALL]
+    forms += [exterior_derivative(form) for entry in desksuite.ALL
+              for form in desksuite.constraint_forms(entry)]
+    forms += [exterior_derivative(form) for texts in _CLASSIFY_SETS for form in _forms(texts).forms]
+    for phi in forms:
+        n = 2 * phi.m
+        for p in range(n):
+            for q in range(p + 1, n):
+                assert phi.entry(q, p) == simplify(-phi.entry(p, q))

@@ -181,6 +181,22 @@ def test_unknown_tolerance_name_is_rejected(tmp_path):
     assert "warp" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("integrator", "t1", "nan"),
+        ("integrator", "dt", "inf"),
+        ("tolerances", "drift", "inf"),
+        ("tolerances", "closedness", "nan"),
+    ],
+)
+def test_non_finite_numbers_are_rejected_with_their_key(tmp_path, section, key, value):
+    body = textwrap.dedent(MINIMAL) + f"\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(SystemFileError) as info:
+        parse_system_file(_write(tmp_path, body))
+    assert str(info.value) == f"line {len(body.splitlines())}: {key} must be finite, got '{value}'"
+
+
 def test_missing_file_raises_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         parse_system_file(tmp_path / "absent.system")
