@@ -8,11 +8,15 @@ solver legitimately refuses (rank deficiencies on a singular locus) are
 skipped and counted.
 
 The sampled states are walked once, on generated code only: each state is
-assembled once for ``antisymmetry`` and ``closedness``, then solved by both
-solvers.  The cyclic closure sums of Phi_L are compiled once per run, not
-with the system, so ``simulate`` does not pay for them.  A state where the
-assembly is undefined adds to neither measurement; one where some closure
-sum is undefined or not finite adds nothing to ``closedness``.
+assembled once for ``antisymmetry`` and ``closedness``, then solved by the
+primary solver.  The assemblies of the states it accepts fill one stack,
+and the real-split oracle cross-checks them all in one stacked elimination
+of K (for its rank) and one of the saddle; a state that either elimination
+fails counts as skipped.  The cyclic closure sums of Phi_L are compiled
+once per run, not with the system, so ``simulate`` does not pay for them.
+A state where the assembly is undefined adds to neither measurement; one
+where some closure sum is undefined or not finite adds nothing to
+``closedness``.
 
 ``antisymmetry`` reads 0 on every system: the generated assembly mirrors
 Phi_L from its upper triangle with exact negation.  It stays because it is
@@ -40,7 +44,7 @@ from .dynamics import (
 )
 from .expressions import EvalDomainError, GeneratedFunction, as_expr, diff, emit, simplify
 from .exterior import coordinate_symbol
-from .real_oracle import realify_and_solve
+from .real_oracle import oracle_solve
 
 DEFAULT_THRESHOLDS: Dict[str, float] = {
     "antisymmetry": 1e-12,
@@ -98,35 +102,51 @@ def run_check_suite(
         thresholds = {k: tol_all for k in thresholds}
 
     closure = _closure_terms(system)
+    states = _sample_states(system, initial, samples, seed)
+    n, width = 2 * system.m, 2 * system.m + system.r
+    # The assemblies of the states the primary solver accepted, for the
+    # oracle, and each state's primary residuals and saddle vector.
+    K = np.empty((len(states), n, n), dtype=complex)
+    S = np.empty((len(states), width, width), dtype=complex)
+    rhs = np.empty((len(states), width), dtype=complex)
+    primary = []
     antisymmetry = closedness = worst_solve = worst_oracle = 0.0
-    solved = skipped = 0
-    for state in _sample_states(system, initial, samples, seed):
+    skipped = 0
+    for state in states:
         # Antisymmetry and closedness of the assembled two-form.
         try:
-            K = system._blocks_at(state).K
-            antisymmetry = max(antisymmetry, float(np.max(np.abs(K + K.T))))
+            a = system._blocks_at(state)
+            antisymmetry = max(antisymmetry, float(np.max(np.abs(a.K + a.K.T))))
             sums = closure.values(state.z, state.w)
         except EvalDomainError:
             pass
         else:
-            scale = max(1.0, float(np.max(np.abs(K))))
+            scale = max(1.0, float(np.max(np.abs(a.K))))
             for value in sums:
                 closedness = max(closedness, abs(value) / scale)
 
-        # Solve consistency and oracle agreement.
+        # The primary solve; where it succeeds the assembly above did too.
         try:
             sol = solve_semispray(system, state)
-            alt = realify_and_solve(system, state)
         except (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError):
             skipped += 1
             continue
-        solved += 1
-        worst_solve = max(worst_solve, sol.residual_symplectic, sol.residual_constraints)
-        both = zip(
-            sol.xi.components + sol.multipliers,
-            alt.xi.components + alt.multipliers,
-        )
-        worst_oracle = max(worst_oracle, max(abs(a - b) for a, b in both))
+        row = len(primary)
+        K[row], S[row], rhs[row] = a.K, a.S, a.rhs
+        primary.append((sol.residual_symplectic, sol.residual_constraints,
+                        sol.xi.components + sol.multipliers))
+
+    # Oracle agreement, all accepted states in one stacked elimination; a
+    # state the oracle fails on counts as skipped.
+    count = len(primary)
+    vec, k_cond, s_cond = oracle_solve(K[:count], S[:count], rhs[:count])
+    accepted = np.isnan(k_cond) & np.isnan(s_cond)
+    solved = int(np.count_nonzero(accepted))
+    skipped += count - solved
+    for (symplectic, constraint, mine), theirs, ok in zip(primary, vec.tolist(), accepted):
+        if ok:
+            worst_solve = max(worst_solve, symplectic, constraint)
+            worst_oracle = max(worst_oracle, max(abs(p - q) for p, q in zip(mine, theirs)))
     results = [
         _result("antisymmetry", antisymmetry, thresholds["antisymmetry"]),
         _result("closedness", closedness, thresholds["closedness"]),

@@ -154,9 +154,12 @@ def sample_points(m: int, samples: int, seed: int) -> List[Tuple[tuple, tuple]]:
 
 def _sample_forms(cs: ConstraintSet, samples: int, seed: int):
     """Read-only stacks over the samples without a domain error: the points,
-    the (N, r, 2m) coefficients, the (N, r, 2m, 2m) d omega_a, and the (N, r)
-    largest coefficient magnitudes with 0 taken as 1.  The last pass is kept
-    on ``cs``, so the two tests evaluate once between them; each warns."""
+    the (N, r, 2m, 2m) d omega_a, the (N, r) largest coefficient magnitudes
+    with 0 taken as 1, and the SVD (N, r) singular values and (N, 2m, 2m)
+    right singular vectors of the (N, r, 2m) coefficients.  A sample where
+    a magnitude or a singular value overflows the float range counts as a
+    domain error.  The last pass is kept on ``cs``, so the two tests
+    evaluate once between them; each warns."""
     key = (samples, seed)
     if key not in cs._last_pass:
         evaluated, kept, errors = [], [], []
@@ -168,6 +171,18 @@ def _sample_forms(cs: ConstraintSet, samples: int, seed: int):
                 errors.append(err)
         values = np.array(evaluated, dtype=complex).reshape(len(kept), len(cs._evaluate.entries))
         n, r = 2 * cs.m, cs.r
+        sigma = np.zeros((len(values), r))
+        vh = np.zeros((len(values), n, n), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            magnitudes = np.abs(values)
+            fits = np.isfinite(magnitudes).all(axis=1)
+            _, sigma[fits], vh[fits] = np.linalg.svd(values[fits, :r * n].reshape(-1, r, n))
+        fits &= np.isfinite(sigma).all(axis=1)
+        for i in np.flatnonzero(~fits):
+            largest = cs._evaluate.entries[int(np.argmax(magnitudes[i]))]
+            errors.append(EvalDomainError("magnitude beyond the float range", largest))
+        kept = [point for point, ok in zip(kept, fits) if ok]
+        values, sigma, vh = values[fits], sigma[fits], vh[fits]
         omega = values[:, :r * n].reshape(-1, r, n)
         upper = values[:, r * n:].reshape(-1, r, n * (n - 1) // 2)
         d_omega = np.zeros((len(values), r, n, n), dtype=complex)
@@ -176,10 +191,10 @@ def _sample_forms(cs: ConstraintSet, samples: int, seed: int):
         d_omega[:, :, cols, rows] = -upper
         scales = np.max(np.abs(omega), axis=2)
         scales[scales == 0] = 1.0
-        for a in (omega, d_omega, scales):
+        for a in (d_omega, scales, sigma, vh):
             a.flags.writeable = False
         cs._last_pass.clear()
-        cs._last_pass[key] = (kept, omega, d_omega, scales, errors)
+        cs._last_pass[key] = (kept, d_omega, scales, sigma, vh, errors)
     *found, errors = cs._last_pass[key]
     for err in errors:
         warnings.warn(f"skipping sample with undefined coefficients: {err}")
@@ -213,7 +228,7 @@ def closedness_test(
 
     Rank-deficient samples count here; only domain errors are skipped.
     """
-    points, _, d_omega, scales = _sample_forms(cs, samples, seed)
+    points, d_omega, scales, _, _ = _sample_forms(cs, samples, seed)
     if not points:
         raise ValueError("no valid sample states: every draw hit a domain error")
     worst = np.max(np.max(np.abs(d_omega), axis=(2, 3)) / scales, axis=0)
@@ -227,9 +242,8 @@ def frobenius_test(
     tol: float = 1e-8,
 ) -> Classification:
     """Classify the distribution cut out by the constraint forms."""
-    points, omega, d_omega, scales = _sample_forms(cs, samples, seed)
+    points, d_omega, scales, sigma, vh = _sample_forms(cs, samples, seed)
     m, r = cs.m, cs.r
-    _, sigma, vh = np.linalg.svd(omega)
     full = _rank(sigma) == r
     valid = int(np.count_nonzero(full))
     deficient = len(points) - valid

@@ -527,6 +527,8 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
         raise ValueError("dt must be positive")
     if t1 < 0:
         raise ValueError("t1 must be nonnegative")
+    if not math.isfinite(t1 / dt):
+        raise ValueError(f"t1/dt must be a finite step count, got t1={t1:g}, dt={dt:g}")
     n_steps = int(math.floor(t1 / dt + 1e-9))
     samples: List[TrajectorySample] = []
     state = s0

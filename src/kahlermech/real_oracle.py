@@ -7,9 +7,13 @@ The complex saddle problem M x = b is mapped to the doubled real system
 and solved by Gauss-Jordan elimination with full pivoting, written here
 from scratch so that no factorization code is shared with the primary
 complex LU path.  Agreement of the two routes checks the assembly and the
-linear algebra at once.  A classical Euler-Lagrange spot check on
-trajectories is included for systems that are expressible with real
-coefficients under the x + iy splitting; it is diagnostic only.
+linear algebra at once.  The elimination runs on stacks: it loops over the
+n pivot steps and each step works on every matrix of the stack at once,
+with its own pivots, threshold and failure, so ``check`` cross-checks all
+of its sampled states in one pass.  A single system is a stack of one.
+A classical Euler-Lagrange spot check on trajectories is included for
+systems that are expressible with real coefficients under the x + iy
+splitting; it is diagnostic only.
 """
 
 from __future__ import annotations
@@ -41,61 +45,106 @@ class EliminationFailure(Exception):
 
 
 def realify(matrix: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Double a complex linear system into an equivalent real one."""
+    """Double a complex linear system, or a stack of them, into real ones."""
     a = np.asarray(matrix, dtype=complex)
     b = np.asarray(rhs, dtype=complex)
-    top = np.hstack([a.real, -a.imag])
-    bottom = np.hstack([a.imag, a.real])
-    return np.vstack([top, bottom]), np.concatenate([b.real, b.imag])
+    n = a.shape[-1]
+    doubled = np.empty(a.shape[:-2] + (2 * n, 2 * n))
+    doubled[..., :n, :n] = doubled[..., n:, n:] = a.real
+    doubled[..., :n, n:] = -a.imag
+    doubled[..., n:, :n] = a.imag
+    return doubled, np.concatenate([b.real, b.imag], axis=-1)
 
 
 def derealify(x: np.ndarray) -> np.ndarray:
-    """Invert :func:`realify` on a solution vector."""
-    n = x.shape[0] // 2
-    return x[:n] + 1j * x[n:]
+    """Invert :func:`realify` on a solution vector, or a stack of them."""
+    n = x.shape[-1] // 2
+    return x[..., :n] + 1j * x[..., n:]
+
+
+def gauss_jordan_stack(matrices: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of real systems, (N, n, n) and (N, n), by Gauss-Jordan
+    reduction with full pivoting.
+
+    Each member pivots on the first largest |entry| of its trailing block
+    in row-major order and fails on a pivot at or below ``PIVOT_RTOL``
+    times its own largest input entry; a failure never stops the others.
+    Returns (x, cond): x is (N, n), NaN for a failed member, and cond is
+    NaN where the elimination succeeded, else the ratio of the largest
+    entry to the failing pivot (infinite for a zero pivot).
+    """
+    a = np.array(matrices, dtype=float)
+    b = np.array(rhs, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2]:
+        raise ValueError("need a stack of square matrices and matching vectors")
+    count, n = a.shape[:2]
+    x = np.full((count, n), np.nan)
+    cond = np.full(count, np.nan)
+    scale = np.abs(a).max(axis=(1, 2), initial=0.0)
+    threshold = PIVOT_RTOL * scale
+    col_of = np.tile(np.arange(n), (count, 1))
+    members = np.arange(count)  # the stack index of each working member
+    for k in range(n):
+        if not len(members):
+            break
+        rows = np.arange(len(members))
+        flat = np.abs(a[:, k:, k:]).reshape(len(members), -1).argmax(axis=1)
+        i, j = k + flat // (n - k), k + flat % (n - k)
+        pivot = np.abs(a[rows, i, j])
+        failed = (pivot <= threshold) | (pivot == 0.0)
+        if failed.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond[members[failed]] = np.where(
+                    pivot[failed] == 0.0, np.inf, scale[failed] / pivot[failed]
+                )
+            keep = ~failed
+            a, b, col_of, members, scale, threshold, i, j = (
+                v[keep] for v in (a, b, col_of, members, scale, threshold, i, j)
+            )
+            rows = rows[:len(members)]
+        # Swap row k with row i, then column k with column j.  The indexed
+        # side is a copy; the sliced side is a view, and the first
+        # assignment changes none of its values (where i == k, or j == k,
+        # it writes the same values back).
+        a[rows, i], a[:, k] = a[:, k], a[rows, i]
+        b[rows, i], b[:, k] = b[:, k], b[rows, i]
+        a[rows, :, j], a[:, :, k] = a[:, :, k], a[rows, :, j]
+        col_of[rows, j], col_of[:, k] = col_of[:, k], col_of[rows, j]
+        inv = 1.0 / a[:, k, k]
+        a[:, k] *= inv[:, None]
+        b[:, k] *= inv
+        # Rows with a zero in the pivot column are left exactly as they are.
+        factor = a[:, :, k].copy()
+        eliminate = factor != 0.0
+        eliminate[:, k] = False
+        np.subtract(a, factor[:, :, None] * a[:, None, k], out=a, where=eliminate[:, :, None])
+        np.subtract(b, factor * b[:, k, None], out=b, where=eliminate)
+    x[members[:, None], col_of] = b
+    return x, cond
 
 
 def gauss_jordan_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a real system by Gauss-Jordan reduction with full pivoting."""
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError("need a square matrix and a matching vector")
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    threshold = PIVOT_RTOL * scale
-    col_of = list(range(n))
-    for k in range(n):
-        sub = np.abs(a[k:, k:])
-        i_rel, j_rel = np.unravel_index(np.argmax(sub), sub.shape)
-        i, j = k + int(i_rel), k + int(j_rel)
-        pivot = a[i, j]
-        if abs(pivot) <= threshold or pivot == 0.0:
-            cond = np.inf if pivot == 0.0 else scale / abs(pivot)
-            raise EliminationFailure(cond)
-        if i != k:
-            a[[k, i]] = a[[i, k]]
-            b[[k, i]] = b[[i, k]]
-        if j != k:
-            a[:, [k, j]] = a[:, [j, k]]
-            col_of[k], col_of[j] = col_of[j], col_of[k]
-        inv = 1.0 / a[k, k]
-        a[k] *= inv
-        b[k] *= inv
-        for row in range(n):
-            if row != k and a[row, k] != 0.0:
-                factor = a[row, k]
-                a[row] -= factor * a[k]
-                b[row] -= factor * b[k]
-    x = np.empty(n)
-    for k in range(n):
-        x[col_of[k]] = b[k]
-    return x
+    """Solve one real system as a stack of one; raises
+    :class:`EliminationFailure` on a pivot below the relative threshold."""
+    x, cond = gauss_jordan_stack(np.asarray(matrix)[None], np.asarray(rhs)[None])
+    if not np.isnan(cond[0]):
+        raise EliminationFailure(float(cond[0]))
+    return x[0]
 
 
-def _probe_rank(matrix: np.ndarray) -> None:
-    """Run the elimination for its side effect: failure means rank deficiency."""
-    gauss_jordan_solve(matrix, np.zeros(matrix.shape[0]))
+def oracle_solve(K: np.ndarray, S: np.ndarray, rhs: np.ndarray):
+    """Solve stacks of saddle systems through the doubled real systems.
+
+    ``K`` (N, 2m, 2m), ``S`` (N, n, n) and ``rhs`` (N, n) are complex, one
+    member per state.  K is eliminated for its rank alone, S for the
+    solution.  Returns (vec, k_cond, s_cond): the complex solutions (N, n)
+    and each elimination's condition estimates as from
+    :func:`gauss_jordan_stack`, NaN where it succeeded.
+    """
+    Kr, zero = realify(K, np.zeros(K.shape[:-1]))
+    _, k_cond = gauss_jordan_stack(Kr, zero)
+    x, s_cond = gauss_jordan_stack(*realify(S, rhs))
+    return derealify(x), k_cond, s_cond
 
 
 def realify_and_solve(system: LagrangianSystem, state: PhaseState) -> SemispraySolution:
@@ -107,19 +156,12 @@ def realify_and_solve(system: LagrangianSystem, state: PhaseState) -> SemisprayS
     if state.m != system.m:
         raise ValueError("state dimension does not match the system")
     a = system._blocks_at(state)
-    Kr, _ = realify(a.K, np.zeros(a.K.shape[0], dtype=complex))
-    try:
-        _probe_rank(Kr)
-    except EliminationFailure as err:
-        raise SingularKahlerMatrix(state, err.condition_estimate) from None
-    Sr, br = realify(a.S, a.rhs)
-    try:
-        xr = gauss_jordan_solve(Sr, br)
-    except EliminationFailure as err:
-        raise InconsistentConstraints(state, err.condition_estimate) from None
-    return system._solution_from(
-        state, a.S.tolist(), a.rhs.tolist(), None, derealify(xr).tolist()
-    )
+    vec, k_cond, s_cond = oracle_solve(a.K[None], a.S[None], a.rhs[None])
+    if not np.isnan(k_cond[0]):
+        raise SingularKahlerMatrix(state, float(k_cond[0]))
+    if not np.isnan(s_cond[0]):
+        raise InconsistentConstraints(state, float(s_cond[0]))
+    return system._solution_from(state, a.S.tolist(), a.rhs.tolist(), None, vec[0].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import pytest
 from kahlermech import checks
 from kahlermech.checks import DEFAULT_THRESHOLDS, run_check_suite
 from kahlermech.cli import main
-from kahlermech.dynamics import PhaseState
-from kahlermech.expressions import Div, Expr, GeneratedFunction, Num, Sym, emit
+from kahlermech.dynamics import LagrangianSystem, PhaseState, SingularKahlerMatrix, solve_semispray
+from kahlermech.expressions import Div, Expr, GeneratedFunction, Num, Sym, emit, parse_expression
+from kahlermech.real_oracle import realify_and_solve
+from check_reference import reference_measurements
 import desksuite
 
 
@@ -119,3 +121,63 @@ def test_a_state_with_an_undefined_closure_sum_adds_nothing(monkeypatch, second,
     results = run_check_suite(desksuite.build("bilinear_pair"), PhaseState(0.0, (1.0,), (0.5,)),
                               t1=0.01, dt=0.01, samples=0)
     assert {r.name: r.measured for r in results}["closedness"] == expected
+
+
+# ---------------------------------------------- stacked oracle vs per state
+
+# Phi_L has the entry 2i(z1 - 0.5) beside entries of size 2.  At
+# z1 = 0.5 + t(1 + i) with t just below 1e-12 the complex LU's pivot,
+# 2 sqrt(2) t, clears its relative threshold of 2e-12 while the real
+# split's, 2t, does not: the state fails the oracle only.
+NEAR_SINGULAR = "z1*w1 + (z1 - 0.5)*z2*w2"
+
+
+def _near(t):
+    return PhaseState(0.0, (0.5 + t * (1 + 1j), 0.3 - 0.2j), (0.3, 0.1j))
+
+
+def test_near_singular_states_split_the_two_solvers():
+    system = LagrangianSystem(2, parse_expression(NEAR_SINGULAR, 2))
+    for t in (0.8e-12, 0.9e-12):
+        solve_semispray(system, _near(t))
+        with pytest.raises(SingularKahlerMatrix):
+            realify_and_solve(system, _near(t))
+    with pytest.raises(SingularKahlerMatrix):
+        solve_semispray(system, _near(0.5e-12))
+    realify_and_solve(system, _near(2e-12))
+
+
+def _suite_against_reference(system, initial, samples, seed):
+    results = run_check_suite(system, initial, t1=0.02, dt=0.01, samples=samples, seed=seed)
+    by_name = {r.name: r for r in results}
+    worst_solve, worst_oracle, solved, skipped = reference_measurements(
+        system, initial, samples, seed
+    )
+    note = f"{solved} states solved, {skipped} skipped"
+    if solved == 0:
+        worst_solve = worst_oracle = float("inf")
+    for name, measured in (("solve", worst_solve), ("oracle", worst_oracle)):
+        assert by_name[name].note == note
+        assert by_name[name].measured == measured, name
+    return solved, skipped
+
+
+@pytest.mark.parametrize("name", ["coupled_pairs", "exchange_constrained", "degenerate_quadratic"])
+def test_check_suite_matches_the_per_state_reference_on_the_desk(name):
+    entry = desksuite.BY_NAME[name]
+    solved, skipped = _suite_against_reference(
+        desksuite.build(name), desksuite.initial_state(entry), 30, 4
+    )
+    assert (solved, skipped) == ((0, 31) if name == "degenerate_quadratic" else (31, 0))
+
+
+def test_check_suite_matches_the_per_state_reference_where_the_oracle_fails(monkeypatch):
+    system = LagrangianSystem(2, parse_expression(NEAR_SINGULAR, 2))
+    # The initial state fails the oracle alone; the random samples pass.
+    assert _suite_against_reference(system, _near(0.9e-12), 20, 5) == (20, 1)
+    # Failures spread through the stack: oracle only, both, then regular.
+    sampled = checks._sample_states(system, _near(2e-12), 12, 6)
+    for position, t in ((1, 0.9e-12), (4, 0.5e-12), (5, 0.8e-12), (12, 0.85e-12)):
+        sampled[position] = _near(t)
+    monkeypatch.setattr(checks, "_sample_states", lambda *args: list(sampled))
+    assert _suite_against_reference(system, _near(2e-12), 12, 6) == (9, 4)

@@ -1,9 +1,11 @@
 """Command line interface: subcommands, outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,9 +119,7 @@ def test_simulate_reports_failure_with_exit_two(tmp_path, capsys):
     assert summary["energy_initial"] is None
 
 
-@pytest.mark.parametrize("coefficient", ["1e200*1e200*z1", "(1e999 - 1e999)*z1"])
-def test_simulate_reports_non_finite_assembly_as_a_domain_error(tmp_path, coefficient):
-    # The coefficient overflows to infinity, or is infinity minus infinity.
+def _overflow_file(tmp_path, coefficient):
     path = tmp_path / "overflow.system"
     path.write_text(
         "[system]\nm = 1\nname = overflow\n\n"
@@ -127,6 +127,17 @@ def test_simulate_reports_non_finite_assembly_as_a_domain_error(tmp_path, coeffi
         f"[constraints]\nbig = {coefficient} ; 1\n\n"
         "[initial]\nz1 = 0.9+0.2i\nw1 = 0.3-0.4i\n"
     )
+    return path
+
+
+HUGE = "1.7e308*(1 + i)"  # finite, but its magnitude is beyond the float range
+
+
+@pytest.mark.parametrize("coefficient", ["1e200*1e200*z1", "(1e999 - 1e999)*z1", HUGE])
+def test_simulate_reports_non_finite_assembly_as_a_domain_error(tmp_path, coefficient):
+    # The coefficient overflows to infinity, is infinity minus infinity, or
+    # is finite with an overflowing magnitude.
+    path = _overflow_file(tmp_path, coefficient)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["simulate", "--system", str(path), "--out", str(tmp_path), "--t1", "0.1"])
@@ -135,6 +146,14 @@ def test_simulate_reports_non_finite_assembly_as_a_domain_error(tmp_path, coeffi
     assert summary["status"] == "solver_failure"
     assert summary["failure_kind"] == "EvalDomainError"
     assert summary["failure_time"] == 0.0
+
+
+def test_simulate_rejects_a_step_count_beyond_the_float_range(tmp_path, capsys):
+    code = main(["simulate", "--system", BILINEAR, "--out", str(tmp_path),
+                 "--t1", "1e300", "--dt", "1e-10"])
+    assert code == 1
+    assert "error: t1/dt must be a finite step count" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -228,6 +247,16 @@ def test_classify_treats_non_finite_coefficients_as_domain_errors(tmp_path, caps
     assert "error: no valid sample states" in capsys.readouterr().err
 
 
+def test_classify_treats_overflowing_magnitudes_as_domain_errors(tmp_path, capsys):
+    # numpy's SVD of the coefficient row overflows; this used to read as
+    # "indeterminate, 0 valid / 50 deficient samples" with exit 0.
+    path = _overflow_file(tmp_path, HUGE)
+    with pytest.warns(UserWarning, match="magnitude beyond the float range"):
+        code = main(["classify", "--system", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: no valid sample states" in capsys.readouterr().err
+
+
 def test_linear_algebra_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch):
     # LinAlgError subclasses ValueError, which otherwise means bad input.
     def fail(*args, **kwargs):
@@ -272,6 +301,22 @@ def test_check_passes_on_a_healthy_system(tmp_path, capsys):
     ]
     payload = json.loads((tmp_path / "exchange_constrained_check.json").read_text())
     assert all(entry["passed"] for entry in payload["checks"])
+
+
+def test_check_skips_states_whose_magnitudes_overflow(tmp_path, capsys):
+    # Every sampled saddle has the huge coefficient: each state is skipped,
+    # not reported as an untyped OverflowError.
+    path = _overflow_file(tmp_path, HUGE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", "--system", str(path), "--out", str(tmp_path), "--t1", "0.1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "FAIL  solve" in captured.out and "[0 states solved, 21 skipped]" in captured.out
+    report = json.loads((tmp_path / "overflow_check.json").read_text())
+    drift = {c["name"]: c for c in report["checks"]}["drift"]
+    assert drift["note"] == "integration solver_failure at t=0.0"
 
 
 def test_check_tol_zero_fails(tmp_path, capsys):
@@ -389,7 +434,11 @@ def test_non_finite_flag_values_are_usage_errors(tmp_path, capsys, command, flag
 
 def test_console_entry_point_round_trip(tmp_path):
     # One subprocess pass through the installed script keeps the packaging
-    # wiring honest; everything else runs in process for speed.
+    # wiring honest; everything else runs in process for speed.  pytest's
+    # ``pythonpath`` setting reaches only its own process, so the child gets
+    # the source tree of the package under test first on its path.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [
             sys.executable,
@@ -407,6 +456,7 @@ def test_console_entry_point_round_trip(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "completed" in result.stdout

@@ -233,6 +233,22 @@ def test_forms_non_finite_everywhere_have_no_valid_sample(m, a_texts, b_texts):
         annihilator_basis(cs, state)
 
 
+@pytest.mark.parametrize("a_text", [
+    "1.7e308*(1 + i)",  # |coefficient| overflows
+    "1.5e308",  # each |coefficient| fits, the row's singular value overflows
+])
+def test_forms_whose_magnitudes_overflow_have_no_valid_sample(a_text):
+    # Finite coefficients, but the SVD of the row would read as rank deficient.
+    cs = constraint_set([_form(1, (a_text,), ("1.5e308",))])
+    with pytest.warns(UserWarning, match="magnitude beyond the float range"):
+        cls = frobenius_test(cs, samples=10, seed=0)
+    assert cls.verdict is Verdict.INDETERMINATE
+    assert (cls.valid_samples, cls.deficient_samples) == (0, 0)
+    with pytest.warns(UserWarning, match="magnitude beyond the float range"), \
+            pytest.raises(ValueError, match="no valid sample states"):
+        closedness_test(cs, samples=10, seed=0)
+
+
 def test_each_test_warns_for_the_samples_it_skips():
     # The two tests share one evaluation pass, but each still reports.
     cs = constraint_set([_form(1, ("1e200*1e200*z1",), ("1",))])

@@ -437,6 +437,9 @@ def test_integrate_rejects_bad_steps():
         integrate(system, s0, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(system, s0, -1.0, 0.1)
+    # Both finite, but t1/dt overflows: no step count, so bad input.
+    with pytest.raises(ValueError, match="finite step count"):
+        integrate(system, s0, 1e300, 1e-10)
 
 
 def test_integrate_conserves_energy_on_the_bench():

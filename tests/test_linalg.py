@@ -75,6 +75,19 @@ def test_non_finite_entries_are_rejected(bad):
         lu_solve(lu, perm, np.array([1.0, bad], dtype=complex))
 
 
+def test_finite_entries_whose_magnitude_overflows_are_rejected():
+    # |1.7e308 (1 + i)| is beyond the float range: abs() raises OverflowError.
+    huge = 1.7e308 * (1 + 1j)
+    with pytest.raises(NonFiniteEntryError, match="magnitude beyond the float range"):
+        lu_factor(np.array([[1.0, 0.0], [huge, 2.0]], dtype=complex))
+    # Entries that fit, but elimination makes one that does not.
+    with pytest.raises(NonFiniteEntryError, match="magnitude beyond the float range"):
+        lu_factor(np.array([[1.5e308, 1.5e308], [-1.5e308, 1.5e308j]], dtype=complex))
+    lu, perm, _ = lu_factor(np.eye(2, dtype=complex))
+    with pytest.raises(NonFiniteEntryError, match="magnitude beyond the float range"):
+        lu_solve(lu, perm, np.array([1.0, huge], dtype=complex))
+
+
 def test_finite_entries_whose_magnitudes_overflow_a_sum_still_factor():
     A = np.array([[1e308, 0.0], [0.0, 1e308]], dtype=complex)
     x = solve(A, np.array([1e308, 2e307], dtype=complex))

@@ -40,9 +40,15 @@ from kahlermech.expressions import (
     walk,
 )
 from kahlermech.exterior import exterior_derivative, one_form
-from kahlermech.real_oracle import realify_and_solve
+from kahlermech.real_oracle import (
+    EliminationFailure,
+    gauss_jordan_solve,
+    gauss_jordan_stack,
+    realify_and_solve,
+)
 
 import desksuite
+from check_reference import reference_gauss_jordan
 from fdtools import expr_evaluator, first_fd
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -124,6 +130,61 @@ def test_solve_agrees_with_the_real_oracle_on_random_states(entry):
         assert max(gaps) <= 1e-9
 
     check()
+
+
+# ------------------------------------------ stacked real-split elimination
+
+
+def _member(rng, n, kind):
+    """A real n x n system of one kind; entries are multiples of 1/8, so
+    pivot ties and exact zeros are common.  Sparse members also make
+    negative zeros, which an elimination that touched rows with a zero in
+    the pivot column would flip."""
+    A = rng.integers(-8, 9, (n, n)) / 8.0
+    b = rng.integers(-8, 9, n) / 8.0
+    if kind == "sparse":
+        A[rng.random((n, n)) < 0.7] = 0.0
+        A[np.diag_indices(n)] = rng.choice([-1.0, 1.0], n)
+        b[rng.random(n) < 0.5] = 0.0
+    elif kind == "zero":
+        A[:] = 0.0
+    elif kind == "deficient":
+        i, j = rng.choice(n, 2, replace=False) if n > 1 else (0, 0)
+        A[j] = 0.5 * A[i] if i != j else 0.0
+    elif kind == "tiny":
+        A *= 1e-300
+    return A, b
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 24),
+    st.lists(st.sampled_from(["regular", "sparse", "zero", "deficient", "tiny"]),
+             min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_stack_eliminates_each_member_as_it_would_alone(n, kinds, seed):
+    rng = np.random.default_rng(seed)
+    members = [_member(rng, n, kind) for kind in kinds]
+    x, cond = gauss_jordan_stack(np.array([A for A, _ in members]),
+                                 np.array([b for _, b in members]))
+    for (A, b), xi, ci in zip(members, x, cond):
+        try:
+            expected = reference_gauss_jordan(A, b)
+        except EliminationFailure as err:
+            assert _bits(ci) == _bits(err.condition_estimate)
+            assert np.isnan(xi).all()
+            with pytest.raises(EliminationFailure) as alone:
+                gauss_jordan_solve(A, b)
+            assert _bits(alone.value.condition_estimate) == _bits(err.condition_estimate)
+        else:
+            assert np.isnan(ci)
+            assert _bits(xi) == _bits(expected)
+            assert _bits(gauss_jordan_solve(A, b)) == _bits(expected)
 
 
 # ----------------------------------------------- generated code vs tree walker
