@@ -37,7 +37,6 @@ from .dynamics import (
     Trajectory,
     TrajectorySample,
     assemble_kahler_matrix,
-    build_standard_lagrangian,
     diagnostics,
     el_residual,
     energy,
@@ -55,7 +54,6 @@ from .constraints import (
     closedness_test,
     constraint_set,
     frobenius_test,
-    is_basic,
 )
 from .real_oracle import (
     ClassicalElReport,
@@ -79,12 +77,12 @@ __all__ = [
     "DiagnosticsReport", "InconsistentConstraints", "LagrangianSystem",
     "NonHolomorphicLagrangian", "PhaseState", "SemispraySolution",
     "SingularKahlerMatrix", "Trajectory", "TrajectorySample",
-    "assemble_kahler_matrix", "build_standard_lagrangian", "diagnostics",
+    "assemble_kahler_matrix", "diagnostics",
     "el_residual", "energy", "energy_differential", "integrate",
     "solve_semispray",
     "Classification", "ConstraintSet", "RankDeficientConstraints",
     "Verdict", "Witness", "annihilator_basis", "closedness_test",
-    "constraint_set", "frobenius_test", "is_basic",
+    "constraint_set", "frobenius_test",
     "ClassicalElReport", "classical_el_check", "derealify",
     "gauss_jordan_solve", "is_real_expressible", "realify",
     "realify_and_solve",

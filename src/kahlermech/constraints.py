@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expressions import EvalDomainError, GeneratedFunction, Num, Sym, as_expr, emit, walk
+from .expressions import EvalDomainError, GeneratedFunction, as_expr, emit, overflow_error
 from .exterior import OneForm, VectorField, exterior_derivative
 
 RANK_RTOL = 1e-10
@@ -137,14 +137,6 @@ class Classification:
     tol: float
 
 
-def is_basic(form: OneForm) -> bool:
-    """True when the form has no dw components and no velocity dependence."""
-    if any(as_expr(c) != Num(0) for c in form.b):
-        return False
-    return not any(isinstance(n, Sym) and n.kind == "w"
-                   for c in form.a for n in walk(as_expr(c)))
-
-
 def sample_points(m: int, samples: int, seed: int) -> List[Tuple[tuple, tuple]]:
     """Seeded uniform (z, w) draws from the per-component box [-1,1] + [-1,1]i."""
     vals = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, 2, 2 * m))
@@ -152,49 +144,52 @@ def sample_points(m: int, samples: int, seed: int) -> List[Tuple[tuple, tuple]]:
     return [(tuple(row[:m]), tuple(row[m:])) for row in zw]
 
 
+def _forms_at(cs: ConstraintSet, points):
+    """Read-only stacks over the (z, w) ``points`` without a domain error:
+    the points, the (N, r, 2m, 2m) d omega_a, the (N, r) largest coefficient
+    magnitudes with 0 taken as 1, and the SVD (N, r) singular values and
+    (N, 2m, 2m) right singular vectors of the (N, r, 2m) coefficients; then
+    the domain errors.  A point where a magnitude or a singular value
+    overflows the float range is a domain error (see ``overflow_error``)."""
+    evaluated, kept, errors = [], [], []
+    for z, w in points:
+        try:
+            evaluated.append(cs._evaluate.values(z, w))
+            kept.append((z, w))
+        except EvalDomainError as err:
+            errors.append(err)
+    values = np.array(evaluated, dtype=complex).reshape(len(kept), len(cs._evaluate.entries))
+    n, r = 2 * cs.m, cs.r
+    sigma = np.zeros((len(values), r))
+    vh = np.zeros((len(values), n, n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitudes = np.abs(values)
+        fits = np.isfinite(magnitudes).all(axis=1)
+        _, sigma[fits], vh[fits] = np.linalg.svd(values[fits, :r * n].reshape(-1, r, n))
+    fits &= np.isfinite(sigma).all(axis=1)
+    errors += [overflow_error(cs._evaluate.entries, magnitudes[i]) for i in np.flatnonzero(~fits)]
+    kept = [point for point, ok in zip(kept, fits) if ok]
+    values, sigma, vh = values[fits], sigma[fits], vh[fits]
+    omega = values[:, :r * n].reshape(-1, r, n)
+    upper = values[:, r * n:].reshape(-1, r, n * (n - 1) // 2)
+    d_omega = np.zeros((len(values), r, n, n), dtype=complex)
+    rows, cols = np.triu_indices(n, 1)
+    d_omega[:, :, rows, cols] = upper
+    d_omega[:, :, cols, rows] = -upper
+    scales = np.max(np.abs(omega), axis=2)
+    scales[scales == 0] = 1.0
+    for a in (d_omega, scales, sigma, vh):
+        a.flags.writeable = False
+    return kept, d_omega, scales, sigma, vh, errors
+
+
 def _sample_forms(cs: ConstraintSet, samples: int, seed: int):
-    """Read-only stacks over the samples without a domain error: the points,
-    the (N, r, 2m, 2m) d omega_a, the (N, r) largest coefficient magnitudes
-    with 0 taken as 1, and the SVD (N, r) singular values and (N, 2m, 2m)
-    right singular vectors of the (N, r, 2m) coefficients.  A sample where
-    a magnitude or a singular value overflows the float range counts as a
-    domain error.  The last pass is kept on ``cs``, so the two tests
-    evaluate once between them; each warns."""
+    """The stacks of :func:`_forms_at` over the samples.  The last pass is
+    kept on ``cs``, so the two tests evaluate once between them; each warns."""
     key = (samples, seed)
     if key not in cs._last_pass:
-        evaluated, kept, errors = [], [], []
-        for z, w in sample_points(cs.m, samples, seed):
-            try:
-                evaluated.append(cs._evaluate.values(z, w))
-                kept.append((z, w))
-            except EvalDomainError as err:
-                errors.append(err)
-        values = np.array(evaluated, dtype=complex).reshape(len(kept), len(cs._evaluate.entries))
-        n, r = 2 * cs.m, cs.r
-        sigma = np.zeros((len(values), r))
-        vh = np.zeros((len(values), n, n), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            magnitudes = np.abs(values)
-            fits = np.isfinite(magnitudes).all(axis=1)
-            _, sigma[fits], vh[fits] = np.linalg.svd(values[fits, :r * n].reshape(-1, r, n))
-        fits &= np.isfinite(sigma).all(axis=1)
-        for i in np.flatnonzero(~fits):
-            largest = cs._evaluate.entries[int(np.argmax(magnitudes[i]))]
-            errors.append(EvalDomainError("magnitude beyond the float range", largest))
-        kept = [point for point, ok in zip(kept, fits) if ok]
-        values, sigma, vh = values[fits], sigma[fits], vh[fits]
-        omega = values[:, :r * n].reshape(-1, r, n)
-        upper = values[:, r * n:].reshape(-1, r, n * (n - 1) // 2)
-        d_omega = np.zeros((len(values), r, n, n), dtype=complex)
-        rows, cols = np.triu_indices(n, 1)
-        d_omega[:, :, rows, cols] = upper
-        d_omega[:, :, cols, rows] = -upper
-        scales = np.max(np.abs(omega), axis=2)
-        scales[scales == 0] = 1.0
-        for a in (d_omega, scales, sigma, vh):
-            a.flags.writeable = False
         cs._last_pass.clear()
-        cs._last_pass[key] = (kept, d_omega, scales, sigma, vh, errors)
+        cs._last_pass[key] = _forms_at(cs, sample_points(cs.m, samples, seed))
     *found, errors = cs._last_pass[key]
     for err in errors:
         warnings.warn(f"skipping sample with undefined coefficients: {err}")
@@ -210,12 +205,13 @@ def annihilator_basis(cs: ConstraintSet, state) -> List[VectorField]:
     """Orthonormal basis of the kernel of the constraint forms at a state
     with ``z``/``w`` tuples (a PhaseState)."""
     m, r = cs.m, cs.r
-    values = cs._evaluate.values(state.z, state.w)
-    _, sigma, vh = np.linalg.svd(np.array(values[:r * 2 * m], dtype=complex).reshape(r, 2 * m))
-    rank = int(_rank(sigma))
+    *_, sigma, vh, errors = _forms_at(cs, [(state.z, state.w)])
+    if errors:
+        raise errors[0]
+    rank = int(_rank(sigma[0]))
     if rank < r:
         raise RankDeficientConstraints(rank, r)
-    return [VectorField(tuple(row[:m]), tuple(row[m:])) for row in vh[r:].conj()]
+    return [VectorField(tuple(row[:m]), tuple(row[m:])) for row in vh[0, r:].conj()]
 
 
 def closedness_test(

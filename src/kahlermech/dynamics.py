@@ -34,7 +34,6 @@ from .expressions import (
     GeneratedFunction,
     Im,
     Num,
-    Pow,
     Re,
     Sym,
     as_expr,
@@ -380,33 +379,6 @@ class DiagnosticsReport:
     failure_kind: Optional[str] = None
 
 
-def build_standard_lagrangian(masses: Sequence[float], potential: Optional[Expr] = None) -> Expr:
-    """Kinetic-minus-potential Lagrangian: sum_i m_i/2 w_i^2 - P(z).
-
-    ``potential`` may only involve position symbols.  Note that the result
-    has no z-w cross derivatives, so its two-form is singular: it is the
-    canonical degenerate example, useful for the classical comparison layer
-    but not integrable by the semispray solver.
-    """
-    m = len(masses)
-    if m < 1:
-        raise ValueError("need at least one mass")
-    for value in masses:
-        if not value > 0:
-            raise ValueError(f"masses must be positive, got {value}")
-    terms: Expr = Num(0)
-    for i, mass in enumerate(masses, start=1):
-        terms = terms + Num(0.5 * mass) * Pow(Sym("w", i), 2)
-    if potential is not None:
-        for node in walk(potential):
-            if isinstance(node, Sym) and node.kind == "w":
-                raise ValueError("potential must depend on position symbols only")
-        if _max_symbol_index(potential) > m:
-            raise ValueError("potential uses a symbol index beyond the dimension")
-        terms = terms - potential
-    return simplify(terms)
-
-
 def assemble_kahler_matrix(system: LagrangianSystem, state: PhaseState) -> TwoForm:
     """Phi_L evaluated at the state, exactly antisymmetric."""
     return TwoForm.from_matrix(system._blocks_at(state).K)
@@ -430,6 +402,26 @@ def energy_differential(system: LagrangianSystem, state: PhaseState, xi: VectorF
     return OneForm(tuple(coeffs[:m]), tuple(coeffs[m:]))
 
 
+def _solve(system: LagrangianSystem, t: float, z, w, state: Optional[PhaseState] = None):
+    """(S, rhs, L, saddle vector) at (t, z, w); the errors carry ``state``,
+    or else a :class:`PhaseState` built for them."""
+    K, S, rhs, L = system._assemble.at(z, w, False)
+    try:
+        failure = SingularKahlerMatrix
+        linalg.lu_factor(K)
+        failure = InconsistentConstraints
+        lu, perm, _ = linalg.lu_factor(S)
+        vec = linalg.lu_solve(lu, perm, rhs)
+    except linalg.SingularMatrixError as err:
+        raise failure(state or PhaseState(t, z, w), err.condition_estimate) from None
+    except linalg.NonFiniteEntryError:
+        # Finite entries can still overflow where the saddle combines them.
+        err = system._assemble.domain_error(z, w) or system._assemble.magnitude_error(z, w)
+        raise err or EvalDomainError("non-finite value in the assembled saddle",
+                                     system.lagrangian) from None
+    return S, rhs, L, vec
+
+
 def solve_semispray(
     system: LagrangianSystem, state: PhaseState, residuals: bool = True
 ) -> SemispraySolution:
@@ -439,26 +431,11 @@ def solve_semispray(
     reported as :class:`SingularKahlerMatrix` and not as inconsistent
     constraints.  An infinite or NaN entry of the assembled system raises
     :class:`EvalDomainError`.  With ``residuals=False`` only the field and
-    the multipliers are computed (all an RK stage needs).
+    the multipliers are computed.
     """
     if state.m != system.m:
         raise ValueError("state dimension does not match the system")
-    K, S, rhs, L = system._assemble.at(state.z, state.w, False)
-    try:
-        try:
-            linalg.lu_factor(K)
-        except linalg.SingularMatrixError as err:
-            raise SingularKahlerMatrix(state, err.condition_estimate) from None
-        try:
-            lu, perm, _ = linalg.lu_factor(S)
-        except linalg.SingularMatrixError as err:
-            raise InconsistentConstraints(state, err.condition_estimate) from None
-        vec = linalg.lu_solve(lu, perm, rhs)
-    except linalg.NonFiniteEntryError:
-        # Finite entries can still overflow where the saddle combines them.
-        err = system._assemble.domain_error(state.z, state.w)
-        raise err or EvalDomainError("non-finite value in the assembled saddle",
-                                     system.lagrangian) from None
+    S, rhs, L, vec = _solve(system, state.t, state.z, state.w, state)
     if residuals:
         return system._solution_from(state, S, rhs, L, vec)
     m, n = system.m, 2 * system.m
@@ -489,26 +466,12 @@ def el_residual(
     return tuple(complex(v) for v in np.concatenate([z_eqs, w_eqs]) - lam_terms)
 
 
-def _advance(state: PhaseState, xi: VectorField, h: float) -> PhaseState:
-    return PhaseState(
-        state.t + h,
-        [z + h * k for z, k in zip(state.z, xi.hol)],
-        [w + h * k for w, k in zip(state.w, xi.fib)],
-    )
-
-
-def _rk4_combine(state: PhaseState, ks: Sequence[VectorField], dt: float, t: float) -> PhaseState:
-    k1, k2, k3, k4 = ks
-    sixth = dt / 6.0
-    z = [
-        z0 + sixth * (a + 2 * b + 2 * c + d)
-        for z0, a, b, c, d in zip(state.z, k1.hol, k2.hol, k3.hol, k4.hol)
-    ]
-    w = [
-        w0 + sixth * (a + 2 * b + 2 * c + d)
-        for w0, a, b, c, d in zip(state.w, k1.fib, k2.fib, k3.fib, k4.fib)
-    ]
-    return PhaseState(t, z, w)
+def _stage(system: LagrangianSystem, t: float, z, w, h: float, k) -> List[complex]:
+    """The saddle vector at the RK stage state (t + h, z + h k_z, w + h k_w),
+    where ``k`` holds k_z then k_w."""
+    m = len(z)
+    return _solve(system, t + h, [x + h * v for x, v in zip(z, k)],
+                  [x + h * v for x, v in zip(w, k[m:])])[3]
 
 
 _SOLVER_ERRORS = (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError)
@@ -522,6 +485,11 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
     multipliers and residuals) and the energy with the solved field.  On a
     solver failure or a non-finite state the partial trajectory is returned
     with the failure time and kind recorded instead of raising.
+
+    Only a recorded sample builds objects: its :class:`PhaseState`, and the
+    :class:`SemispraySolution` with its :class:`VectorField`.  Stages 2-4
+    work on tuples and lists and keep only the solved saddle vector; a
+    failing stage builds the PhaseState that its error carries.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -532,6 +500,7 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
     n_steps = int(math.floor(t1 / dt + 1e-9))
     samples: List[TrajectorySample] = []
     state = s0
+    m, sixth = system.m, dt / 6.0
     for step in range(n_steps + 1):
         if not state.is_finite():
             return Trajectory(samples, dt, "non_finite", state.t, "NonFiniteState")
@@ -542,17 +511,20 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
         samples.append(TrajectorySample(state, sol, sol.energy))
         if step == n_steps:
             break
+        t, z, w = state.t, state.z, state.w
+        k1 = sol.xi.hol + sol.xi.fib
         try:
-            k1 = sol.xi
-            k2 = solve_semispray(system, _advance(state, k1, dt / 2), residuals=False).xi
-            k3 = solve_semispray(system, _advance(state, k2, dt / 2), residuals=False).xi
-            k4 = solve_semispray(system, _advance(state, k3, dt), residuals=False).xi
+            k2 = _stage(system, t, z, w, dt / 2, k1)
+            k3 = _stage(system, t, z, w, dt / 2, k2)
+            k4 = _stage(system, t, z, w, dt, k3)
         except _SOLVER_ERRORS as err:
             failed_at = getattr(err, "state", None)
-            t_fail = failed_at.t if failed_at is not None else state.t
+            t_fail = failed_at.t if failed_at is not None else t
             return Trajectory(samples, dt, "solver_failure", t_fail, type(err).__name__)
+        zw = [x + sixth * (a + 2 * b + 2 * c + d)
+              for x, a, b, c, d in zip(z + w, k1, k2, k3, k4)]
         # Sample times are s0.t + step*dt, not a running sum of dt.
-        state = _rk4_combine(state, (k1, k2, k3, k4), dt, s0.t + (step + 1) * dt)
+        state = PhaseState(s0.t + (step + 1) * dt, zw[:m], zw[m:])
     return Trajectory(samples, dt, "completed")
 
 

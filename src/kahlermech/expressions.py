@@ -791,6 +791,13 @@ def domain_error(e: Expr, point: Mapping[Sym, complex]) -> Optional[EvalDomainEr
         e = bad
 
 
+def overflow_error(entries: Sequence[Expr], magnitudes) -> EvalDomainError:
+    """The domain error where a magnitude (or a quantity made from them)
+    overflows the float range: it names the first entry of largest one."""
+    largest = max(range(len(entries)), key=magnitudes.__getitem__)
+    return EvalDomainError("magnitude beyond the float range", entries[largest])
+
+
 # ---------------------------------------------------------------------------
 # Compiled evaluation (internal fast path for dynamics, constraints, checks)
 #
@@ -850,11 +857,12 @@ def emit(e: Expr) -> str:
     return f"_{e._name}({arg})"  # sin, cos, exp, log
 
 
-def compile_function(signature: str, body: List[str], symbols) -> Callable:
+def compile_function(signature: str, body: List[str], symbols, **names) -> Callable:
     """Compile ``def f(signature): body`` with one ``compile`` call.
 
     ``signature`` starts with the value tuples ``z, w``; each symbol in
     ``symbols`` is unpacked from them into the local :func:`emit` names.
+    ``names`` are further globals of the generated code.
     """
     unpack = [
         f"{s.name} = {s.kind}[{s.index - 1}]"
@@ -863,7 +871,7 @@ def compile_function(signature: str, body: List[str], symbols) -> Callable:
     source = "\n    ".join([f"def f({signature}):"] + unpack + body)
     namespace = dict(__builtins__={}, complex=complex, _sin=cmath.sin, _cos=cmath.cos,
                      _exp=cmath.exp, _log=cmath.log, _zero_negzero=complex(0.0, -0.0),
-                     _negzero_zero=complex(-0.0, 0.0))
+                     _negzero_zero=complex(-0.0, 0.0), **names)
     exec(compile(source, "<generated>", "exec"), namespace)
     return namespace["f"]
 
@@ -907,3 +915,11 @@ class GeneratedFunction:
         value at ``(z, w)``, or None when every entry has one."""
         point = make_point(z, w)
         return next(filter(None, (domain_error(e, point) for e in self.entries)), None)
+
+    def magnitude_error(self, z, w) -> Optional[EvalDomainError]:
+        """The :func:`overflow_error` at ``(z, w)`` when the magnitude of an
+        entry's finite value overflows, or None when every magnitude fits."""
+        point = make_point(z, w)
+        values = [e.evaluate(point) for e in self.entries]
+        magnitudes = [math.hypot(v.real, v.imag) for v in values]
+        return overflow_error(self.entries, magnitudes) if math.inf in magnitudes else None

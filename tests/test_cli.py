@@ -148,6 +148,18 @@ def test_simulate_reports_non_finite_assembly_as_a_domain_error(tmp_path, coeffi
     assert summary["failure_time"] == 0.0
 
 
+def test_an_overflowing_coefficient_is_named_not_the_lagrangian(tmp_path, capsys):
+    path = _overflow_file(tmp_path, HUGE)
+    assert main(["derive", "--system", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert ("solve failed at the initial state:"
+            " magnitude beyond the float range: 1.7e+308 * (1 + i)\n") in out
+    assert main(["simulate", "--system", str(path), "--out", str(tmp_path), "--t1", "0.1"]) == 2
+    assert "overflow: solver_failure (EvalDomainError) at t=0" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "overflow_summary.json").read_text())
+    assert (summary["failure_kind"], summary["samples"]) == ("EvalDomainError", 0)
+
+
 def test_simulate_rejects_a_step_count_beyond_the_float_range(tmp_path, capsys):
     code = main(["simulate", "--system", BILINEAR, "--out", str(tmp_path),
                  "--t1", "1e300", "--dt", "1e-10"])

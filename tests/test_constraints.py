@@ -11,7 +11,6 @@ from kahlermech.constraints import (
     closedness_test,
     constraint_set,
     frobenius_test,
-    is_basic,
     sample_points,
 )
 from kahlermech.dynamics import PhaseState
@@ -49,13 +48,6 @@ def test_constraint_set_validation():
     cs = constraint_set([DZ1_M2, MOMENTUM])
     assert cs.m == 2 and cs.r == 2
     assert len(cs.names) == 2
-
-
-def test_is_basic():
-    assert is_basic(DZ1_M2)
-    assert not is_basic(MOMENTUM)  # coefficient depends on a velocity
-    assert not is_basic(_form(1, ("0",), ("1",)))  # has a dw component
-    assert is_basic(_form(2, ("z2", "z1"), ("0", "0")))
 
 
 # -------------------------------------------------------------- annihilator
@@ -247,6 +239,18 @@ def test_forms_whose_magnitudes_overflow_have_no_valid_sample(a_text):
     with pytest.warns(UserWarning, match="magnitude beyond the float range"), \
             pytest.raises(ValueError, match="no valid sample states"):
         closedness_test(cs, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("a_text, b_text, named", [
+    ("1.7e308*(1 + i)", "1", "1.7e+308 * (1 + i)"),  # |coefficient| overflows
+    ("1.5e308", "1.5e308", "1.5e+308"),  # the singular value overflows
+    ("1", "1.7e308*(1 + i)*z1", "(1.7e+308 + 1.7e+308*i)"),  # |c z1| fits at z1 = 0.5, |d omega| does not
+])
+def test_annihilator_basis_applies_the_sample_pass_overflow_rule(a_text, b_text, named):
+    cs = constraint_set([_form(1, (a_text,), (b_text,))])
+    with pytest.raises(EvalDomainError, match="magnitude beyond the float range") as info:
+        annihilator_basis(cs, PhaseState(0.0, (0.5,), (0.5,)))
+    assert str(info.value.subtree) == named
 
 
 def test_each_test_warns_for_the_samples_it_skips():

@@ -16,7 +16,6 @@ from kahlermech.dynamics import (
     Trajectory,
     TrajectorySample,
     assemble_kahler_matrix,
-    build_standard_lagrangian,
     diagnostics,
     el_residual,
     energy,
@@ -35,7 +34,6 @@ from kahlermech.expressions import (
     Sym,
     diff,
     evaluate,
-    make_point,
     parse_expression,
 )
 import desksuite
@@ -74,21 +72,6 @@ def test_constraint_count_limit():
         LagrangianSystem(1, L, [dz1, dw1])
     with pytest.raises(ValueError):
         LagrangianSystem(1, L, [dz1], labels=["a", "b"])
-
-
-def test_build_standard_lagrangian():
-    L = build_standard_lagrangian([2.0, 1.0], parse_expression("z1^2 + z2^2", 2))
-    point = make_point((1.0, 2.0), (3.0, 0.5))
-    # m1/2 w1^2 + m2/2 w2^2 - (z1^2 + z2^2)
-    assert abs(evaluate(L, point) - (9.0 + 0.125 - 5.0)) < 1e-14
-    with pytest.raises(ValueError):
-        build_standard_lagrangian([])
-    with pytest.raises(ValueError):
-        build_standard_lagrangian([-1.0])
-    with pytest.raises(ValueError):
-        build_standard_lagrangian([1.0], parse_expression("w1^2", 1))
-    with pytest.raises(ValueError):
-        build_standard_lagrangian([1.0], parse_expression("z2", 2))
 
 
 # ------------------------------------------------------------ two-form shape
@@ -476,6 +459,43 @@ def test_integrate_reports_solver_failure_at_start():
     assert report.status == "solver_failure"
     assert report.samples == 0
     assert report.failure_kind == "SingularKahlerMatrix"
+
+
+def _first_failing_stage(system, sample, dt):
+    """RK stages 2-4 from a recorded sample, each solved on its own:
+    (stage number, the error its solve raises), or None."""
+    s, k = sample.state, sample.solution.xi
+    for number, h in ((2, dt / 2), (3, dt / 2), (4, dt)):
+        stage = PhaseState(s.t + h, [z + h * v for z, v in zip(s.z, k.hol)],
+                           [w + h * v for w, v in zip(s.w, k.fib)])
+        try:
+            k = solve_semispray(system, stage).xi
+        except (SingularKahlerMatrix, InconsistentConstraints) as err:
+            assert err.state is stage
+            return number, err
+    return None
+
+
+@pytest.mark.parametrize("text, m, s0, dt, kind, samples", [
+    # L_zw = z1, and the field at (1, 1) is (-2, 2 - i): stage 2 of the
+    # first step lands exactly on z1 = 0, where Phi_L vanishes.
+    ("z1^2*w1/2 + (2*i - 0.5)*w1", 1, ((1.0,), (1.0,)), 1.0, "SingularKahlerMatrix", 1),
+    # The 1e11 block sets the scale; the z2 block crosses the relative
+    # pivot threshold between the third sample and the fourth.
+    ("1e11*z1*w1 + z2^2*w2/2 + (2*i - 0.5)*w2", 2, ((1.0, 1.0), (1.0, 1.0)), 0.1,
+     "InconsistentConstraints", 3),
+])
+def test_integrate_records_a_failure_inside_an_rk_step(text, m, s0, dt, kind, samples):
+    system = _system(text, m)
+    tr = integrate(system, PhaseState(0.0, *s0), 5.0, dt)
+    assert tr.status == "solver_failure"
+    assert tr.failure_kind == kind
+    assert [s.state.t for s in tr.samples] == [step * dt for step in range(samples)]
+    last = tr.samples[-1]
+    stage, err = _first_failing_stage(system, last, dt)
+    assert stage in (2, 3)
+    assert type(err).__name__ == kind
+    assert tr.failure_time == err.state.t == last.state.t + dt / 2
 
 
 def test_integrate_reports_non_finite_states():

@@ -49,6 +49,7 @@ from kahlermech.real_oracle import (
 
 import desksuite
 from check_reference import reference_gauss_jordan
+from linalg_reference import reference_lu_factor, reference_lu_solve
 from fdtools import expr_evaluator, first_fd
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -100,6 +101,76 @@ def test_lu_solve_agrees_with_numpy_on_well_conditioned_systems(system):
 def test_solve_rejects_a_repeated_row_times_a_scalar(A):
     with pytest.raises(linalg.SingularMatrixError):
         linalg.solve(A, np.ones(A.shape[0], dtype=complex))
+
+
+# ---------------------------------------- generated LU kernels vs the loops
+
+_LU_ZEROS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+_LU_SPECIAL = [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 1.0),
+               1.7e308 * (1 + 1j), 1.5e308 + 0j]
+
+
+def _lu_case(rng, n, kind):
+    """A complex n x n matrix and rhs of one kind, as row lists.  Entries are
+    Gaussian multiples of 1/8, so ties and exact zeros are common."""
+    A = (rng.integers(-8, 9, (n, n)) + 1j * rng.integers(-8, 9, (n, n))) / 8.0
+    b = (rng.integers(-8, 9, n) + 1j * rng.integers(-8, 9, n)) / 8.0
+    if kind == "sparse":  # signed zeros that a skipped row must keep
+        mask = rng.random((n, n)) < 0.6
+        A[mask] = [_LU_ZEROS[k] for k in rng.integers(0, 4, mask.sum())]
+        b[rng.random(n) < 0.4] = complex(-0.0, -0.0)
+    elif kind == "ties":
+        A = np.array([[1, -1, 1j, -1j][k] for k in rng.integers(0, 4, n * n)]).reshape(n, n)
+    elif kind in ("deficient", "near") and n > 1:
+        i, j = rng.choice(n, 2, replace=False)
+        A[j] = 0.5j * A[i]
+        if kind == "near":  # a last pivot around PIVOT_RTOL times the scale
+            A[j, rng.integers(0, n)] += rng.choice([0.25, 1.0, 4.0]) * 1e-12 * np.abs(A).max()
+    elif kind == "threshold":  # triangular: the pivots are the diagonal
+        A = np.triu(A, 1) + np.diag(rng.choice([-1.0, 1.0], n))
+        bound = linalg.PIVOT_RTOL * np.abs(A).max()
+        k = rng.integers(0, n)
+        A[k, k] = rng.choice([bound, np.nextafter(bound, 1.0)])
+    elif kind == "tiny":
+        A *= 1e-300
+    elif kind == "special":  # infinite, NaN and overflowing magnitudes
+        for _ in range(rng.integers(1, 3)):
+            target = A if rng.random() < 0.7 else b[None]
+            index = tuple(rng.integers(0, s) for s in target.shape)
+            target[index] = _LU_SPECIAL[rng.integers(0, len(_LU_SPECIAL))]
+    return A.tolist(), b.tolist()
+
+
+def _lu_outcome(f, *args):
+    """The exact result or error, signs of zeros included."""
+    try:
+        return repr(f(*args))
+    except linalg.SingularMatrixError as err:
+        return ("singular", str(err), repr(err.condition_estimate))
+    except linalg.NonFiniteEntryError as err:
+        return ("non-finite", str(err))
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.sampled_from(["regular", "sparse", "ties", "deficient", "near",
+                                 "threshold", "tiny", "special"]), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_generated_lu_kernels_equal_the_loop_reference_bitwise(n, kinds, seed):
+    rng = np.random.default_rng(seed)
+    for kind in kinds:
+        A, b = _lu_case(rng, n, kind)
+        before = repr((A, b))
+        factored = _lu_outcome(linalg.lu_factor, A)
+        assert factored == _lu_outcome(reference_lu_factor, A)
+        assert _lu_outcome(linalg.lu_factor, np.array(A)) == factored
+        if isinstance(factored, str):
+            lu, perm, _ = reference_lu_factor(A)
+            lu_before = repr((lu, perm))
+            assert _lu_outcome(linalg.lu_solve, lu, perm, b) == _lu_outcome(
+                reference_lu_solve, lu, perm, b)
+            assert repr((lu, perm)) == lu_before
+        assert repr((A, b)) == before
 
 
 _coordinate = st.builds(

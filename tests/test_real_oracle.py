@@ -13,7 +13,6 @@ from kahlermech.dynamics import (
     SingularKahlerMatrix,
     Trajectory,
     TrajectorySample,
-    build_standard_lagrangian,
     integrate,
     solve_semispray,
 )
@@ -148,7 +147,7 @@ def _synthetic_trajectory(system, dt, states_fields):
 def test_classical_check_accepts_a_true_classical_solution():
     # Free particle, straight line: the momentum is constant and the force
     # vanishes, so the classical residual is exactly zero.
-    system = LagrangianSystem(1, build_standard_lagrangian([1.0]))
+    system = LagrangianSystem(1, parse_expression("0.5*w1^2", 1))
     dt = 0.01
     v = 0.75
     rows = []
@@ -165,7 +164,7 @@ def test_classical_check_matches_the_oscillator_solution():
     # L = w^2/2 - z^2 has the classical equation z'' = -2z; sampling
     # z = cos(sqrt(2) t) must pass at the central-difference accuracy,
     # and a wrong-frequency imposter must not.
-    system = LagrangianSystem(1, build_standard_lagrangian([1.0], parse_expression("z1^2", 1)))
+    system = LagrangianSystem(1, parse_expression("0.5*w1^2 - z1^2", 1))
     dt = 0.01
     omega = math.sqrt(2.0)
 
@@ -185,7 +184,7 @@ def test_classical_check_matches_the_oscillator_solution():
 
 
 def test_classical_check_requires_enough_samples():
-    system = LagrangianSystem(1, build_standard_lagrangian([1.0]))
+    system = LagrangianSystem(1, parse_expression("0.5*w1^2", 1))
     short = _synthetic_trajectory(system, 0.01, [(0.0, (1.0,), (0.5,), (0.5,), (0.0,))])
     with pytest.raises(ValueError):
         classical_el_check(system, short)
