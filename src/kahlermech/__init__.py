@@ -20,7 +20,6 @@ from .exterior import (
     apply_J_vector,
     check_hermitian_compatibility,
     contract,
-    evaluate_two_form,
     exterior_derivative,
     one_form,
     vector,
@@ -39,7 +38,6 @@ from .dynamics import (
     assemble_kahler_matrix,
     diagnostics,
     el_residual,
-    energy,
     energy_differential,
     integrate,
     solve_semispray,
@@ -56,11 +54,8 @@ from .constraints import (
     frobenius_test,
 )
 from .real_oracle import (
-    ClassicalElReport,
-    classical_el_check,
     derealify,
     gauss_jordan_solve,
-    is_real_expressible,
     realify,
     realify_and_solve,
 )
@@ -72,18 +67,14 @@ __all__ = [
     "diff", "evaluate", "make_point", "parse_expression", "simplify",
     "CompatibilityReport", "OneForm", "TwoForm", "VectorField",
     "apply_J_covector", "apply_J_vector", "check_hermitian_compatibility",
-    "contract", "evaluate_two_form", "exterior_derivative", "one_form",
-    "vector", "vertical_d",
+    "contract", "exterior_derivative", "one_form", "vector", "vertical_d",
     "DiagnosticsReport", "InconsistentConstraints", "LagrangianSystem",
     "NonHolomorphicLagrangian", "PhaseState", "SemispraySolution",
     "SingularKahlerMatrix", "Trajectory", "TrajectorySample",
     "assemble_kahler_matrix", "diagnostics",
-    "el_residual", "energy", "energy_differential", "integrate",
-    "solve_semispray",
+    "el_residual", "energy_differential", "integrate", "solve_semispray",
     "Classification", "ConstraintSet", "RankDeficientConstraints",
     "Verdict", "Witness", "annihilator_basis", "closedness_test",
     "constraint_set", "frobenius_test",
-    "ClassicalElReport", "classical_el_check", "derealify",
-    "gauss_jordan_solve", "is_real_expressible", "realify",
-    "realify_and_solve",
+    "derealify", "gauss_jordan_solve", "realify", "realify_and_solve",
 ]

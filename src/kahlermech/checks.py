@@ -55,6 +55,8 @@ DEFAULT_THRESHOLDS: Dict[str, float] = {
     "constraint": 1e-8,
 }
 
+DEFAULT_CHECK_SAMPLES = 20  # sampled states besides the initial one
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -90,7 +92,7 @@ def run_check_suite(
     initial: PhaseState,
     t1: float,
     dt: float,
-    samples: int = 20,
+    samples: int = DEFAULT_CHECK_SAMPLES,
     seed: int = 0,
     overrides: Optional[Dict[str, float]] = None,
     tol_all: Optional[float] = None,

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .checks import run_check_suite
+from .checks import DEFAULT_CHECK_SAMPLES, run_check_suite
 from .constraints import Classification, closedness_test, frobenius_test
 from .dynamics import (
     InconsistentConstraints,
@@ -68,6 +68,14 @@ def finite(text: str) -> float:
     value = float(text)  # argparse reports a ValueError as "invalid finite value"
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def count(text: str) -> int:
+    """argparse type of ``--samples``: a nonnegative integer."""
+    value = int(text)  # argparse reports a ValueError as "invalid count value"
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
     return value
 
 
@@ -239,7 +247,7 @@ def cmd_check(args) -> int:
     spec = parse_system_file(args.system)
     t1 = spec.t1 if args.t1 is None else args.t1
     dt = spec.dt if args.dt is None else args.dt
-    samples = 20 if args.samples is None else args.samples
+    samples = DEFAULT_CHECK_SAMPLES if args.samples is None else args.samples
     seed = spec.seed if args.seed is None else args.seed
     system = spec.build_system()
     results = run_check_suite(
@@ -376,7 +384,7 @@ def build_parser() -> _ArgumentParser:
             p.add_argument("--dt", type=finite, default=None, help="step size override")
         if with_sampling:
             p.add_argument("--tol", type=finite, default=None, help="tolerance override")
-            p.add_argument("--samples", type=int, default=None, help="sample count")
+            p.add_argument("--samples", type=count, default=None, help="sample count")
             p.add_argument("--seed", type=int, default=None, help="sampling seed")
 
     p = sub.add_parser("simulate", help="integrate a system and write outputs")

@@ -226,7 +226,8 @@ def closedness_test(
     """
     points, d_omega, scales, _, _ = _sample_forms(cs, samples, seed)
     if not points:
-        raise ValueError("no valid sample states: every draw hit a domain error")
+        reason = "every draw hit a domain error" if samples else "no samples were requested"
+        raise ValueError(f"no valid sample states: {reason}")
     worst = np.max(np.max(np.abs(d_omega), axis=(2, 3)) / scales, axis=0)
     return [bool(w <= tol) for w in worst]
 

@@ -272,6 +272,8 @@ class LagrangianSystem:
 
     def _blocks_at(self, state: PhaseState) -> "Assembly":
         """Everything the generated function assembles at the state."""
+        if state.m != self.m:
+            raise ValueError("state dimension does not match the system")
         K, S, rhs, L, *blocks = self._assemble.at(state.z, state.w, True)
         return Assembly(L, *(np.array(x, dtype=complex) for x in (K, S, rhs, *blocks)))
 
@@ -335,15 +337,15 @@ def _energy(rhs, L: complex, hol, fib) -> complex:
 class SemispraySolution:
     """Solved field components, multipliers, and pointwise bookkeeping.
 
-    A solve for the field alone (``residuals=False``) leaves the residual,
-    defect and energy fields None.
+    The energy is None only from the real oracle's
+    :func:`~kahlermech.real_oracle.realify_and_solve`.
     """
 
     xi: VectorField
     multipliers: Tuple[complex, ...]
-    residual_symplectic: Optional[float]
-    residual_constraints: Optional[float]
-    semispray_defect: Optional[float]
+    residual_symplectic: float
+    residual_constraints: float
+    semispray_defect: float
     # |omega_a(xi)| per constraint form, in declaration order.
     constraint_residuals: Tuple[float, ...] = ()
     # E_L with the solved field.
@@ -381,15 +383,8 @@ class DiagnosticsReport:
 
 def assemble_kahler_matrix(system: LagrangianSystem, state: PhaseState) -> TwoForm:
     """Phi_L evaluated at the state, exactly antisymmetric."""
-    return TwoForm.from_matrix(system._blocks_at(state).K)
-
-
-def energy(system: LagrangianSystem, state: PhaseState, xi: VectorField) -> complex:
-    """E_L at the state with the supplied field components."""
-    if xi.m != system.m:
-        raise ValueError("field dimension does not match the system")
-    _, _, rhs, L = system._assemble.at(state.z, state.w, False)
-    return _energy(rhs, L, xi.hol, xi.fib)
+    K = system._blocks_at(state).K
+    return TwoForm(system.m, lambda p, q: complex(K[p, q]))
 
 
 def energy_differential(system: LagrangianSystem, state: PhaseState, xi: VectorField) -> OneForm:
@@ -422,26 +417,17 @@ def _solve(system: LagrangianSystem, t: float, z, w, state: Optional[PhaseState]
     return S, rhs, L, vec
 
 
-def solve_semispray(
-    system: LagrangianSystem, state: PhaseState, residuals: bool = True
-) -> SemispraySolution:
+def solve_semispray(system: LagrangianSystem, state: PhaseState) -> SemispraySolution:
     """Solve the constrained equalization problem at one state.
 
     Phi_L is factored on its own first, so that a degenerate Lagrangian is
     reported as :class:`SingularKahlerMatrix` and not as inconsistent
     constraints.  An infinite or NaN entry of the assembled system raises
-    :class:`EvalDomainError`.  With ``residuals=False`` only the field and
-    the multipliers are computed.
+    :class:`EvalDomainError`.
     """
     if state.m != system.m:
         raise ValueError("state dimension does not match the system")
-    S, rhs, L, vec = _solve(system, state.t, state.z, state.w, state)
-    if residuals:
-        return system._solution_from(state, S, rhs, L, vec)
-    m, n = system.m, 2 * system.m
-    return SemispraySolution(
-        VectorField(tuple(vec[:m]), tuple(vec[m:n])), tuple(vec[n:]), None, None, None
-    )
+    return system._solution_from(state, *_solve(system, state.t, state.z, state.w, state))
 
 
 def el_residual(

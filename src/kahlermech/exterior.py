@@ -142,20 +142,8 @@ class TwoForm:
                 rows[q][p] = _coef_neg(c)
         self.entries: Tuple[Tuple[Coef, ...], ...] = tuple(tuple(r) for r in rows)
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "TwoForm":
-        """Wrap an evaluated coefficient matrix (upper triangle is taken)."""
-        n = matrix.shape[0]
-        if matrix.shape != (n, n) or n % 2:
-            raise ValueError("matrix must be square with even size")
-        return cls(n // 2, lambda p, q: complex(matrix[p, q]))
-
     def entry(self, p: int, q: int) -> Coef:
         return self.entries[p][q]
-
-    @property
-    def is_numeric(self) -> bool:
-        return not any(isinstance(c, Expr) for row in self.entries for c in row)
 
     def as_matrix(self, point=None) -> np.ndarray:
         n = 2 * self.m
@@ -216,7 +204,8 @@ def exterior_derivative(alpha: OneForm) -> TwoForm:
 
 
 def contract(phi: TwoForm, v: VectorField) -> OneForm:
-    """Interior product i_v Phi, a one-form with slot q value sum_p v^p K[p][q]."""
+    """Interior product i_v Phi, a one-form with slot q value sum_p v^p K[p][q];
+    Phi(X, Y) is ``contract(phi, x)(y, point)``."""
     if v.m != phi.m:
         raise ValueError("dimension mismatch between two-form and vector")
     comps = v.components
@@ -225,16 +214,6 @@ def contract(phi: TwoForm, v: VectorField) -> OneForm:
     for q in range(n):
         out.append(_coef_sum([_coef_scale(phi.entries[p][q], comps[p]) for p in range(n)]))
     return OneForm(tuple(out[: phi.m]), tuple(out[phi.m:]))
-
-
-def evaluate_two_form(phi: TwoForm, x: VectorField, y: VectorField, point=None) -> complex:
-    """Phi(X, Y) = sum_{p,q} X^p K[p][q] Y^q at the given point."""
-    if x.m != phi.m or y.m != phi.m:
-        raise ValueError("dimension mismatch")
-    K = phi.as_matrix(point)
-    xv = np.asarray(x.components)
-    yv = np.asarray(y.components)
-    return complex(xv @ K @ yv)
 
 
 # ---------------------------------------------------------------------------

@@ -11,26 +11,20 @@ linear algebra at once.  The elimination runs on stacks: it loops over the
 n pivot steps and each step works on every matrix of the stack at once,
 with its own pivots, threshold and failure, so ``check`` cross-checks all
 of its sampled states in one pass.  A single system is a stack of one.
-A classical Euler-Lagrange spot check on trajectories is included for
-systems that are expressible with real coefficients under the x + iy
-splitting; it is diagnostic only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .expressions import Expr, Num, as_expr
 from .dynamics import (
     InconsistentConstraints,
     LagrangianSystem,
     PhaseState,
     SemispraySolution,
     SingularKahlerMatrix,
-    Trajectory,
 )
 
 PIVOT_RTOL = 1e-12
@@ -153,8 +147,6 @@ def realify_and_solve(system: LagrangianSystem, state: PhaseState) -> SemisprayS
     Mirrors :func:`kahlermech.dynamics.solve_semispray` including its error
     behaviour, but eliminates with the independent full-pivot routine.
     """
-    if state.m != system.m:
-        raise ValueError("state dimension does not match the system")
     a = system._blocks_at(state)
     vec, k_cond, s_cond = oracle_solve(a.K[None], a.S[None], a.rhs[None])
     if not np.isnan(k_cond[0]):
@@ -162,79 +154,3 @@ def realify_and_solve(system: LagrangianSystem, state: PhaseState) -> SemisprayS
     if not np.isnan(s_cond[0]):
         raise InconsistentConstraints(state, float(s_cond[0]))
     return system._solution_from(state, a.S.tolist(), a.rhs.tolist(), None, vec[0].tolist())
-
-
-# ---------------------------------------------------------------------------
-# Classical comparison
-
-
-@dataclass(frozen=True)
-class ClassicalElReport:
-    """Finite-difference classical Euler-Lagrange residuals on a trajectory.
-
-    Residuals follow force - d/dt(momentum) - multiplier terms per real
-    coordinate (x_i, y_i), with momenta differentiated by central
-    differences across neighbouring samples.  Only the dz components of
-    the constraint forms enter the multiplier force, matching the
-    configuration-space reading.  Diagnostic output only; nothing gates
-    on it.
-    """
-
-    real_expressible: bool
-    interior_samples: int
-    max_residual: float
-    per_sample: Tuple[float, ...]
-
-
-def _all_literals_real(e: Expr) -> bool:
-    if isinstance(e, Num):
-        return e.value.imag == 0.0
-    return all(_all_literals_real(a) for a in e.args)
-
-
-def is_real_expressible(system: LagrangianSystem) -> bool:
-    """True when every literal in L and the constraints is real."""
-    coefficients = [as_expr(c) for form in system.constraints for c in form.coefficients]
-    return all(map(_all_literals_real, [system.lagrangian, *coefficients]))
-
-
-def classical_el_check(system: LagrangianSystem, trajectory: Trajectory) -> ClassicalElReport:
-    """Evaluate the classical residuals along an existing trajectory."""
-    samples = trajectory.samples
-    if len(samples) < 3:
-        raise ValueError("need at least three samples for the central difference")
-    dt = trajectory.dt
-    m = system.m
-
-    def momenta_forces(state: PhaseState):
-        dL = system._blocks_at(state).dL
-        Lz, Lw = dL[:m], dL[m:]
-        # (x_i then y_i) components for each index.
-        force = np.concatenate([Lz, 1j * Lz])
-        momentum = np.concatenate([Lw, 1j * Lw])
-        return force, momentum
-
-    per_sample: List[float] = []
-    worst = 0.0
-    cached = [momenta_forces(s.state) for s in samples]
-    for k in range(1, len(samples) - 1):
-        force, _ = cached[k]
-        p_prev = cached[k - 1][1]
-        p_next = cached[k + 1][1]
-        p_dot = (p_next - p_prev) / (2.0 * dt)
-        residual = force - p_dot
-        if system.r:
-            state = samples[k].state
-            W = system._blocks_at(state).W
-            lams = np.asarray(samples[k].solution.multipliers)
-            cz = W[:m, :] @ lams  # dz components only
-            residual -= np.concatenate([cz, 1j * cz])
-        value = float(np.max(np.abs(residual)))
-        per_sample.append(value)
-        worst = max(worst, value)
-    return ClassicalElReport(
-        real_expressible=is_real_expressible(system),
-        interior_samples=len(per_sample),
-        max_residual=worst,
-        per_sample=tuple(per_sample),
-    )

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from .checks import DEFAULT_THRESHOLDS
 from .constraints import ConstraintSet
 from .dynamics import LagrangianSystem, PhaseState
 from .expressions import Expr, ParseError, parse_expression
@@ -35,14 +36,7 @@ DEFAULT_SAMPLES = 50
 DEFAULT_TOL = 1e-8
 DEFAULT_SEED = 0
 
-KNOWN_TOLERANCES = (
-    "antisymmetry",
-    "closedness",
-    "solve",
-    "oracle",
-    "drift",
-    "constraint",
-)
+KNOWN_TOLERANCES = tuple(DEFAULT_THRESHOLDS)
 
 
 class SystemFileError(Exception):

@@ -223,6 +223,25 @@ def test_classify_respects_parameter_flags(tmp_path):
     assert payload["parameters"] == {"samples": 12, "seed": 5, "tol": 1e-6}
 
 
+@pytest.mark.parametrize("command", ["classify", "check"])
+def test_a_negative_sample_count_is_a_usage_error(tmp_path, capsys, command):
+    # Before: numpy's "negative dimensions are not allowed".
+    with pytest.raises(SystemExit) as info:
+        main([command, "--system", EXCHANGE, "--out", str(tmp_path), "--samples", "-3"])
+    assert info.value.code == 1
+    assert "argument --samples: must be nonnegative, got '-3'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_classify_with_zero_samples_says_none_were_requested(tmp_path, capsys):
+    # Before: "every draw hit a domain error", though nothing was drawn.
+    code = main(["classify", "--system", EXCHANGE, "--out", str(tmp_path), "--samples", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: no valid sample states: no samples were requested\n"
+    )
+
+
 def test_classify_without_constraints_is_an_input_error(tmp_path, capsys):
     code = main(["classify", "--system", BILINEAR, "--out", str(tmp_path)])
     assert code == 1

@@ -14,7 +14,7 @@ from kahlermech.constraints import (
     sample_points,
 )
 from kahlermech.dynamics import PhaseState
-from kahlermech.exterior import evaluate_two_form, exterior_derivative, one_form
+from kahlermech.exterior import contract, exterior_derivative, one_form
 from kahlermech.expressions import EvalDomainError, make_point, parse_expression
 
 from classify_reference import reference_closedness, reference_frobenius
@@ -145,7 +145,7 @@ def test_anholonomic_verdict_with_witness():
     # recorded form's differential to the recorded magnitude.
     point = make_point(w.z, w.w)
     d_omega = exterior_derivative(CONTACT)
-    raw = evaluate_two_form(d_omega, w.x, w.y, point)
+    raw = contract(d_omega, w.x)(w.y, point)
     coeffs = CONTACT.coefficient_vector(point)
     scale = float(np.max(np.abs(coeffs)))
     assert abs(abs(raw) / scale - w.value) < 1e-9

@@ -18,10 +18,10 @@ from kahlermech.dynamics import (
     assemble_kahler_matrix,
     diagnostics,
     el_residual,
-    energy,
     energy_differential,
     integrate,
     solve_semispray,
+    _solve,
 )
 from kahlermech.exterior import contract, one_form, vector
 from kahlermech.expressions import (
@@ -128,20 +128,13 @@ def test_degenerate_lagrangians_have_zero_two_form():
 # ------------------------------------------------------------------- energy
 
 
-def test_energy_against_hand_value():
-    system = _system("z1*w1")
-    state = PhaseState(0.0, (1.0,), (2.0,))
-    xi = vector([2.0], [0.0])
-    assert energy(system, state, xi) == -2.0 + 4.0j
-
-
 def test_energy_of_solved_bilinear_field():
     system = desksuite.build("bilinear_pair")
     z, w = (1.0 + 0.5j,), (2.0 - 1.0j,)
     state = PhaseState(0.0, z, w)
     sol = solve_semispray(system, state)
     # Solved flow is z -> iz, w -> -iw, whose energy is -3 z w.
-    assert abs(energy(system, state, sol.xi) - (-3.0 * z[0] * w[0])) < 1e-13
+    assert abs(sol.energy - (-3.0 * z[0] * w[0])) < 1e-13
 
 
 def test_energy_differential_matches_contraction_when_unconstrained():
@@ -301,10 +294,10 @@ def test_solution_bookkeeping_and_field_only_solves():
     assert len(sol.constraint_residuals) == 2
     assert max(abs(a - b) for a, b in zip(sol.constraint_residuals, expected)) < 1e-15
     assert sol.residual_constraints == max(sol.constraint_residuals)
-    assert sol.energy == energy(system, state, sol.xi)
-    stage = solve_semispray(system, state, residuals=False)
-    assert stage.xi == sol.xi and stage.multipliers == sol.multipliers
-    assert stage.residual_symplectic is None and stage.energy is None
+    # The RK stages 2-4 solve for the saddle vector alone; it is the
+    # field and the multipliers of the full solve, bit for bit.
+    vec = _solve(system, state.t, state.z, state.w)[3]
+    assert tuple(vec) == sol.xi.components + sol.multipliers
 
 
 # ------------------------------------------------------------- EL residuals
@@ -423,6 +416,30 @@ def test_integrate_rejects_bad_steps():
     # Both finite, but t1/dt overflows: no step count, so bad input.
     with pytest.raises(ValueError, match="finite step count"):
         integrate(system, s0, 1e300, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "text, m, state",
+    [("z1*w1", 1, PhaseState(0.0, (0.3, 9.0), (0.2, 9.0))),
+     ("z1*w1 + z2*w2", 2, PhaseState(0.0, (0.3,), (0.2,)))],
+    ids=["wide", "narrow"],
+)
+@pytest.mark.parametrize(
+    "function", [assemble_kahler_matrix, energy_differential, el_residual],
+    ids=lambda f: f.__name__,
+)
+def test_a_state_of_the_wrong_dimension_is_rejected(function, text, m, state):
+    # Before, a wider state was cut to the system's m and a narrower one
+    # raised a bare IndexError.
+    system = _system(text, m)
+    zero = vector([0.0] * m, [0.0] * m)
+    args = {
+        assemble_kahler_matrix: (),
+        energy_differential: (zero,),
+        el_residual: (SemispraySolution(zero, (), 0.0, 0.0, 0.0),),
+    }[function]
+    with pytest.raises(ValueError, match="state dimension does not match the system"):
+        function(system, state, *args)
 
 
 def test_integrate_conserves_energy_on_the_bench():

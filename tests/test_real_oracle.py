@@ -1,6 +1,4 @@
-"""Real-split elimination oracle and the classical comparison layer."""
-
-import math
+"""Real-split elimination oracle."""
 
 import numpy as np
 import pytest
@@ -9,21 +7,15 @@ from kahlermech.dynamics import (
     InconsistentConstraints,
     LagrangianSystem,
     PhaseState,
-    SemispraySolution,
     SingularKahlerMatrix,
-    Trajectory,
-    TrajectorySample,
-    integrate,
     solve_semispray,
 )
-from kahlermech.exterior import one_form, vector
+from kahlermech.exterior import one_form
 from kahlermech.expressions import parse_expression
 from kahlermech.real_oracle import (
     EliminationFailure,
-    classical_el_check,
     derealify,
     gauss_jordan_solve,
-    is_real_expressible,
     realify,
     realify_and_solve,
 )
@@ -117,87 +109,3 @@ def test_oracle_maps_failures_like_the_primary_solver():
     )
     with pytest.raises(InconsistentConstraints):
         realify_and_solve(blocked, PhaseState(0.0, (1.0,), (2.0,)))
-
-
-def test_is_real_expressible():
-    assert is_real_expressible(desksuite.build("bilinear_pair"))
-    assert is_real_expressible(desksuite.build("shifted_pair"))
-    # Complex literals only arise from programmatic construction; the text
-    # grammar itself is real.
-    from kahlermech.expressions import Mul, Num, Sym
-
-    complex_coeff = LagrangianSystem(
-        1, Mul(Num(2 + 1j), Mul(Sym("z", 1), Sym("w", 1)))
-    )
-    assert not is_real_expressible(complex_coeff)
-
-
-# ------------------------------------------------------ classical comparison
-
-
-def _synthetic_trajectory(system, dt, states_fields):
-    samples = []
-    for t, z, w, hol, fib in states_fields:
-        sol = SemispraySolution(vector(hol, fib), (), 0.0, 0.0, 0.0)
-        state = PhaseState(t, z, w)
-        samples.append(TrajectorySample(state, sol, 0.0))
-    return Trajectory(samples, dt, "completed", None, None)
-
-
-def test_classical_check_accepts_a_true_classical_solution():
-    # Free particle, straight line: the momentum is constant and the force
-    # vanishes, so the classical residual is exactly zero.
-    system = LagrangianSystem(1, parse_expression("0.5*w1^2", 1))
-    dt = 0.01
-    v = 0.75
-    rows = []
-    for k in range(9):
-        t = k * dt
-        rows.append((t, (1.0 + v * t,), (v,), (v,), (0.0,)))
-    report = classical_el_check(system, _synthetic_trajectory(system, dt, rows))
-    assert report.real_expressible
-    assert report.interior_samples == 7
-    assert report.max_residual < 1e-10
-
-
-def test_classical_check_matches_the_oscillator_solution():
-    # L = w^2/2 - z^2 has the classical equation z'' = -2z; sampling
-    # z = cos(sqrt(2) t) must pass at the central-difference accuracy,
-    # and a wrong-frequency imposter must not.
-    system = LagrangianSystem(1, parse_expression("0.5*w1^2 - z1^2", 1))
-    dt = 0.01
-    omega = math.sqrt(2.0)
-
-    def rows(freq):
-        out = []
-        for k in range(21):
-            t = k * dt
-            z = math.cos(freq * t)
-            w = -freq * math.sin(freq * t)
-            out.append((t, (z,), (w,), (w,), (0.0,)))
-        return out
-
-    good = classical_el_check(system, _synthetic_trajectory(system, dt, rows(omega)))
-    assert good.max_residual < 5e-4
-    bad = classical_el_check(system, _synthetic_trajectory(system, dt, rows(2.5)))
-    assert bad.max_residual > 0.1
-
-
-def test_classical_check_requires_enough_samples():
-    system = LagrangianSystem(1, parse_expression("0.5*w1^2", 1))
-    short = _synthetic_trajectory(system, 0.01, [(0.0, (1.0,), (0.5,), (0.5,), (0.0,))])
-    with pytest.raises(ValueError):
-        classical_el_check(system, short)
-
-
-def test_classical_check_records_the_rotation_mismatch():
-    # The solved bilinear flow is not a classical Euler-Lagrange solution;
-    # the comparison layer reports a nonzero residual instead of hiding it.
-    system = desksuite.build("bilinear_pair")
-    entry = desksuite.BY_NAME["bilinear_pair"]
-    tr = integrate(system, desksuite.initial_state(entry), 0.5, 0.01)
-    report = classical_el_check(system, tr)
-    assert report.real_expressible
-    assert report.interior_samples == len(tr.samples) - 2
-    assert report.max_residual > 0.1
-    assert len(report.per_sample) == report.interior_samples
