@@ -42,7 +42,7 @@ from .dynamics import (
     integrate,
     solve_semispray,
 )
-from .expressions import EvalDomainError, GeneratedFunction, as_expr, diff, emit, simplify
+from .expressions import Add, EvalDomainError, GeneratedFunction, Sub, diff, emit, fold
 from .exterior import coordinate_symbol
 from .real_oracle import oracle_solve
 
@@ -76,12 +76,9 @@ def _closure_terms(system: LagrangianSystem) -> GeneratedFunction:
     list in (p, q, r) order; each call differentiates and compiles anew."""
     m = system.m
     K = system.kahler_form.entries
+    x = [coordinate_symbol(p, m) for p in range(2 * m)]
     terms = [
-        simplify(
-            diff(as_expr(K[q][r]), coordinate_symbol(p, m))
-            - diff(as_expr(K[p][r]), coordinate_symbol(q, m))
-            + diff(as_expr(K[p][q]), coordinate_symbol(r, m))
-        )
+        fold(Add, fold(Sub, diff(K[q][r], x[p]), diff(K[p][r], x[q])), diff(K[p][q], x[r]))
         for p, q, r in itertools.combinations(range(2 * m), 3)
     ]
     return GeneratedFunction("z, w", [f"return [{', '.join(map(emit, terms))}]"], terms, m)

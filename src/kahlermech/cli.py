@@ -72,7 +72,7 @@ def finite(text: str) -> float:
 
 
 def count(text: str) -> int:
-    """argparse type of ``--samples``: a nonnegative integer."""
+    """argparse type of ``--samples`` and ``--seed``: a nonnegative integer."""
     value = int(text)  # argparse reports a ValueError as "invalid count value"
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
@@ -385,7 +385,7 @@ def build_parser() -> _ArgumentParser:
         if with_sampling:
             p.add_argument("--tol", type=finite, default=None, help="tolerance override")
             p.add_argument("--samples", type=count, default=None, help="sample count")
-            p.add_argument("--seed", type=int, default=None, help="sampling seed")
+            p.add_argument("--seed", type=count, default=None, help="sampling seed")
 
     p = sub.add_parser("simulate", help="integrate a system and write outputs")
     common(p, with_format=True, with_integrator=True)

@@ -241,13 +241,15 @@ class LagrangianSystem:
 
         zs = [Sym("z", i) for i in range(1, m + 1)]
         ws = [Sym("w", i) for i in range(1, m + 1)]
-        self._Lz = [simplify(diff(lagrangian, s)) for s in zs]
-        self._Lw = [simplify(diff(lagrangian, s)) for s in ws]
+        # Derivatives of the folded Lagrangian come out folded.
+        folded = simplify(lagrangian)
+        self._Lz = [diff(folded, s) for s in zs]
+        self._Lw = [diff(folded, s) for s in ws]
         # Second-derivative blocks: A[i][j] = L_{z_i z_j}, H[i][j] = L_{z_i w_j},
         # B[i][j] = L_{w_i w_j}.
-        self._A = [[simplify(diff(self._Lz[i], zs[j])) for j in range(m)] for i in range(m)]
-        self._H = [[simplify(diff(self._Lz[i], ws[j])) for j in range(m)] for i in range(m)]
-        self._B = [[simplify(diff(self._Lw[i], ws[j])) for j in range(m)] for i in range(m)]
+        self._A = [[diff(self._Lz[i], zs[j]) for j in range(m)] for i in range(m)]
+        self._H = [[diff(self._Lz[i], ws[j]) for j in range(m)] for i in range(m)]
+        self._B = [[diff(self._Lw[i], ws[j]) for j in range(m)] for i in range(m)]
 
         # Phi_L assembled through the exterior layer: Phi_L = -d(d_J L).
         self.kahler_form: TwoForm = exterior_derivative(vertical_d(lagrangian, m)).scaled(-1)
@@ -444,6 +446,10 @@ def el_residual(
     the z-entries with their negatives.
     """
     m = system.m
+    if solution.xi.m != m:
+        raise ValueError("field dimension does not match the system")
+    if len(solution.multipliers) != system.r:
+        raise ValueError(f"got {len(solution.multipliers)} multipliers for {system.r} constraints")
     a = system._blocks_at(state)
     xih, xif = np.asarray(solution.xi.hol), np.asarray(solution.xi.fib)
     z_eqs = a.dL[:m] - 1j * (a.A @ xih + a.H @ xif)

@@ -6,6 +6,12 @@ treated as independent formal variables.  Differentiation is the formal
 are opaque to it and differentiate to zero.  Evaluation maps every symbol
 to a complex number and computes in complex arithmetic throughout.
 
+The fold rules (constant folding and the unit and zero laws) live in one
+constructor, :func:`fold`.  Every differentiation rule builds through it,
+so the derivative of a folded tree comes out folded, and :func:`simplify`
+is a bottom-up rebuild through it.  A caller folds a parsed tree once,
+where it enters, and differentiates the result as often as it likes.
+
 The concrete grammar accepted by :func:`parse_expression`::
 
     expr   := term (('+'|'-') term)*
@@ -269,7 +275,7 @@ class Add(_Binary):
         return self.left.evaluate(point) + self.right.evaluate(point)
 
     def diff(self, s):
-        return Add(self.left.diff(s), self.right.diff(s))
+        return fold(Add, self.left.diff(s), self.right.diff(s))
 
 
 class Sub(_Binary):
@@ -280,7 +286,7 @@ class Sub(_Binary):
         return self.left.evaluate(point) - self.right.evaluate(point)
 
     def diff(self, s):
-        return Sub(self.left.diff(s), self.right.diff(s))
+        return fold(Sub, self.left.diff(s), self.right.diff(s))
 
 
 class Mul(_Binary):
@@ -297,10 +303,8 @@ class Mul(_Binary):
         return self.left.evaluate(point) * self.right.evaluate(point)
 
     def diff(self, s):
-        return Add(
-            Mul(self.left.diff(s), self.right),
-            Mul(self.left, self.right.diff(s)),
-        )
+        return fold(Add, fold(Mul, self.left.diff(s), self.right),
+                    fold(Mul, self.left, self.right.diff(s)))
 
 
 class Div(_Binary):
@@ -314,13 +318,9 @@ class Div(_Binary):
         return self.left.evaluate(point) / denom
 
     def diff(self, s):
-        return Div(
-            Sub(
-                Mul(self.left.diff(s), self.right),
-                Mul(self.left, self.right.diff(s)),
-            ),
-            Pow(self.right, 2),
-        )
+        numerator = fold(Sub, fold(Mul, self.left.diff(s), self.right),
+                         fold(Mul, self.left, self.right.diff(s)))
+        return fold(Div, numerator, fold(Pow, self.right, 2))
 
 
 class Pow(Expr):
@@ -363,12 +363,8 @@ class Pow(Expr):
             raise EvalDomainError("argument out of range", self) from None
 
     def diff(self, s):
-        if self.exponent == 0:
-            return Num(0)
-        return Mul(
-            Mul(Num(self.exponent), Pow(self.base, self.exponent - 1)),
-            self.base.diff(s),
-        )
+        return fold(Mul, fold(Mul, Num(self.exponent), fold(Pow, self.base, self.exponent - 1)),
+                    self.base.diff(s))
 
 
 class _Unary(Expr):
@@ -395,7 +391,7 @@ class Neg(_Unary):
         return -self.arg.evaluate(point)
 
     def diff(self, s):
-        return Neg(self.arg.diff(s))
+        return fold(Neg, self.arg.diff(s))
 
 
 class Conj(_Unary):
@@ -435,7 +431,7 @@ class Sin(_Unary):
         return _lift_cmath(cmath.sin, self.arg.evaluate(point), self)
 
     def diff(self, s):
-        return Mul(Cos(self.arg), self.arg.diff(s))
+        return fold(Mul, fold(Cos, self.arg), self.arg.diff(s))
 
 
 class Cos(_Unary):
@@ -445,7 +441,7 @@ class Cos(_Unary):
         return _lift_cmath(cmath.cos, self.arg.evaluate(point), self)
 
     def diff(self, s):
-        return Mul(Neg(Sin(self.arg)), self.arg.diff(s))
+        return fold(Mul, fold(Neg, fold(Sin, self.arg)), self.arg.diff(s))
 
 
 class Exp(_Unary):
@@ -455,7 +451,7 @@ class Exp(_Unary):
         return _lift_cmath(cmath.exp, self.arg.evaluate(point), self)
 
     def diff(self, s):
-        return Mul(Exp(self.arg), self.arg.diff(s))
+        return fold(Mul, fold(Exp, self.arg), self.arg.diff(s))
 
 
 class Log(_Unary):
@@ -468,7 +464,7 @@ class Log(_Unary):
         return cmath.log(v)
 
     def diff(self, s):
-        return Div(self.arg.diff(s), self.arg)
+        return fold(Div, self.arg.diff(s), self.arg)
 
 
 def _lift_cmath(fn, value, node):
@@ -647,93 +643,61 @@ def parse_expression(text: str, m: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Simplification
+# Folding: the one normal form
+
+
+def fold(kind: type, *args) -> Expr:
+    """The node ``kind(*args)`` with the fold rules applied at its root.
+
+    Given folded children, the result is folded.  The rules are the unit and
+    zero laws x + 0, 0 + x, x - 0, x * 1, 1 * x, x / 1 -> x; x * 0, 0 * x,
+    0 / x -> 0; x^0 -> 1, x^1 -> x; 0 - x -> -x; -(-x) -> x; and, after
+    them, a node whose children are all literals becomes the literal of its
+    value, unless evaluating it raises :class:`EvalDomainError`.  The
+    result evaluates like the node wherever the node is defined; as usual
+    for x*0 -> 0, folding can enlarge the domain.
+    """
+    first = args[0]
+    lnum = first.value if isinstance(first, Num) else None
+    rnum = None
+    if kind is Pow:
+        if args[1] in (0, 1):
+            return first if args[1] else _ONE
+    elif kind is Neg:
+        if isinstance(first, Neg):
+            return first.arg
+    elif kind in (Add, Sub, Mul, Div):
+        right = args[1]
+        rnum = right.value if isinstance(right, Num) else None
+        unit = 1 if kind in (Mul, Div) else 0  # the right identity
+        if kind is Mul and 0 in (lnum, rnum) or kind is Div and lnum == 0:
+            return _ZERO
+        if lnum == unit and kind in (Add, Mul):
+            return right
+        if rnum == unit:
+            return first
+        if kind is Sub and lnum == 0 and rnum is None:
+            return fold(Neg, right)
+    node = kind(*args)
+    if lnum is not None and (rnum is not None or len(node.args) == 1):  # literal children
+        try:
+            return Num(node.evaluate({}))
+        except EvalDomainError:
+            pass
+    return node
+
 
 _ZERO = Num(0)
 _ONE = Num(1)
 
 
 def simplify(e: Expr) -> Expr:
-    """Constant folding plus the obvious unit/zero laws, applied bottom-up.
+    """``e`` in the normal form of :func:`fold`, rebuilt bottom-up.
 
     The result evaluates identically to the input wherever the input is
     defined.  (As usual for x*0 -> 0, folding can enlarge the domain.)
     """
-    if isinstance(e, (Num, Sym)):
-        return e
-    if isinstance(e, Pow):
-        base = simplify(e.base)
-        if e.exponent == 0:
-            return _ONE
-        if e.exponent == 1:
-            return base
-        if isinstance(base, Num) and not (base.value == 0 and e.exponent < 0):
-            try:
-                return Num(base.value ** e.exponent)
-            except (OverflowError, ZeroDivisionError):
-                pass
-        return Pow(base, e.exponent)
-    if isinstance(e, _Unary):
-        arg = simplify(e.arg)
-        if isinstance(e, Neg):
-            if isinstance(arg, Num):
-                return Num(-arg.value)
-            if isinstance(arg, Neg):
-                return arg.arg
-            return Neg(arg)
-        if isinstance(arg, Num):
-            if isinstance(e, Conj):
-                return Num(arg.value.conjugate())
-            if isinstance(e, Re):
-                return Num(arg.value.real)
-            if isinstance(e, Im):
-                return Num(arg.value.imag)
-            if not (isinstance(e, Log) and arg.value == 0):
-                try:
-                    return Num(type(e)(arg).evaluate({}))
-                except EvalDomainError:
-                    pass
-        return type(e)(arg)
-    if isinstance(e, _Binary):
-        left = simplify(e.left)
-        right = simplify(e.right)
-        lnum = left.value if isinstance(left, Num) else None
-        rnum = right.value if isinstance(right, Num) else None
-        if isinstance(e, Add):
-            if lnum == 0:
-                return right
-            if rnum == 0:
-                return left
-            if lnum is not None and rnum is not None:
-                return Num(lnum + rnum)
-            return Add(left, right)
-        if isinstance(e, Sub):
-            if rnum == 0:
-                return left
-            if lnum is not None and rnum is not None:
-                return Num(lnum - rnum)
-            if lnum == 0:
-                return simplify(Neg(right))
-            return Sub(left, right)
-        if isinstance(e, Mul):
-            if lnum == 0 or rnum == 0:
-                return _ZERO
-            if lnum == 1:
-                return right
-            if rnum == 1:
-                return left
-            if lnum is not None and rnum is not None:
-                return Num(lnum * rnum)
-            return Mul(left, right)
-        if isinstance(e, Div):
-            if lnum == 0:
-                return _ZERO
-            if rnum == 1:
-                return left
-            if lnum is not None and rnum is not None and rnum != 0:
-                return Num(lnum / rnum)
-            return Div(left, right)
-    raise TypeError(f"unknown node {e!r}")
+    return fold(type(e), *map(simplify, e.args), *e._payload()) if e.args else e
 
 
 # ---------------------------------------------------------------------------

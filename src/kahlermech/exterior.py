@@ -19,11 +19,12 @@ antisymmetric matrix K[p][q] = d_p c_q - d_q c_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expressions import Expr, Neg, Num, Sym, as_expr, diff, evaluate, simplify
+from .expressions import Add, Expr, Mul, Neg, Num, Sub, Sym, as_expr, diff, evaluate, fold, simplify
 
 Coef = Union[Expr, complex]
 
@@ -37,23 +38,15 @@ def coordinate_symbol(p: int, m: int) -> Sym:
     return Sym("w", p - m + 1)
 
 
-def _coef_neg(c: Coef) -> Coef:
-    """-c, exactly: a Num's value is negated and a Neg unwrapped, so a
-    simplified entry gives what ``simplify(-c)`` gives without a new walk."""
-    if isinstance(c, Num):
-        return Num(-c.value)
-    return c.arg if isinstance(c, Neg) else -c
-
-
 def _coef_scale(c: Coef, s: complex) -> Coef:
     if isinstance(c, Expr):
-        return simplify(Num(s) * c)
+        return fold(Mul, Num(s), c)
     return s * c
 
 
 def _coef_sum(terms: Sequence[Coef]) -> Coef:
     if any(isinstance(t, Expr) for t in terms):
-        return simplify(sum(terms, Num(0)))
+        return reduce(lambda acc, t: fold(Add, acc, as_expr(t)), terms, Num(0))
     return sum(terms, 0j)
 
 
@@ -128,7 +121,10 @@ class TwoForm:
 
     Stored as the full coefficient matrix K with
     Phi = sum_{p<q} K[p][q] e^p wedge e^q; the constructor mirrors the
-    strict upper triangle, so K is antisymmetric by construction.
+    strict upper triangle, so K is antisymmetric by construction.  Symbolic
+    entries are expected folded, as :func:`exterior_derivative` builds
+    them; the mirror, :meth:`scaled` and :func:`contract` fold only at the
+    root, so they keep such entries folded without a new walk.
     """
 
     def __init__(self, m: int, upper: Callable[[int, int], Coef]):
@@ -139,7 +135,7 @@ class TwoForm:
             for q in range(p + 1, n):
                 c = upper(p, q)
                 rows[p][q] = c
-                rows[q][p] = _coef_neg(c)
+                rows[q][p] = fold(Neg, c) if isinstance(c, Expr) else -c
         self.entries: Tuple[Tuple[Coef, ...], ...] = tuple(tuple(r) for r in rows)
 
     def entry(self, p: int, q: int) -> Coef:
@@ -185,20 +181,21 @@ def apply_J_covector(alpha: OneForm) -> OneForm:
 
 def vertical_d(f: Expr, m: int) -> OneForm:
     """The twisted differential i (df/dz_k) dz_k - i (df/dw_k) dw_k."""
-    a = tuple(simplify(Num(1j) * diff(f, Sym("z", k))) for k in range(1, m + 1))
-    b = tuple(simplify(Num(-1j) * diff(f, Sym("w", k))) for k in range(1, m + 1))
+    f = simplify(f)
+    a = tuple(fold(Mul, Num(1j), diff(f, Sym("z", k))) for k in range(1, m + 1))
+    b = tuple(fold(Mul, Num(-1j), diff(f, Sym("w", k))) for k in range(1, m + 1))
     return OneForm(a, b)
 
 
 def exterior_derivative(alpha: OneForm) -> TwoForm:
-    """d of a one-form; constant coefficients are treated as literals."""
+    """d of a one-form; constant coefficients are treated as literals.  The
+    coefficients are folded once, so every entry comes out folded."""
     m = alpha.m
-    coeffs = tuple(map(as_expr, alpha.coefficients))
+    coeffs = tuple(simplify(as_expr(c)) for c in alpha.coefficients)
 
     def upper(p: int, q: int) -> Coef:
-        sp = coordinate_symbol(p, m)
-        sq = coordinate_symbol(q, m)
-        return simplify(diff(coeffs[q], sp) - diff(coeffs[p], sq))
+        return fold(Sub, diff(coeffs[q], coordinate_symbol(p, m)),
+                    diff(coeffs[p], coordinate_symbol(q, m)))
 
     return TwoForm(m, upper)
 

@@ -4,7 +4,7 @@ A file consists of ``[section]`` headers with ``key = value`` lines; blank
 lines and ``#`` comments are ignored.  Sections:
 
 * ``[system]``      ``m`` (chart dimension, required), optional ``name``
-  and ``seed``.
+  and ``seed`` (the nonnegative sampling seed).
 * ``[lagrangian]``  ``L = <expression>`` in the z/w grammar (required).
 * ``[constraints]`` optional; each line is ``name = c1; c2; ...; c2m``,
   the 2m coefficient expressions ordered (dz1..dzm, dw1..dwm).
@@ -187,6 +187,8 @@ def parse_system_file(path) -> SystemSpec:
             seed = int(value)
         except ValueError:
             raise SystemFileError(f"seed must be an integer, got {value!r}", lineno) from None
+        if seed < 0:
+            raise SystemFileError(f"seed must be >= 0, got {seed}", lineno)
 
     got = single("lagrangian", "L")
     if got is None:

@@ -233,6 +233,16 @@ def test_a_negative_sample_count_is_a_usage_error(tmp_path, capsys, command):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["classify", "check"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    # Before: numpy's "expected non-negative integer", naming no flag.
+    with pytest.raises(SystemExit) as info:
+        main([command, "--system", EXCHANGE, "--out", str(tmp_path), "--seed", "-1"])
+    assert info.value.code == 1
+    assert "argument --seed: must be nonnegative, got '-1'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_classify_with_zero_samples_says_none_were_requested(tmp_path, capsys):
     # Before: "every draw hit a domain error", though nothing was drawn.
     code = main(["classify", "--system", EXCHANGE, "--out", str(tmp_path), "--samples", "0"])

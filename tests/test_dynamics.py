@@ -383,6 +383,22 @@ def test_el_residual_of_the_zero_field():
     assert abs(res[1] - state.z[0]) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "field_m, multipliers, message",
+    [(2, (), "field dimension does not match the system"),
+     (1, (1.0,), "got 1 multipliers for 0 constraints")],
+    ids=["field", "multipliers"],
+)
+def test_el_residual_rejects_a_foreign_solution(field_m, multipliers, message):
+    # Before: numpy's untyped "matmul: ... core dimension" error.
+    system = _system("z1*w1")
+    state = PhaseState(0.0, (0.3,), (0.2,))
+    foreign = SemispraySolution(vector([0.0] * field_m, [0.0] * field_m), multipliers,
+                                0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=message):
+        el_residual(system, state, foreign)
+
+
 # -------------------------------------------------------------- integration
 
 

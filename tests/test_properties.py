@@ -49,6 +49,7 @@ from kahlermech.real_oracle import (
 
 import desksuite
 from check_reference import reference_gauss_jordan
+from expressions_reference import reference_diff, reference_simplify
 from linalg_reference import reference_lu_factor, reference_lu_solve
 from fdtools import expr_evaluator, first_fd
 
@@ -406,6 +407,42 @@ def test_simplify_is_idempotent_and_keeps_values(e, values):
     assert simplify(_substituted(e, point)) == Num(value)
 
 
+def _same_tree(a, b, same_literal) -> bool:
+    """Structural equality with literals compared by ``same_literal`` on
+    their values (``Num(nan) != Num(nan)``)."""
+    if isinstance(a, Num) and isinstance(b, Num):
+        return same_literal(a.value, b.value)
+    return (type(a) is type(b) and a._payload() == b._payload()
+            and all(_same_tree(x, y, same_literal) for x, y in zip(a.args, b.args)))
+
+
+def _up_to_zero_signs(a: complex, b: complex) -> bool:
+    """Equal parts, where a zero may differ in sign; NaN matches NaN."""
+    return all(x == y or (math.isnan(x) and math.isnan(y))
+               for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_trees)
+def test_derivatives_of_folded_trees_are_the_folded_raw_derivatives(e):
+    # simplify is a rebuild through fold, with the rules of the one-walk
+    # reference, signs of zeros included.
+    folded = simplify(e)
+    assert _same_tree(folded, reference_simplify(e), _same)
+    for s in _SYMBOLS:
+        # A derivative of a folded tree is folded: it is what folding the
+        # raw derivative gives, up to the sign of a zero (0 - c*x folds to
+        # -(c*x), whose derivative -(c) has the zero imaginary part -0).
+        first = diff(folded, s)
+        expected = reference_simplify(reference_diff(e, s))
+        assert _same_tree(first, expected, _up_to_zero_signs)
+        # The path of the blocks A, H and B: a second derivative of the
+        # folded first one.
+        for t in _SYMBOLS:
+            second = reference_simplify(reference_diff(expected, t))
+            assert _same_tree(diff(first, t), second, _up_to_zero_signs)
+
+
 # Parts are 0 or at least 1e-3 in size, so that no value of a derivative
 # is subnormal and short of relative precision.
 _fd_part = st.one_of(st.just(0.0), st.floats(1e-3, 1.2), st.floats(-1.2, -1e-3))
@@ -477,8 +514,8 @@ def test_classify_verdict_is_invariant_under_rescaling_a_form(which, index, k, t
 
 
 def test_two_form_lower_entries_are_the_simplified_negated_upper_entries():
-    # TwoForm mirrors by exact negation instead of simplify(-c); on the
-    # simplified entries the package builds, the two agree.
+    # TwoForm mirrors with fold(Neg, c), which folds at the root only; on
+    # the folded entries the package builds, it agrees with simplify(-c).
     forms = [desksuite.build(entry.name).kahler_form for entry in desksuite.ALL]
     forms += [exterior_derivative(form) for entry in desksuite.ALL
               for form in desksuite.constraint_forms(entry)]

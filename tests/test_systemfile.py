@@ -197,6 +197,15 @@ def test_non_finite_numbers_are_rejected_with_their_key(tmp_path, section, key, 
     assert str(info.value) == f"line {len(body.splitlines())}: {key} must be finite, got '{value}'"
 
 
+def test_a_negative_seed_is_rejected_with_its_line(tmp_path):
+    # Before: numpy's "expected non-negative integer" when sampling.
+    body = textwrap.dedent(MINIMAL).replace("name = minimal\n", "name = minimal\nseed = -2\n")
+    with pytest.raises(SystemFileError) as info:
+        parse_system_file(_write(tmp_path, body))
+    assert str(info.value) == "line 4: seed must be >= 0, got -2"
+    assert info.value.line == 4
+
+
 def test_missing_file_raises_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         parse_system_file(tmp_path / "absent.system")
