@@ -8,11 +8,12 @@ solver legitimately refuses (rank deficiencies on a singular locus) are
 skipped and counted.
 
 The sampled states are walked once, on generated code only: each state is
-assembled once for ``antisymmetry`` and ``closedness``, then solved by the
-primary solver.  The assemblies of the states it accepts fill one stack,
-and the real-split oracle cross-checks them all in one stacked elimination
-of K (for its rank) and one of the saddle; a state that either elimination
-fails counts as skipped.  The cyclic closure sums of Phi_L are compiled
+assembled once, and its assembly serves ``antisymmetry`` and
+``closedness`` and is then solved by the primary solver.  The assemblies
+of the states that solver accepts fill one stack, and the real-split
+oracle cross-checks them all in one stacked elimination of K (for its
+rank) and one of the saddle; a state that either elimination fails counts
+as skipped.  The cyclic closure sums of Phi_L are compiled
 once per run, not with the system, so ``simulate`` does not pay for them.
 A state where the assembly is undefined adds to neither measurement; one
 where some closure sum is undefined or not finite adds nothing to
@@ -38,9 +39,9 @@ from .dynamics import (
     LagrangianSystem,
     PhaseState,
     SingularKahlerMatrix,
+    _solve,
     diagnostics,
     integrate,
-    solve_semispray,
 )
 from .expressions import Add, EvalDomainError, GeneratedFunction, Sub, diff, emit, fold
 from .exterior import coordinate_symbol
@@ -81,7 +82,7 @@ def _closure_terms(system: LagrangianSystem) -> GeneratedFunction:
         fold(Add, fold(Sub, diff(K[q][r], x[p]), diff(K[p][r], x[q])), diff(K[p][q], x[r]))
         for p, q, r in itertools.combinations(range(2 * m), 3)
     ]
-    return GeneratedFunction("z, w", [f"return [{', '.join(map(emit, terms))}]"], terms, m)
+    return GeneratedFunction([f"return [{', '.join(map(emit, terms))}]"], terms, m)
 
 
 def run_check_suite(
@@ -112,26 +113,32 @@ def run_check_suite(
     antisymmetry = closedness = worst_solve = worst_oracle = 0.0
     skipped = 0
     for state in states:
-        # Antisymmetry and closedness of the assembled two-form.
         try:
-            a = system._blocks_at(state)
-            antisymmetry = max(antisymmetry, float(np.max(np.abs(a.K + a.K.T))))
+            k, s, b, L = system._blocks_at(state)
+        except EvalDomainError:
+            skipped += 1
+            continue
+        # Antisymmetry and closedness of the assembled two-form.
+        k_array = np.array(k, dtype=complex)
+        antisymmetry = max(antisymmetry, float(np.max(np.abs(k_array + k_array.T))))
+        try:
             sums = closure.values(state.z, state.w)
         except EvalDomainError:
             pass
         else:
-            scale = max(1.0, float(np.max(np.abs(a.K))))
+            scale = max(1.0, float(np.max(np.abs(k_array))))
             for value in sums:
                 closedness = max(closedness, abs(value) / scale)
 
-        # The primary solve; where it succeeds the assembly above did too.
+        # The primary solve of the same assembly.
         try:
-            sol = solve_semispray(system, state)
+            vec = _solve(system, k, s, b, state.t, state.z, state.w, state)
         except (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError):
             skipped += 1
             continue
+        sol = system._solution_from(state, s, b, L, vec)
         row = len(primary)
-        K[row], S[row], rhs[row] = a.K, a.S, a.rhs
+        K[row], S[row], rhs[row] = k_array, s, b
         primary.append((sol.residual_symplectic, sol.residual_constraints,
                         sol.xi.components + sol.multipliers))
 

@@ -308,7 +308,7 @@ def cmd_derive(args) -> int:
     print()
     print("two-form coefficient matrix at the initial state"
           " (rows/columns ordered dz1..dzm, dw1..dwm):")
-    for row in system._blocks_at(state).K:
+    for row in system._blocks_at(state)[0]:
         print("  [" + ", ".join(map(_format_complex, row)) + "]")
     print()
 

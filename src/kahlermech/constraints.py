@@ -98,7 +98,7 @@ class ConstraintSet:
         entries += [d.entry(p, q) for d in map(exterior_derivative, self.forms)
                     for p in range(n) for q in range(p + 1, n)]
         body = [f"return [{', '.join(map(emit, entries))}]"]
-        return GeneratedFunction("z, w", body, entries, self.m)
+        return GeneratedFunction(body, entries, self.m)
 
     @cached_property
     def _last_pass(self) -> dict:

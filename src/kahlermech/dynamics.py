@@ -126,19 +126,19 @@ def _max_symbol_index(e: Expr) -> int:
 
 
 def _assembly_body(m, kahler, dL, A, H, B, W, L) -> List[str]:
-    """Source lines of a system's assembly function ``(z, w, blocks)``.
+    """Source lines of a system's assembly function ``(z, w)``.
 
     Every entry is evaluated once.  Arithmetic on constant entries is done
     here, so the generated code is short to compile; only the sign of a
-    zero can differ from doing it at run time.  The function returns the
-    row lists (K, S, rhs, L), where K is Phi_L mirrored from its upper
-    triangle with exact negation and
+    zero can differ from doing it at run time.  The function returns what
+    the solver reads, the row lists (K, S, rhs) and the Lagrangian's
+    value L, where K is Phi_L mirrored from its upper triangle with exact
+    negation and
 
         S = [[K^T - M_E, -W], [W^T, 0]],   rhs = [-dL, 0],
 
     with M_E = [[i A^T, -i H], [i H^T, -i B^T]] the frozen-field energy
-    coefficient (dE_L = M_E xi - dL).  With ``blocks`` true it also
-    returns (dL, A, H, B, M_E, W), which :class:`Assembly` names.
+    coefficient (dE_L = M_E xi - dL).
     """
     n, r = 2 * m, len(W[0])
     body: List[str] = []
@@ -191,9 +191,6 @@ def _assembly_body(m, kahler, dL, A, H, B, W, L) -> List[str]:
         f"K = {rows(K)}",
         f"S = {rows(S)}",
         f"rhs = {row([neg(x) for x in d] + [0j] * r)}",
-        "if blocks:",
-        f"    return K, S, rhs, {lag}, {row(d)}, {rows(a)}, {rows(h)}, {rows(b)},"
-        f" {rows(ME)}, {rows(c)}",
         f"return K, S, rhs, {lag}",
     ]
 
@@ -207,13 +204,7 @@ class LagrangianSystem:
     that returns the saddle system as row lists.
     """
 
-    def __init__(
-        self,
-        m: int,
-        lagrangian: Expr,
-        constraints: Sequence[OneForm] = (),
-        labels: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, m: int, lagrangian: Expr, constraints: Sequence[OneForm] = ()):
         if m < 1:
             raise ValueError(f"dimension m must be >= 1, got {m}")
         _assert_holomorphic(lagrangian)
@@ -230,14 +221,6 @@ class LagrangianSystem:
         self.m = m
         self.lagrangian = lagrangian
         self.constraints = constraints
-        if labels is None:
-            self.labels = tuple(f"omega{a}" for a in range(1, len(constraints) + 1))
-        else:
-            if len(labels) != len(constraints):
-                raise ValueError(
-                    f"got {len(labels)} labels for {len(constraints)} constraints"
-                )
-            self.labels = tuple(labels)
 
         zs = [Sym("z", i) for i in range(1, m + 1)]
         ws = [Sym("w", i) for i in range(1, m + 1)]
@@ -256,14 +239,12 @@ class LagrangianSystem:
 
         n = 2 * m
         kahler = [[as_expr(self.kahler_form.entry(p, q)) for q in range(n)] for p in range(n)]
-        W = [[as_expr(omega.coefficients[p]) for omega in constraints] for p in range(n)]
+        self._W = [[as_expr(omega.coefficients[p]) for omega in constraints] for p in range(n)]
         dL = self._Lz + self._Lw
-        body = _assembly_body(m, kahler, dL, self._A, self._H, self._B, W, lagrangian)
+        blocks = (kahler, [dL], self._A, self._H, self._B, self._W, [[lagrangian]])
         self._assemble = GeneratedFunction(
-            "z, w, blocks", body,
-            [e for block in (kahler, [dL], self._A, self._H, self._B, W, [[lagrangian]])
-             for row in block for e in row],
-            m,
+            _assembly_body(m, kahler, dL, self._A, self._H, self._B, self._W, lagrangian),
+            [e for block in blocks for row in block for e in row], m,
         )
 
     @property
@@ -272,18 +253,18 @@ class LagrangianSystem:
 
     # -- per-state assembly -------------------------------------------------
 
-    def _blocks_at(self, state: PhaseState) -> "Assembly":
-        """Everything the generated function assembles at the state."""
+    def _blocks_at(self, state: PhaseState):
+        """The generated assembly at the state: the row lists K, S and rhs
+        and the Lagrangian's value L."""
         if state.m != self.m:
             raise ValueError("state dimension does not match the system")
-        K, S, rhs, L, *blocks = self._assemble.at(state.z, state.w, True)
-        return Assembly(L, *(np.array(x, dtype=complex) for x in (K, S, rhs, *blocks)))
+        return self._assemble.at(state.z, state.w)
 
     def _solution_from(self, state: PhaseState, S, rhs, L, vec) -> "SemispraySolution":
         """Field, multipliers and bookkeeping from a solved saddle vector.
 
-        The residuals are those of the saddle rows S @ vec = rhs; the energy
-        is left out when ``L`` (the Lagrangian's value) is None.
+        The residuals are those of the saddle rows S @ vec = rhs, and the
+        energy is E_L from rhs and L (the Lagrangian's value).
         """
         m, n = self.m, 2 * self.m
         hol, fib = tuple(vec[:m]), tuple(vec[m:n])
@@ -295,28 +276,24 @@ class LagrangianSystem:
             max(per_form, default=0.0),
             max(abs(x - v) for x, v in zip(hol, state.w)),
             per_form,
-            None if L is None else _energy(rhs, L, hol, fib),
+            _energy(rhs, L, hol, fib),
         )
 
 
-@dataclass(frozen=True)
-class Assembly:
-    """The generated assembly at one state, as complex arrays.
-
-    K alone decides Lagrangian degeneracy, the bordered saddle S decides
-    constraint consistency.
+def _walked_blocks(system: LagrangianSystem, state: PhaseState):
+    """(dL, A, H, B, W) at the state as complex arrays, from the tree walker:
+    dL = (L_z, L_w), A = L_zz, H = L_zw, B = L_ww and W the constraint
+    coefficients, one column per form.  A block entry without a value
+    raises the walker's :class:`EvalDomainError`, which names its subtree.
     """
-
-    L: complex  # the Lagrangian's value
-    K: np.ndarray  # Phi_L, mirrored from its upper triangle
-    S: np.ndarray  # [[K^T - ME, -W], [W^T, 0]]
-    rhs: np.ndarray  # [-dL, 0]
-    dL: np.ndarray  # (L_z, L_w)
-    A: np.ndarray  # L_{z_i z_j}
-    H: np.ndarray  # L_{z_i w_j}
-    B: np.ndarray  # L_{w_i w_j}
-    ME: np.ndarray  # frozen-field energy coefficient: dE_L = ME xi - dL
-    W: np.ndarray  # constraint coefficients, one column per form
+    if state.m != system.m:
+        raise ValueError("state dimension does not match the system")
+    point = state.point()
+    dL, A, H, B, W = (
+        np.array([[e.evaluate(point) for e in row] for row in block], dtype=complex)
+        for block in ([system._Lz + system._Lw], system._A, system._H, system._B, system._W)
+    )
+    return dL[0], A, H, B, W
 
 
 def _dot(row, vec) -> complex:
@@ -339,8 +316,9 @@ def _energy(rhs, L: complex, hol, fib) -> complex:
 class SemispraySolution:
     """Solved field components, multipliers, and pointwise bookkeeping.
 
-    The energy is None only from the real oracle's
-    :func:`~kahlermech.real_oracle.realify_and_solve`.
+    Both solvers of the generated assembly fill every field; a solution
+    built by hand, such as a field to test :func:`el_residual` on, may
+    leave out the last two.
     """
 
     xi: VectorField
@@ -385,30 +363,31 @@ class DiagnosticsReport:
 
 def assemble_kahler_matrix(system: LagrangianSystem, state: PhaseState) -> TwoForm:
     """Phi_L evaluated at the state, exactly antisymmetric."""
-    K = system._blocks_at(state).K
-    return TwoForm(system.m, lambda p, q: complex(K[p, q]))
+    K = system._blocks_at(state)[0]
+    return TwoForm(system.m, lambda p, q: K[p][q])
 
 
 def energy_differential(system: LagrangianSystem, state: PhaseState, xi: VectorField) -> OneForm:
     """dE_L at the state with the field components held frozen."""
     if xi.m != system.m:
         raise ValueError("field dimension does not match the system")
-    a = system._blocks_at(state)
-    coeffs = a.ME @ np.asarray(xi.components) - a.dL
+    dL, A, H, B, _ = _walked_blocks(system, state)
+    ME = np.block([[1j * A.T, -1j * H], [1j * H.T, -1j * B.T]])
+    coeffs = ME @ np.asarray(xi.components) - dL
     m = system.m
     return OneForm(tuple(coeffs[:m]), tuple(coeffs[m:]))
 
 
-def _solve(system: LagrangianSystem, t: float, z, w, state: Optional[PhaseState] = None):
-    """(S, rhs, L, saddle vector) at (t, z, w); the errors carry ``state``,
-    or else a :class:`PhaseState` built for them."""
-    K, S, rhs, L = system._assemble.at(z, w, False)
+def _solve(system: LagrangianSystem, K, S, rhs, t: float, z, w,
+           state: Optional[PhaseState] = None) -> List[complex]:
+    """The saddle vector of the system's assembly (K, S, rhs) at (t, z, w);
+    the errors carry ``state``, or else a :class:`PhaseState` built for them."""
     try:
         failure = SingularKahlerMatrix
         linalg.lu_factor(K)
         failure = InconsistentConstraints
         lu, perm, _ = linalg.lu_factor(S)
-        vec = linalg.lu_solve(lu, perm, rhs)
+        return linalg.lu_solve(lu, perm, rhs)
     except linalg.SingularMatrixError as err:
         raise failure(state or PhaseState(t, z, w), err.condition_estimate) from None
     except linalg.NonFiniteEntryError:
@@ -416,7 +395,6 @@ def _solve(system: LagrangianSystem, t: float, z, w, state: Optional[PhaseState]
         err = system._assemble.domain_error(z, w) or system._assemble.magnitude_error(z, w)
         raise err or EvalDomainError("non-finite value in the assembled saddle",
                                      system.lagrangian) from None
-    return S, rhs, L, vec
 
 
 def solve_semispray(system: LagrangianSystem, state: PhaseState) -> SemispraySolution:
@@ -427,9 +405,9 @@ def solve_semispray(system: LagrangianSystem, state: PhaseState) -> SemispraySol
     constraints.  An infinite or NaN entry of the assembled system raises
     :class:`EvalDomainError`.
     """
-    if state.m != system.m:
-        raise ValueError("state dimension does not match the system")
-    return system._solution_from(state, *_solve(system, state.t, state.z, state.w, state))
+    K, S, rhs, L = system._blocks_at(state)
+    vec = _solve(system, K, S, rhs, state.t, state.z, state.w, state)
+    return system._solution_from(state, S, rhs, L, vec)
 
 
 def el_residual(
@@ -450,11 +428,11 @@ def el_residual(
         raise ValueError("field dimension does not match the system")
     if len(solution.multipliers) != system.r:
         raise ValueError(f"got {len(solution.multipliers)} multipliers for {system.r} constraints")
-    a = system._blocks_at(state)
+    dL, A, H, B, W = _walked_blocks(system, state)
     xih, xif = np.asarray(solution.xi.hol), np.asarray(solution.xi.fib)
-    z_eqs = a.dL[:m] - 1j * (a.A @ xih + a.H @ xif)
-    w_eqs = a.dL[m:] + 1j * (a.H.T @ xih + a.B @ xif)
-    lam_terms = a.W @ np.asarray(solution.multipliers, dtype=complex)
+    z_eqs = dL[:m] - 1j * (A @ xih + H @ xif)
+    w_eqs = dL[m:] + 1j * (H.T @ xih + B @ xif)
+    lam_terms = W @ np.asarray(solution.multipliers, dtype=complex)
     return tuple(complex(v) for v in np.concatenate([z_eqs, w_eqs]) - lam_terms)
 
 
@@ -462,8 +440,9 @@ def _stage(system: LagrangianSystem, t: float, z, w, h: float, k) -> List[comple
     """The saddle vector at the RK stage state (t + h, z + h k_z, w + h k_w),
     where ``k`` holds k_z then k_w."""
     m = len(z)
-    return _solve(system, t + h, [x + h * v for x, v in zip(z, k)],
-                  [x + h * v for x, v in zip(w, k[m:])])[3]
+    z, w = [x + h * v for x, v in zip(z, k)], [x + h * v for x, v in zip(w, k[m:])]
+    K, S, rhs, _ = system._assemble.at(z, w)
+    return _solve(system, K, S, rhs, t + h, z, w)
 
 
 _SOLVER_ERRORS = (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError)

@@ -95,39 +95,6 @@ class Expr:
     def diff(self, s: "Sym") -> "Expr":
         raise NotImplementedError
 
-    # Convenience algebra, used when assembling derived expressions in code.
-    def __add__(self, other):
-        return Add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return Add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(as_expr(other), self)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be a plain integer")
-        return Pow(self, n)
-
-    def __neg__(self):
-        return Neg(self)
-
     def contains_symbol(self) -> bool:
         return any(a.contains_symbol() for a in self.args)
 
@@ -844,24 +811,24 @@ class GeneratedFunction:
     """Generated code over ``entries``, with the tree walker kept to say
     why it failed.
 
-    ``body`` is compiled under ``signature``, which starts with ``z, w`` (m
-    values each), and uses the entries through :func:`emit`.  Where the code
-    raises one of ``COMPILED_DOMAIN_ERRORS``, :meth:`at` raises instead the
-    tree walker's :class:`EvalDomainError` for the first entry without a
-    finite value; the two agree on every value and every domain error.
+    ``body`` is compiled as a function of ``z, w`` (m values each) and uses
+    the entries through :func:`emit`.  Where the code raises one of
+    ``COMPILED_DOMAIN_ERRORS``, :meth:`at` raises instead the tree walker's
+    :class:`EvalDomainError` for the first entry without a finite value;
+    the two agree on every value and every domain error.
     """
 
-    def __init__(self, signature: str, body: List[str], entries: Sequence[Expr], m: int):
+    def __init__(self, body: List[str], entries: Sequence[Expr], m: int):
         self.entries = tuple(entries)
         symbols = [Sym(kind, i) for kind in "zw" for i in range(1, m + 1)]
-        self._call = compile_function(signature, body, symbols)
+        self._call = compile_function("z, w", body, symbols)
 
-    def at(self, *args):
-        """The result for ``args`` (``z, w`` first), passed on as one tuple."""
+    def at(self, z, w):
+        """What the body returns at ``(z, w)``."""
         try:
-            return self._call(*args)
+            return self._call(z, w)
         except COMPILED_DOMAIN_ERRORS:
-            raise self.domain_error(*args[:2]) from None
+            raise self.domain_error(z, w) from None
 
     def values(self, z, w) -> List[complex]:
         """The entries' values from a body that returns them as one list;

@@ -144,13 +144,14 @@ def oracle_solve(K: np.ndarray, S: np.ndarray, rhs: np.ndarray):
 def realify_and_solve(system: LagrangianSystem, state: PhaseState) -> SemispraySolution:
     """Re-solve the saddle problem through the doubled real system.
 
-    Mirrors :func:`kahlermech.dynamics.solve_semispray` including its error
-    behaviour, but eliminates with the independent full-pivot routine.
+    Mirrors :func:`kahlermech.dynamics.solve_semispray`: the same generated
+    assembly, error types and bookkeeping, energy included, but eliminated
+    with the independent full-pivot routine.
     """
-    a = system._blocks_at(state)
-    vec, k_cond, s_cond = oracle_solve(a.K[None], a.S[None], a.rhs[None])
+    K, S, rhs, L = system._blocks_at(state)
+    vec, k_cond, s_cond = oracle_solve(*(np.array([x], dtype=complex) for x in (K, S, rhs)))
     if not np.isnan(k_cond[0]):
         raise SingularKahlerMatrix(state, float(k_cond[0]))
     if not np.isnan(s_cond[0]):
         raise InconsistentConstraints(state, float(s_cond[0]))
-    return system._solution_from(state, a.S.tolist(), a.rhs.tolist(), None, vec[0].tolist())
+    return system._solution_from(state, S, rhs, L, vec[0].tolist())

@@ -99,9 +99,7 @@ class SystemSpec:
         return len(self.constraint_forms)
 
     def build_system(self) -> LagrangianSystem:
-        return LagrangianSystem(
-            self.m, self.lagrangian, self.constraint_forms, labels=self.constraint_names
-        )
+        return LagrangianSystem(self.m, self.lagrangian, self.constraint_forms)
 
     def initial_state(self) -> PhaseState:
         return PhaseState(0.0, self.initial_z, self.initial_w)

@@ -61,14 +61,14 @@ def _realify(matrix, rhs):
 
 def reference_oracle(system, state):
     """The saddle vector (field, then multipliers) through the real split."""
-    a = system._blocks_at(state)
-    Kr, _ = _realify(a.K, np.zeros(a.K.shape[0], dtype=complex))
+    K, S, rhs, _ = (np.array(x, dtype=complex) for x in system._blocks_at(state))
+    Kr, _ = _realify(K, np.zeros(K.shape[0], dtype=complex))
     try:
         reference_gauss_jordan(Kr, np.zeros(Kr.shape[0]))
     except EliminationFailure as err:
         raise SingularKahlerMatrix(state, err.condition_estimate) from None
     try:
-        xr = reference_gauss_jordan(*_realify(a.S, a.rhs))
+        xr = reference_gauss_jordan(*_realify(S, rhs))
     except EliminationFailure as err:
         raise InconsistentConstraints(state, err.condition_estimate) from None
     n = len(xr) // 2

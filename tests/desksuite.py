@@ -149,7 +149,6 @@ def build(name: str) -> LagrangianSystem:
         entry.m,
         parse_expression(entry.lagrangian, entry.m),
         constraints=constraint_forms(entry),
-        labels=[label for label, _, _ in entry.constraints],
     )
 
 

@@ -13,6 +13,11 @@ Two checkouts whose digests are equal produce byte-identical outputs on
 these commands.  Usage, from the root of a checkout::
 
     python3 tests/output_digest.py --out digest.json
+    python3 tests/output_digest.py --against digest.json
+
+``--against`` digests this checkout, prints the key of every command whose
+record differs from the one in the given file (or is in only one of the
+two), and exits 1 if there is any.
 """
 
 import argparse
@@ -85,11 +90,23 @@ def digest() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--against", help="digest JSON file to compare with")
     args = parser.parse_args(argv)
+    if not (args.out or args.against):
+        parser.error("give --out, --against or both")
     result = digest()
-    Path(args.out).write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
-    print(f"{len(result)} commands digested into {args.out}")
+    if args.out:
+        Path(args.out).write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
+        print(f"{len(result)} commands digested into {args.out}")
+    if args.against:
+        other = json.loads(Path(args.against).read_text())
+        keys = result.keys() | other.keys()
+        differing = sorted(k for k in keys if result.get(k) != other.get(k))
+        for key in differing:
+            print(key)
+        print(f"{len(differing)} of {len(keys)} commands differ from {args.against}")
+        return 1 if differing else 0
     return 0
 
 

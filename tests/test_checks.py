@@ -8,7 +8,7 @@ from kahlermech import checks
 from kahlermech.checks import DEFAULT_THRESHOLDS, run_check_suite
 from kahlermech.cli import main
 from kahlermech.dynamics import LagrangianSystem, PhaseState, SingularKahlerMatrix, solve_semispray
-from kahlermech.expressions import Div, Expr, GeneratedFunction, Num, Sym, emit, parse_expression
+from kahlermech.expressions import Div, Expr, GeneratedFunction, Num, Sub, Sym, emit, parse_expression
 from kahlermech.real_oracle import realify_and_solve
 from check_reference import reference_measurements
 import desksuite
@@ -45,6 +45,17 @@ def test_all_checks_pass_on_a_healthy_system():
         "drift",
         "constraint",
     ]
+
+
+def test_each_sampled_state_is_assembled_once(monkeypatch):
+    system = desksuite.build("exchange_constrained")
+    at, calls = system._assemble.at, []
+    monkeypatch.setattr(system._assemble, "at", lambda *args: calls.append(args) or at(*args))
+    results = _run("exchange_constrained", t1=0.0, samples=6)
+    assert {r.name: r.note for r in results}["solve"] == "7 states solved, 0 skipped"
+    # The initial state and 6 samples, then the trajectory's one sample at
+    # t = 0 (t1 = 0).
+    assert len(calls) == 7 + 1
 
 
 def test_overrides_swap_individual_thresholds():
@@ -110,13 +121,13 @@ def test_check_walks_no_expression_tree_at_a_sampled_state(tmp_path, monkeypatch
     assert walked == []
 
 
-@pytest.mark.parametrize("second, expected", [(Num(0.25), 0.25), (Div(1, Sym("z", 1) - 1), 0.0)])
+@pytest.mark.parametrize("second, expected", [(Num(0.25), 0.25), (Div(1, Sub(Sym("z", 1), Num(1))), 0.0)])
 def test_a_state_with_an_undefined_closure_sum_adds_nothing(monkeypatch, second, expected):
     # Stand-in closure sums: 0.5, then either 0.25 or 1/(z1 - 1), which is
     # undefined at the only state walked (samples=0 leaves the initial one).
     # bilinear_pair's two-form has largest entry 2, the closedness scale.
     terms = [Num(0.5), second]
-    generated = GeneratedFunction("z, w", [f"return [{', '.join(map(emit, terms))}]"], terms, 1)
+    generated = GeneratedFunction([f"return [{', '.join(map(emit, terms))}]"], terms, 1)
     monkeypatch.setattr(checks, "_closure_terms", lambda system: generated)
     results = run_check_suite(desksuite.build("bilinear_pair"), PhaseState(0.0, (1.0,), (0.5,)),
                               t1=0.01, dt=0.01, samples=0)

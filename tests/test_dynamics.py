@@ -40,8 +40,8 @@ import desksuite
 from fdtools import expr_evaluator, fd_kahler_matrix
 
 
-def _system(text: str, m: int = 1, constraints=(), labels=None) -> LagrangianSystem:
-    return LagrangianSystem(m, parse_expression(text, m), constraints, labels)
+def _system(text: str, m: int = 1, constraints=()) -> LagrangianSystem:
+    return LagrangianSystem(m, parse_expression(text, m), constraints)
 
 
 # ------------------------------------------------------------- construction
@@ -70,8 +70,6 @@ def test_constraint_count_limit():
     LagrangianSystem(1, L, [dz1])
     with pytest.raises(ValueError):
         LagrangianSystem(1, L, [dz1, dw1])
-    with pytest.raises(ValueError):
-        LagrangianSystem(1, L, [dz1], labels=["a", "b"])
 
 
 # ------------------------------------------------------------ two-form shape
@@ -176,7 +174,6 @@ def test_solve_with_constraint_against_hand_value():
     system = _system(
         "z1*w1 + (1/2)*w1^2",
         constraints=[one_form([1.0], [0.0])],
-        labels=["freeze"],
     )
     sol = solve_semispray(system, PhaseState(0.0, (1.0 + 1.0j,), (2.0,)))
     assert abs(sol.xi.hol[0]) < 1e-13
@@ -271,7 +268,7 @@ def test_domain_error_names_the_offending_division():
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_non_finite_assembly_is_a_domain_error(value):
-    form = one_form([Num(value) * Sym("z", 1)], [1.0])
+    form = one_form([Mul(Num(value), Sym("z", 1))], [1.0])
     system = _system("z1*w1 + w1^2", constraints=[form])
     state = PhaseState(0.0, (0.5,), (1.0,))
     with pytest.raises(EvalDomainError, match="non-finite value") as info:
@@ -296,7 +293,8 @@ def test_solution_bookkeeping_and_field_only_solves():
     assert sol.residual_constraints == max(sol.constraint_residuals)
     # The RK stages 2-4 solve for the saddle vector alone; it is the
     # field and the multipliers of the full solve, bit for bit.
-    vec = _solve(system, state.t, state.z, state.w)[3]
+    K, S, rhs, _ = system._blocks_at(state)
+    vec = _solve(system, K, S, rhs, state.t, state.z, state.w)
     assert tuple(vec) == sol.xi.components + sol.multipliers
 
 
@@ -397,6 +395,38 @@ def test_el_residual_rejects_a_foreign_solution(field_m, multipliers, message):
                                 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match=message):
         el_residual(system, state, foreign)
+
+
+def _read_blocks(name, system, state):
+    """energy_differential's coefficients, or el_residual's residuals, for
+    the field (1, i/2) with no multipliers."""
+    field = SemispraySolution(vector([1.0], [0.5j]), (), 0.0, 0.0, 0.0)
+    if name == "energy_differential":
+        dE = energy_differential(system, state, field.xi)
+        return dE.a + dE.b
+    return el_residual(system, state, field)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("energy_differential", (-0.5, -1.5 + 1j)),
+    ("el_residual", (1.5, 1.5 + 1j)),
+])
+def test_library_functions_walk_the_blocks_they_read(monkeypatch, name, expected):
+    # log(z1)*w1^2 at z1 = 0: L_z = 1/z1 * w1^2 is the first block entry
+    # without a value, and the walker names its division.
+    system = _system("log(z1)*w1^2")
+    with pytest.raises(EvalDomainError, match="division by zero") as info:
+        _read_blocks(name, system, PhaseState(0.0, (0.0,), (1.0,)))
+    assert info.value.subtree == parse_expression("1/z1", 1)
+    # Here L is undefined everywhere and its derivative blocks nowhere
+    # (L_z = w1, L_w = z1 + 2 w1): the solve fails, while the walk over
+    # dL, A, H, B and W succeeds without calling the generated assembly.
+    system = _system("z1*w1 + w1^2 + log(z1 - z1)")
+    state = PhaseState(0.0, (0.5,), (1.0,))
+    with pytest.raises(EvalDomainError, match="log of zero"):
+        solve_semispray(system, state)
+    monkeypatch.setattr(system._assemble, "at", None)
+    assert tuple(_read_blocks(name, system, state)) == pytest.approx(expected, abs=1e-15)
 
 
 # -------------------------------------------------------------- integration

@@ -255,7 +255,7 @@ def test_compile_raises_domain_error():
 def test_generated_values_are_finite_or_a_named_domain_error():
     huge = Num(complex(1.7e308, 1.7e308))  # finite; its abs() overflows
     entries = [Mul(huge, Z1), Div(Num(1), Z1), Mul(Num(1e308), Z1)]
-    generated = GeneratedFunction("z, w", [f"return [{', '.join(map(emit, entries))}]"], entries, 1)
+    generated = GeneratedFunction([f"return [{', '.join(map(emit, entries))}]"], entries, 1)
     assert generated.values((1.0,), (0.0,)) == [complex(1.7e308, 1.7e308), 1, 1e308]
     with pytest.raises(EvalDomainError, match="division by zero"):
         generated.values((0.0,), (0.0,))

@@ -495,7 +495,7 @@ def _forms(texts, scale=None, index=0):
     for a, text in enumerate(texts):
         coefficients = [parse_expression(c, m) for c in text.split(";")]
         if a == index and scale is not None:
-            coefficients = [simplify(Num(scale) * c) for c in coefficients]
+            coefficients = [simplify(Mul(Num(scale), c)) for c in coefficients]
         forms.append(one_form(coefficients[:m], coefficients[m:]))
     return constraint_set(forms)
 
@@ -524,4 +524,4 @@ def test_two_form_lower_entries_are_the_simplified_negated_upper_entries():
         n = 2 * phi.m
         for p in range(n):
             for q in range(p + 1, n):
-                assert phi.entry(q, p) == simplify(-phi.entry(p, q))
+                assert phi.entry(q, p) == simplify(Neg(phi.entry(p, q)))

@@ -91,6 +91,15 @@ def test_oracle_agrees_on_the_bench():
                 assert abs(la - lb) <= 1e-9
 
 
+def test_oracle_reports_the_energy_of_its_solution():
+    # The same assembly's L and rhs; only the field comes from the oracle.
+    for entry in desksuite.NONSINGULAR:
+        system = desksuite.build(entry.name)
+        for state in [desksuite.initial_state(entry), *desksuite.sample_states(entry, 5, seed=7)]:
+            energy = solve_semispray(system, state).energy
+            assert abs(realify_and_solve(system, state).energy - energy) <= 1e-12
+
+
 def test_oracle_zero_gradient_gives_zero_field():
     system = desksuite.build("bilinear_pair")
     sol = realify_and_solve(system, PhaseState(0.0, (0.0,), (0.0,)))

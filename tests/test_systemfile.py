@@ -122,7 +122,6 @@ def test_parse_constraints_and_integrator(tmp_path):
     assert cs.r == 1 and cs.names == ("hold",)
     system = spec.build_system()
     assert system.r == 1
-    assert system.labels == ("hold",)
 
 
 # -------------------------------------------------------------------- errors
