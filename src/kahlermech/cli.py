@@ -26,7 +26,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .checks import DEFAULT_CHECK_SAMPLES, run_check_suite
-from .constraints import Classification, closedness_test, frobenius_test
+from .constraints import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
+    Classification,
+    closedness_test,
+    frobenius_test,
+)
 from .dynamics import (
     InconsistentConstraints,
     NonHolomorphicLagrangian,
@@ -39,15 +46,7 @@ from .dynamics import (
     solve_semispray,
 )
 from .expressions import EvalDomainError, ParseError
-from .systemfile import (
-    DEFAULT_DT,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    DEFAULT_TOL,
-    SystemFileError,
-    SystemSpec,
-    parse_system_file,
-)
+from .systemfile import DEFAULT_DT, SystemFileError, SystemSpec, parse_system_file
 
 EXIT_OK = 0
 EXIT_INPUT = 1

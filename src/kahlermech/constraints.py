@@ -35,10 +35,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expressions import EvalDomainError, GeneratedFunction, as_expr, emit, overflow_error
+from .expressions import (
+    EvalDomainError, GeneratedFunction, as_expr, check_expression, emit, overflow_error,
+)
 from .exterior import OneForm, VectorField, exterior_derivative
 
 RANK_RTOL = 1e-10
+
+# Sample count, seed and tolerance of closedness_test and frobenius_test.
+DEFAULT_SAMPLES = 50
+DEFAULT_SEED = 0
+DEFAULT_TOL = 1e-8
 
 
 class RankDeficientConstraints(Exception):
@@ -73,6 +80,8 @@ class ConstraintSet:
         for f in self.forms:
             if f.m != m:
                 raise ValueError("all constraint forms must share one dimension")
+            for c in f.coefficients:
+                check_expression(as_expr(c), m, "a constraint coefficient")
         if len(self.forms) > 2 * m - 1:
             raise ValueError(
                 f"at most 2m-1={2 * m - 1} independent constraints are possible"
@@ -205,6 +214,8 @@ def annihilator_basis(cs: ConstraintSet, state) -> List[VectorField]:
     """Orthonormal basis of the kernel of the constraint forms at a state
     with ``z``/``w`` tuples (a PhaseState)."""
     m, r = cs.m, cs.r
+    if len(state.z) != m or len(state.w) != m:
+        raise ValueError("state dimension does not match the constraint set")
     *_, sigma, vh, errors = _forms_at(cs, [(state.z, state.w)])
     if errors:
         raise errors[0]
@@ -216,9 +227,9 @@ def annihilator_basis(cs: ConstraintSet, state) -> List[VectorField]:
 
 def closedness_test(
     cs: ConstraintSet,
-    samples: int = 50,
-    seed: int = 0,
-    tol: float = 1e-8,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+    tol: float = DEFAULT_TOL,
 ) -> List[bool]:
     """Per-form booleans: does d omega vanish at all valid sample states?
 
@@ -234,9 +245,9 @@ def closedness_test(
 
 def frobenius_test(
     cs: ConstraintSet,
-    samples: int = 50,
-    seed: int = 0,
-    tol: float = 1e-8,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+    tol: float = DEFAULT_TOL,
 ) -> Classification:
     """Classify the distribution cut out by the constraint forms."""
     points, d_omega, scales, sigma, vh = _sample_forms(cs, samples, seed)

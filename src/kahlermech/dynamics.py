@@ -37,6 +37,7 @@ from .expressions import (
     Re,
     Sym,
     as_expr,
+    check_expression,
     diff,
     emit,
     make_point,
@@ -121,10 +122,6 @@ def _assert_holomorphic(e: Expr) -> None:
             raise NonHolomorphicLagrangian(node)
 
 
-def _max_symbol_index(e: Expr) -> int:
-    return max((n.index for n in walk(e) if isinstance(n, Sym)), default=0)
-
-
 def _assembly_body(m, kahler, dL, A, H, B, W, L) -> List[str]:
     """Source lines of a system's assembly function ``(z, w)``.
 
@@ -207,13 +204,14 @@ class LagrangianSystem:
     def __init__(self, m: int, lagrangian: Expr, constraints: Sequence[OneForm] = ()):
         if m < 1:
             raise ValueError(f"dimension m must be >= 1, got {m}")
+        check_expression(lagrangian, m, "the Lagrangian")
         _assert_holomorphic(lagrangian)
-        if _max_symbol_index(lagrangian) > m:
-            raise ValueError("Lagrangian uses a symbol index beyond the declared dimension")
         constraints = tuple(constraints)
         for omega in constraints:
             if omega.m != m:
                 raise ValueError("constraint form dimension does not match the system")
+            for c in omega.coefficients:
+                check_expression(as_expr(c), m, "a constraint coefficient")
         if len(constraints) > 2 * m - 1:
             raise ValueError(
                 f"at most 2m-1={2 * m - 1} constraints are allowed, got {len(constraints)}"

@@ -25,16 +25,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .checks import DEFAULT_THRESHOLDS
-from .constraints import ConstraintSet
+from .constraints import DEFAULT_SEED, ConstraintSet
 from .dynamics import LagrangianSystem, PhaseState
 from .expressions import Expr, ParseError, parse_expression
 from .exterior import OneForm
 
 DEFAULT_T1 = 10.0
 DEFAULT_DT = 1e-3
-DEFAULT_SAMPLES = 50
-DEFAULT_TOL = 1e-8
-DEFAULT_SEED = 0
 
 KNOWN_TOLERANCES = tuple(DEFAULT_THRESHOLDS)
 

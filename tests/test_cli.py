@@ -440,6 +440,30 @@ def test_malformed_file_reports_line_and_symbol(tmp_path, capsys):
     assert "z5" in err
 
 
+def _terms(count):
+    return " + ".join(f"{k}*z1*w1" for k in range(1, count + 1))
+
+
+DEEP_LAGRANGIANS = {
+    "190 terms": (_terms(190), 0),
+    "250 terms": (_terms(250), 1),
+    "3000 terms": (_terms(3000), 1),
+    "400 parentheses": ("(" * 400 + "z1*w1" + ")" * 400, 1),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_LAGRANGIANS)
+def test_an_expression_nested_too_deeply_is_an_input_error(tmp_path, capsys, shape):
+    lagrangian, code = DEEP_LAGRANGIANS[shape]
+    path = tmp_path / "deep.system"
+    path.write_text(f"[system]\nm = 1\n\n[lagrangian]\nL = {lagrangian}\n\n"
+                    "[initial]\nz1 = 0.5\nw1 = 0.25\n")
+    for command in (["simulate", "--t1", "0.01"], ["check", "--samples", "1"]):
+        argv = [command[0], "--system", str(path), "--out", str(tmp_path), *command[1:]]
+        assert main(argv) == code
+        assert ("nested too deeply" in capsys.readouterr().err) == bool(code)
+
+
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as info:
         main([])

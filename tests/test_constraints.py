@@ -15,7 +15,7 @@ from kahlermech.constraints import (
 )
 from kahlermech.dynamics import PhaseState
 from kahlermech.exterior import contract, exterior_derivative, one_form
-from kahlermech.expressions import EvalDomainError, make_point, parse_expression
+from kahlermech.expressions import EvalDomainError, Sym, make_point, parse_expression
 
 from classify_reference import reference_closedness, reference_frobenius
 
@@ -45,6 +45,8 @@ def test_constraint_set_validation():
     too_many = [_form(1, ("1",), ("0",)), _form(1, ("0",), ("1",))]
     with pytest.raises(ValueError):
         constraint_set(too_many)
+    with pytest.raises(ValueError, match="z3, beyond the dimension m=2"):
+        constraint_set([one_form((Sym("z", 3), 0), (0, 0))])
     cs = constraint_set([DZ1_M2, MOMENTUM])
     assert cs.m == 2 and cs.r == 2
     assert len(cs.names) == 2
@@ -79,6 +81,12 @@ def test_annihilator_of_the_exchange_pair():
     for v in basis:
         for omega in forms:
             assert abs(omega(v, point)) < 1e-12
+
+
+@pytest.mark.parametrize("coordinates", [(1.0,), (1.0, 2.0, 3.0)])
+def test_annihilator_basis_rejects_a_state_of_another_dimension(coordinates):
+    with pytest.raises(ValueError, match="state dimension"):
+        annihilator_basis(constraint_set([DZ1_M2]), PhaseState(0.0, coordinates, coordinates))
 
 
 def test_annihilator_detects_rank_deficiency():

@@ -60,6 +60,16 @@ def test_holomorphy_gate_rejects_conjugation():
 def test_symbol_range_is_validated():
     with pytest.raises(ValueError):
         LagrangianSystem(1, Mul(Sym("z", 2), Sym("w", 1)))
+    # A constraint coefficient beyond m is rejected at construction, not
+    # left to fail as an unbound name in the generated assembly.
+    with pytest.raises(ValueError, match="w2, beyond the dimension m=1"):
+        LagrangianSystem(1, Mul(Sym("z", 1), Sym("w", 1)), [one_form((Sym("w", 2),), (0,))])
+
+
+def test_a_lagrangian_nested_too_deeply_is_rejected():
+    deep = parse_expression(" + ".join(["z1*w1"] * 3000), 1)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        LagrangianSystem(1, deep)
 
 
 def test_constraint_count_limit():

@@ -1,10 +1,12 @@
 """Parser, evaluator, formal derivative and simplifier behavior."""
 
+import cmath
 import math
 import random
 
 import pytest
 
+from kahlermech import expressions
 from kahlermech.expressions import (
     COMPILED_DOMAIN_ERRORS,
     Add,
@@ -116,6 +118,13 @@ def test_parse_error_position_points_at_offender():
     assert info.value.position == 5
 
 
+def test_parse_rejects_parentheses_nested_beyond_the_limit():
+    assert parse_expression("(" * 200 + "z1" + ")" * 200, 1) == Z1
+    with pytest.raises(ParseError, match="nested too deeply") as info:
+        parse_expression("(" * 400 + "z1" + ")" * 400, 1)
+    assert info.value.position == 200
+
+
 def test_structural_equality_and_hash():
     a = parse_expression("z1 + w1", 2)
     b = parse_expression("z1+w1", 2)
@@ -148,6 +157,18 @@ def test_printer_round_trip_preserves_value():
             except EvalDomainError:
                 continue
             assert abs(lhs - evaluate(back, point)) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("kind, right_nested, left_nested", [
+    (Add, "z1 + w1 + z2", "z1 + w1 + z2"),
+    (Sub, "z1 - (w1 - z2)", "z1 - w1 - z2"),
+    (Mul, "z1 * w1 * z2", "z1 * w1 * z2"),
+    (Div, "z1 / (w1 / z2)", "z1 / w1 / z2"),
+])
+def test_printer_parenthesises_a_right_child_unless_associative(kind, right_nested, left_nested):
+    z2 = Sym("z", 2)
+    assert str(kind(Z1, kind(W1, z2))) == right_nested
+    assert str(kind(kind(Z1, W1), z2)) == left_nested
 
 
 def test_printer_avoids_unary_minus():
@@ -223,6 +244,26 @@ def test_compile_matches_evaluate():
             except EvalDomainError:
                 continue
             assert abs(fn(z, w) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_a_function_kind_is_one_class(monkeypatch):
+    monkeypatch.setattr(expressions, "_FUNCTIONS", dict(expressions._FUNCTIONS))
+
+    class Sinh(expressions._Function):
+        value = staticmethod(cmath.sinh)
+
+    e = parse_expression("sinh(z1 + 1)", 1)
+    assert e == Sinh(Add(Z1, Num(1))) and str(e) == "sinh(z1 + 1)"
+    point = make_point((0.5j,), (0,))
+    assert _compiled(e)((0.5j,), ()) == evaluate(e, point) == cmath.sinh(1 + 0.5j)
+
+
+def test_code_nested_too_deeply_to_compile_is_a_value_error():
+    e = Z1
+    for _ in range(250):
+        e = Add(e, W1)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        _compiled(e)
 
 
 def test_emitted_literals_are_exact_to_the_sign_of_zero():
