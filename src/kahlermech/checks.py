@@ -132,7 +132,7 @@ def run_check_suite(
 
         # The primary solve of the same assembly.
         try:
-            vec = _solve(system, k, s, b, state.t, state.z, state.w, state)
+            vec = _solve(system, k, s, b, state)
         except (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError):
             skipped += 1
             continue

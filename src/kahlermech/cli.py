@@ -131,7 +131,7 @@ def _trajectory_rows(trajectory: Trajectory) -> List[List[float]]:
 def _write_csv(path: Path, header: List[str], rows: List[List[float]]) -> None:
     lines = [f"# columns={len(header)}", ",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(v) for v in row))
+        lines.append(",".join(map(repr, row)))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,9 +39,11 @@ from .expressions import (
     Sym,
     as_expr,
     check_expression,
+    compile_function,
     diff,
     emit,
     make_point,
+    shifted,
     simplify,
     walk,
 )
@@ -122,8 +125,9 @@ def _assert_holomorphic(e: Expr) -> None:
             raise NonHolomorphicLagrangian(node)
 
 
-def _assembly_body(m, kahler, dL, A, H, B, W, L) -> List[str]:
-    """Source lines of a system's assembly function ``(z, w)``.
+def _assembly_body(m, kahler, dL, A, H, B, W, L):
+    """Source lines of a system's assembly function ``(z, w)``, and K's
+    entries: a complex constant, or the source text of its value.
 
     Every entry is evaluated once.  Arithmetic on constant entries is done
     here, so the generated code is short to compile; only the sign of a
@@ -189,7 +193,7 @@ def _assembly_body(m, kahler, dL, A, H, B, W, L) -> List[str]:
         f"S = {rows(S)}",
         f"rhs = {row([neg(x) for x in d] + [0j] * r)}",
         f"return K, S, rhs, {lag}",
-    ]
+    ], K
 
 
 class LagrangianSystem:
@@ -240,10 +244,17 @@ class LagrangianSystem:
         self._W = [[as_expr(omega.coefficients[p]) for omega in constraints] for p in range(n)]
         dL = self._Lz + self._Lw
         blocks = (kahler, [dL], self._A, self._H, self._B, self._W, [[lagrangian]])
+        body, K = _assembly_body(m, kahler, dL, self._A, self._H, self._B, self._W, lagrangian)
         self._assemble = GeneratedFunction(
-            _assembly_body(m, kahler, dL, self._A, self._H, self._B, self._W, lagrangian),
-            [e for block in blocks for row in block for e in row], m,
-        )
+            body, [e for block in blocks for row in block for e in row], m)
+        # A constant Phi_L that factors here is not factored per solve; one
+        # that fails is left for each solve to report at its state.
+        self._kahler_regular = all(isinstance(x, complex) for row in K for x in row)
+        if self._kahler_regular:
+            try:
+                linalg.lu_factor(K)
+            except (linalg.SingularMatrixError, linalg.NonFiniteEntryError):
+                self._kahler_regular = False
 
     @property
     def r(self) -> int:
@@ -253,29 +264,20 @@ class LagrangianSystem:
 
     def _blocks_at(self, state: PhaseState):
         """The generated assembly at the state: the row lists K, S and rhs
-        and the Lagrangian's value L."""
+        and the Lagrangian's value L.  A domain error carries the state."""
         if state.m != self.m:
             raise ValueError("state dimension does not match the system")
-        return self._assemble.at(state.z, state.w)
+        try:
+            return self._assemble.at(state.z, state.w)
+        except EvalDomainError as err:
+            err.state = state
+            raise
 
     def _solution_from(self, state: PhaseState, S, rhs, L, vec) -> "SemispraySolution":
-        """Field, multipliers and bookkeeping from a solved saddle vector.
-
-        The residuals are those of the saddle rows S @ vec = rhs, and the
-        energy is E_L from rhs and L (the Lagrangian's value).
-        """
-        m, n = self.m, 2 * self.m
-        hol, fib = tuple(vec[:m]), tuple(vec[m:n])
-        per_form = tuple(abs(_dot(row, vec[:n])) for row in S[n:])
-        return SemispraySolution(
-            VectorField(hol, fib),
-            tuple(vec[n:]),
-            max(abs(_dot(S[i], vec) - rhs[i]) for i in range(n)),
-            max(per_form, default=0.0),
-            max(abs(x - v) for x, v in zip(hol, state.w)),
-            per_form,
-            _energy(rhs, L, hol, fib),
-        )
+        """Field, multipliers and bookkeeping from a solved saddle vector in
+        one generated call: the residuals of the saddle rows S @ vec = rhs,
+        and E_L from rhs and L (the Lagrangian's value)."""
+        return _bookkeeping_kernel(self.m, self.r)(S, rhs, L, vec, state.w)
 
 
 def _walked_blocks(system: LagrangianSystem, state: PhaseState):
@@ -294,20 +296,36 @@ def _walked_blocks(system: LagrangianSystem, state: PhaseState):
     return dL[0], A, H, B, W
 
 
-def _dot(row, vec) -> complex:
-    acc = 0j
-    for x, v in zip(row, vec):
-        acc += x * v
-    return acc
+@cache
+def _bookkeeping_kernel(m: int, r: int) -> Callable:
+    """``f(S, rhs, L, vec, w) -> SemispraySolution`` for a saddle of width
+    2m + r, with ``w`` the state's velocities, generated once per shape.
+    Each dot product is a running sum from 0j in column order, and a
+    maximum takes a later term only when it compares greater, as ``max``
+    does.  E_L sums i xi_i dL_i - i xi_{m+i} dL_{m+i} (dL = -rhs), minus L."""
+    n, width = 2 * m, 2 * m + r
 
+    def group(prefix: str, start: int = 0, stop: int = width) -> str:
+        return "(" + "".join(f"{prefix}{j}, " for j in range(start, stop)) + ")"
 
-def _energy(rhs, L: complex, hol, fib) -> complex:
-    """E_L from the assembled rhs (which is -dL) and the Lagrangian's value."""
-    m = len(hol)
-    total = 0j
-    for i in range(m):
-        total += 1j * hol[i] * -rhs[i] - 1j * fib[i] * -rhs[m + i]
-    return total - L
+    def dot(i: int, columns: int) -> str:
+        return "(0j" + "".join(f" + s{i}_{j} * v{j}" for j in range(columns)) + ")"
+
+    def maximum(name: str, first: str, *rest: str) -> List[str]:
+        return [f"{name} = {first}"] + [line for term in rest for line in
+                                         (f"if (x := {term}) > {name}:", f"    {name} = x")]
+
+    energy = "".join(f" + (1j * v{i} * -b{i} - 1j * v{m + i} * -b{m + i})" for i in range(m))
+    body = [f"{group('v')} = vec", f"{group('b')} = rhs", f"{group('w', 0, m)} = w",
+            *(f"{group(f's{i}_')} = S[{i}]" for i in range(width)),
+            *(f"p{a} = abs({dot(n + a, n)})" for a in range(r)),
+            *maximum("symplectic", *(f"abs({dot(i, width)} - b{i})" for i in range(n))),
+            *maximum("constraint", *([f"p{a}" for a in range(r)] or ["0.0"])),
+            *maximum("defect", *(f"abs(v{i} - w{i})" for i in range(m))),
+            f"return _solution(_field({group('v', 0, m)}, {group('v', m, n)}), {group('v', n)},"
+            f" symplectic, constraint, defect, {group('p', 0, r)}, (0j{energy}) - L)"]
+    return compile_function("S, rhs, L, vec, w", body, (), abs=abs,
+                            _solution=SemispraySolution, _field=VectorField)
 
 
 @dataclass(frozen=True)
@@ -376,35 +394,46 @@ def energy_differential(system: LagrangianSystem, state: PhaseState, xi: VectorF
     return OneForm(tuple(coeffs[:m]), tuple(coeffs[m:]))
 
 
-def _solve(system: LagrangianSystem, K, S, rhs, t: float, z, w,
-           state: Optional[PhaseState] = None) -> List[complex]:
-    """The saddle vector of the system's assembly (K, S, rhs) at (t, z, w);
-    the errors carry ``state``, or else a :class:`PhaseState` built for them."""
+def _state_at(where) -> PhaseState:
+    """A state as it is, or the state of an RK stage ``(t, z, w, h, k)``."""
+    if isinstance(where, PhaseState):
+        return where
+    t, z, w, h, k = where
+    return PhaseState(t + h, *shifted(z, w, h, k))
+
+
+def _solve(system: LagrangianSystem, K, S, rhs, where) -> List[complex]:
+    """The saddle vector of the system's assembly (K, S, rhs); an error
+    carries the state that :func:`_state_at` makes of ``where``.  K is not
+    factored again when the system factored its constant Phi_L."""
     try:
         failure = SingularKahlerMatrix
-        linalg.lu_factor(K)
+        if not system._kahler_regular:
+            linalg.lu_factor(K)
         failure = InconsistentConstraints
         lu, perm, _ = linalg.lu_factor(S)
         return linalg.lu_solve(lu, perm, rhs)
     except linalg.SingularMatrixError as err:
-        raise failure(state or PhaseState(t, z, w), err.condition_estimate) from None
+        raise failure(_state_at(where), err.condition_estimate) from None
     except linalg.NonFiniteEntryError:
         # Finite entries can still overflow where the saddle combines them.
-        err = system._assemble.domain_error(z, w) or system._assemble.magnitude_error(z, w)
-        raise err or EvalDomainError("non-finite value in the assembled saddle",
-                                     system.lagrangian) from None
+        state, at = _state_at(where), system._assemble
+        err = at.domain_error(state.z, state.w) or at.magnitude_error(state.z, state.w)
+        err = err or EvalDomainError("non-finite value in the assembled saddle", system.lagrangian)
+        err.state = state
+        raise err from None
 
 
 def solve_semispray(system: LagrangianSystem, state: PhaseState) -> SemispraySolution:
     """Solve the constrained equalization problem at one state.
 
-    Phi_L is factored on its own first, so that a degenerate Lagrangian is
-    reported as :class:`SingularKahlerMatrix` and not as inconsistent
-    constraints.  An infinite or NaN entry of the assembled system raises
-    :class:`EvalDomainError`.
+    Phi_L is factored on its own first (a constant one once per system), so
+    that a degenerate Lagrangian is reported as :class:`SingularKahlerMatrix`
+    and not as inconsistent constraints.  An infinite or NaN entry of the
+    assembled system raises :class:`EvalDomainError`.  Errors carry the state.
     """
     K, S, rhs, L = system._blocks_at(state)
-    vec = _solve(system, K, S, rhs, state.t, state.z, state.w, state)
+    vec = _solve(system, K, S, rhs, state)
     return system._solution_from(state, S, rhs, L, vec)
 
 
@@ -436,14 +465,14 @@ def el_residual(
 
 def _stage(system: LagrangianSystem, t: float, z, w, h: float, k) -> List[complex]:
     """The saddle vector at the RK stage state (t + h, z + h k_z, w + h k_w),
-    where ``k`` holds k_z then k_w."""
-    m = len(z)
-    z, w = [x + h * v for x, v in zip(z, k)], [x + h * v for x, v in zip(w, k[m:])]
-    K, S, rhs, _ = system._assemble.at(z, w)
-    return _solve(system, K, S, rhs, t + h, z, w)
-
-
-_SOLVER_ERRORS = (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError)
+    where ``k`` holds k_z then k_w; the generated assembly makes the shift.
+    An error carries the stage state."""
+    try:
+        K, S, rhs, _ = system._assemble.at(z, w, h, k)
+    except EvalDomainError as err:
+        err.state = _state_at((t, z, w, h, k))
+        raise
+    return _solve(system, K, S, rhs, (t, z, w, h, k))
 
 
 def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) -> Trajectory:
@@ -455,10 +484,10 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
     solver failure or a non-finite state the partial trajectory is returned
     with the failure time and kind recorded instead of raising.
 
-    Only a recorded sample builds objects: its :class:`PhaseState`, and the
-    :class:`SemispraySolution` with its :class:`VectorField`.  Stages 2-4
-    work on tuples and lists and keep only the solved saddle vector; a
-    failing stage builds the PhaseState that its error carries.
+    Each stage is one generated assembly call, which makes the stage shift
+    itself for stages 2-4, plus the LU kernels.  Only a recorded sample
+    builds objects: its :class:`PhaseState` and :class:`SemispraySolution`.
+    A failing stage builds the PhaseState its error carries and records.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -473,23 +502,18 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
     for step in range(n_steps + 1):
         if not state.is_finite():
             return Trajectory(samples, dt, "non_finite", state.t, "NonFiniteState")
+        t, z, w = state.t, state.z, state.w
         try:
             sol = solve_semispray(system, state)
-        except _SOLVER_ERRORS as err:
-            return Trajectory(samples, dt, "solver_failure", state.t, type(err).__name__)
-        samples.append(TrajectorySample(state, sol, sol.energy))
-        if step == n_steps:
-            break
-        t, z, w = state.t, state.z, state.w
-        k1 = sol.xi.hol + sol.xi.fib
-        try:
+            samples.append(TrajectorySample(state, sol, sol.energy))
+            if step == n_steps:
+                break
+            k1 = sol.xi.hol + sol.xi.fib
             k2 = _stage(system, t, z, w, dt / 2, k1)
             k3 = _stage(system, t, z, w, dt / 2, k2)
             k4 = _stage(system, t, z, w, dt, k3)
-        except _SOLVER_ERRORS as err:
-            failed_at = getattr(err, "state", None)
-            t_fail = failed_at.t if failed_at is not None else t
-            return Trajectory(samples, dt, "solver_failure", t_fail, type(err).__name__)
+        except (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError) as err:
+            return Trajectory(samples, dt, "solver_failure", err.state.t, type(err).__name__)
         zw = [x + sixth * (a + 2 * b + 2 * c + d)
               for x, a, b, c, d in zip(z + w, k1, k2, k3, k4)]
         # Sample times are s0.t + step*dt, not a running sum of dt.

@@ -24,7 +24,8 @@ The concrete grammar accepted by :func:`parse_expression`::
 A number is an unsigned decimal literal, optionally with a fractional part
 and a scientific exponent (``2``, ``0.5``, ``1e-3``).  There is no unary
 minus; the printer renders negations as ``(0 - x)`` so that printed text
-always re-parses.  Parentheses nest at most :data:`MAX_DEPTH` deep.
+always re-parses.  Parentheses nest at most :data:`MAX_DEPTH` deep.  The
+grammar is ASCII: any other character is a :class:`ParseError` at its position.
 """
 
 from __future__ import annotations
@@ -53,8 +54,11 @@ class EvalDomainError(ExprError):
     """A singular operation was hit during evaluation.
 
     ``subtree`` is the offending node (the division, log or power whose
-    argument was out of domain), not the whole expression.
+    argument was out of domain), not the whole expression.  ``state`` is
+    None, or the phase state of the failing solve (set by the dynamics layer).
     """
+
+    state = None
 
     def __init__(self, message: str, subtree: "Expr"):
         super().__init__(f"{message}: {subtree}")
@@ -490,6 +494,10 @@ class _Parser:
         self.open_groups = 0
 
     def parse(self) -> Expr:
+        text = self.lex.text
+        if not text.isascii():  # so str.isdigit() and the like read ASCII only
+            pos = next(i for i, c in enumerate(text) if not c.isascii())
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
         e = self.expr()
         self.lex.skip_ws()
         if self.lex.pos != len(self.lex.text):
@@ -772,6 +780,12 @@ def compile_function(signature: str, body: List[str], symbols, **names) -> Calla
     return namespace["f"]
 
 
+def shifted(z, w, h: float, k) -> Tuple[List[complex], List[complex]]:
+    """The stage state (z + h k_z, w + h k_w), where ``k`` holds k_z then
+    k_w, with the arithmetic of :meth:`GeneratedFunction.at`."""
+    return [x + h * v for x, v in zip(z, k)], [x + h * v for x, v in zip(w, k[len(z):])]
+
+
 class GeneratedFunction:
     """Generated code over ``entries``, with the tree walker kept to say
     why it failed.
@@ -786,14 +800,16 @@ class GeneratedFunction:
     def __init__(self, body: List[str], entries: Sequence[Expr], m: int):
         self.entries = tuple(entries)
         symbols = [Sym(kind, i) for kind in "zw" for i in range(1, m + 1)]
-        self._call = compile_function("z, w", body, symbols)
+        shift = [f"    {s.name} += h * k[{s.index - 1 + m * (s.kind == 'w')}]" for s in symbols]
+        self._call = compile_function("z, w, h=0.0, k=()", ["if k:", *shift, *body], symbols)
 
-    def at(self, z, w):
-        """What the body returns at ``(z, w)``."""
+    def at(self, z, w, h: float = 0.0, k=()):
+        """What the body returns at ``(z, w)``, or for a nonempty ``k`` at
+        :func:`shifted` ``(z, w, h, k)``, which the generated code computes."""
         try:
-            return self._call(z, w)
+            return self._call(z, w, h, k)
         except COMPILED_DOMAIN_ERRORS:
-            raise self.domain_error(z, w) from None
+            raise self.domain_error(*(shifted(z, w, h, k) if k else (z, w))) from None
 
     def values(self, z, w) -> List[complex]:
         """The entries' values from a body that returns them as one list;

@@ -440,6 +440,16 @@ def test_malformed_file_reports_line_and_symbol(tmp_path, capsys):
     assert "z5" in err
 
 
+def test_a_non_ascii_character_is_reported_with_its_line(tmp_path, capsys):
+    # Before: exit 1 with int()'s untyped message and no line number.
+    path = tmp_path / "superscript.system"
+    path.write_text("[system]\nm = 1\n\n[lagrangian]\nL = z1*w1^\u00b2\n\n"
+                    "[initial]\nz1 = 1\nw1 = 1\n", encoding="utf-8")
+    assert main(["simulate", "--system", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 5" in err and "unexpected character '\u00b2' (at position 6)" in err
+
+
 def _terms(count):
     return " + ".join(f"{k}*z1*w1" for k in range(1, count + 1))
 

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from kahlermech import dynamics, linalg
 from kahlermech.dynamics import (
     InconsistentConstraints,
     LagrangianSystem,
@@ -37,6 +38,7 @@ from kahlermech.expressions import (
     parse_expression,
 )
 import desksuite
+from bookkeeping_reference import reference_solution_from
 from fdtools import expr_evaluator, fd_kahler_matrix
 
 
@@ -304,8 +306,105 @@ def test_solution_bookkeeping_and_field_only_solves():
     # The RK stages 2-4 solve for the saddle vector alone; it is the
     # field and the multipliers of the full solve, bit for bit.
     K, S, rhs, _ = system._blocks_at(state)
-    vec = _solve(system, K, S, rhs, state.t, state.z, state.w)
+    vec = _solve(system, K, S, rhs, state)
     assert tuple(vec) == sol.xi.components + sol.multipliers
+
+
+def _coefficient(rng) -> str:
+    return f"({rng.uniform(0, 1):.3f} {rng.choice('+-')} {rng.uniform(0, 1):.3f}*i)"
+
+
+def _random_polynomial_system(rng, r: int) -> LagrangianSystem:
+    """m = 2: a bilinear L with a quartic coupling, and r forms with
+    polynomial coefficients."""
+    c = lambda: _coefficient(rng)  # noqa: E731
+    forms = [one_form([parse_expression(f"{c()} + {c()}*z2*w1", 2), parse_expression(f"{c()}*w2", 2)],
+                      [parse_expression(f"{c()}*z1", 2), parse_expression(c(), 2)])
+             for _ in range(r)]
+    return _system(f"z1*w1 + z2*w2 + {c()}*z1*w2 + {c()}*z1*z2*w1*w2", 2, forms)
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_generated_bookkeeping_equals_the_loop_reference(r):
+    rng = random.Random(40 + r)
+    system = _random_polynomial_system(rng, r)
+
+    def point():
+        return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
+
+    solved = 0
+    for _ in range(25):
+        state = PhaseState(0.0, point(), point())
+        K, S, rhs, L = system._blocks_at(state)
+        vecs = [point() + point() + [complex(rng.uniform(-1, 1), 0.0) for _ in range(r)]]
+        try:
+            vecs.append(_solve(system, K, S, rhs, state))
+            solved += 1
+        except InconsistentConstraints:
+            pass
+        for vec in vecs:
+            expected = reference_solution_from(2, state.w, S, rhs, L, vec)
+            assert repr(system._solution_from(state, S, rhs, L, vec)) == repr(expected)
+    assert solved > 0
+
+
+_SPECIALS = (0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("m, r", [(1, 0), (1, 1), (2, 0), (2, 3)])
+def test_generated_bookkeeping_keeps_zero_signs_infinities_and_nan(m, r):
+    kernel, width = dynamics._bookkeeping_kernel(m, r), 2 * m + r
+    # Hand-made first: a NaN residual first in a maximum is kept, and one
+    # after a larger value is not, as max() does.
+    nan, vec = complex(math.nan, 0.0), [0j] * (width - 1) + [5 + 0j]
+    unit = [[complex(i == j) for j in range(width)] for i in range(width)]
+    cases = [(unit, [nan] + [0j] * (width - 1), vec), (unit, [0j] * (width - 1) + [nan], vec)]
+    rng = random.Random(width)
+
+    def value():
+        return complex(rng.choice(_SPECIALS), rng.choice(_SPECIALS))
+
+    cases += [([[value() for _ in range(width)] for _ in range(width)],
+               [value() for _ in range(width)], [value() for _ in range(width)])
+              for _ in range(300)]
+    for S, rhs, vec in cases:
+        w, L = tuple(value() for _ in range(m)), value()
+        expected = reference_solution_from(m, w, S, rhs, L, vec)
+        assert repr(kernel(S, rhs, L, vec, w)) == repr(expected)
+
+
+def test_a_constant_singular_kahler_matrix_still_fails_at_its_first_solve():
+    # Phi_L of z1^2 is the zero matrix: the build's check fails and is
+    # dropped, and the first solve reports the exactly zero pivot.
+    tr = integrate(_system("z1^2"), PhaseState(0.0, (0.3,), (0.2,)), 1.0, 0.1)
+    assert (tr.status, tr.failure_kind, tr.failure_time, tr.samples) == (
+        "solver_failure", "SingularKahlerMatrix", 0.0, [])
+    with pytest.raises(SingularKahlerMatrix) as info:
+        solve_semispray(_system("z1^2"), PhaseState(0.0, (0.3,), (0.2,)))
+    assert info.value.state.t == 0.0
+    assert info.value.condition_estimate == math.inf
+
+
+def test_a_constant_non_finite_kahler_matrix_still_fails_at_its_first_solve():
+    system = _system("(1e999 - 1e999)*z1*w1")
+    assert all(isinstance(e, Num) and math.isnan(e.value.real)
+               for e in (system.kahler_form.entry(0, 1), system.kahler_form.entry(1, 0)))
+    with pytest.raises(EvalDomainError, match="non-finite value"):
+        solve_semispray(system, PhaseState(0.0, (0.3,), (0.2,)))
+
+
+@pytest.mark.parametrize("text, per_solve", [("z1*w1 + z2*w2 + (1/2)*w1^2", 1),
+                                             ("z1*w1 + z2*z2*w2 + (1/2)*w1^2", 2)])
+def test_a_constant_regular_kahler_matrix_is_factored_once_per_system(monkeypatch, text,
+                                                                        per_solve):
+    factor, calls = linalg.lu_factor, []
+    monkeypatch.setattr(linalg, "lu_factor", lambda a: calls.append(a) or factor(a))
+    system = _system(text, 2)
+    assert len(calls) == 2 - per_solve  # the build checks a constant Phi_L
+    calls.clear()
+    tr = integrate(system, PhaseState(0.0, (1.0, 0.5), (0.5, 0.25)), 0.1, 0.01)
+    assert tr.status == "completed" and len(tr.samples) == 11
+    assert len(calls) == per_solve * (4 * 10 + 1)
 
 
 # ------------------------------------------------------------- EL residuals
@@ -543,7 +642,7 @@ def _first_failing_stage(system, sample, dt):
                            [w + h * v for w, v in zip(s.w, k.fib)])
         try:
             k = solve_semispray(system, stage).xi
-        except (SingularKahlerMatrix, InconsistentConstraints) as err:
+        except (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError) as err:
             assert err.state is stage
             return number, err
     return None
@@ -557,9 +656,24 @@ def _first_failing_stage(system, sample, dt):
     # pivot threshold between the third sample and the fourth.
     ("1e11*z1*w1 + z2^2*w2/2 + (2*i - 0.5)*w2", 2, ((1.0, 1.0), (1.0, 1.0)), 0.1,
      "InconsistentConstraints", 3),
+    # The first system plus 1/z1, started where the field's z-part is -2:
+    # stage 2 lands on z1 = 0, where the assembly's 1/z1 terms have no
+    # value.  Before, the failure was recorded at the sample's time.
+    ("z1^2*w1/2 + (2*i - 0.5)*w1 + 1/z1", 1, ((1.0,), (-2.0,)), 1.0, "EvalDomainError", 1),
 ])
-def test_integrate_records_a_failure_inside_an_rk_step(text, m, s0, dt, kind, samples):
+def test_integrate_records_a_failure_inside_an_rk_step(monkeypatch, text, m, s0, dt, kind,
+                                                       samples):
     system = _system(text, m)
+    stage_solve, raised = dynamics._stage, []
+
+    def recording(*args):
+        try:
+            return stage_solve(*args)
+        except Exception as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(dynamics, "_stage", recording)
     tr = integrate(system, PhaseState(0.0, *s0), 5.0, dt)
     assert tr.status == "solver_failure"
     assert tr.failure_kind == kind
@@ -569,6 +683,13 @@ def test_integrate_records_a_failure_inside_an_rk_step(text, m, s0, dt, kind, sa
     assert stage in (2, 3)
     assert type(err).__name__ == kind
     assert tr.failure_time == err.state.t == last.state.t + dt / 2
+    # The error raised inside integrate carries the same stage state as the
+    # standalone solve, and names the same subtree or condition estimate.
+    [inside] = raised
+    assert type(inside) is type(err) and inside.state == err.state
+    assert vars(inside).keys() == vars(err).keys()
+    assert all(getattr(inside, key) == getattr(err, key) for key in ("subtree", "condition_estimate")
+               if hasattr(err, key))
 
 
 def test_integrate_reports_non_finite_states():

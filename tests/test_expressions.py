@@ -112,6 +112,21 @@ def test_parse_rejects_malformed_input(text):
     assert info.value.position >= 0
 
 
+@pytest.mark.parametrize("text, position", [
+    ("z1^\u00b2", 3),            # superscript two
+    ("\u0663*z1", 0),            # Arabic-Indic three
+    ("z\uff11", 1),              # full-width one
+    ("z\u00b2", 1),
+    ("z1 +\u00a0w1", 4),         # no-break space
+])
+def test_the_grammar_is_ascii(text, position):
+    # Before: "z1^\u00b2" raised an untyped ValueError from int(), and the
+    # Arabic-Indic and full-width digits parsed as 3*z1 and z1.
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        parse_expression(text, 1)
+    assert info.value.position == position
+
+
 def test_parse_error_position_points_at_offender():
     with pytest.raises(ParseError) as info:
         parse_expression("z1 + $", 1)
