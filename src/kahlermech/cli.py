@@ -64,7 +64,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def finite(text: str) -> float:
     """argparse type of ``--t1``, ``--dt`` and ``--tol``: an infinite or
     NaN value would make the step count or a threshold meaningless."""
-    value = float(text)  # argparse reports a ValueError as "invalid finite value"
+    value = float(text.encode("ascii"))  # ASCII only; argparse: "invalid finite value"
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
@@ -72,7 +72,7 @@ def finite(text: str) -> float:
 
 def count(text: str) -> int:
     """argparse type of ``--samples`` and ``--seed``: a nonnegative integer."""
-    value = int(text)  # argparse reports a ValueError as "invalid count value"
+    value = int(text.encode("ascii"))  # ASCII only; argparse: "invalid count value"
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
     return value

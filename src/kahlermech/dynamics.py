@@ -1,7 +1,8 @@
 """Second-order dynamics from a Lagrangian on the flat complex chart.
 
-A Lagrangian L(z, w) induces a two-form Phi_L = -d(d_J L) whose only
-generically nonzero entries couple dz_i with dw_j, an energy function
+A holomorphic Lagrangian L(z, w) induces a two-form Phi_L = -d(d_J L)
+whose only nonzero entries are Phi_L[z_i][w_j] = 2i L_{z_i w_j}, an
+energy function
 
     E_L = i w_eff^i dL/dz_i - i conj-part - L
 
@@ -20,6 +21,7 @@ confused with an unsatisfiable constraint configuration.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -34,6 +36,7 @@ from .expressions import (
     Expr,
     GeneratedFunction,
     Im,
+    Mul,
     Num,
     Re,
     Sym,
@@ -42,18 +45,13 @@ from .expressions import (
     compile_function,
     diff,
     emit,
+    fold,
     make_point,
     shifted,
     simplify,
     walk,
 )
-from .exterior import (
-    OneForm,
-    TwoForm,
-    VectorField,
-    exterior_derivative,
-    vertical_d,
-)
+from .exterior import OneForm, TwoForm, VectorField
 
 
 class NonHolomorphicLagrangian(Exception):
@@ -134,7 +132,8 @@ def _assembly_body(m, kahler, dL, A, H, B, W, L):
     zero can differ from doing it at run time.  The function returns what
     the solver reads, the row lists (K, S, rhs) and the Lagrangian's
     value L, where K is Phi_L mirrored from its upper triangle with exact
-    negation and
+    negation (the folded literal of a constant ``kahler`` entry, else 2i
+    times the H entry's value), and
 
         S = [[K^T - M_E, -W], [W^T, 0]],   rhs = [-dL, 0],
 
@@ -157,8 +156,8 @@ def _assembly_body(m, kahler, dL, A, H, B, W, L):
     def neg(x):
         return -x if isinstance(x, complex) else f"-{x}"
 
-    def times(i: complex, x):  # i is 1j or -1j
-        return i * x if isinstance(x, complex) else f"{'1j' if i == 1j else '-1j'} * {x}"
+    def times(c: complex, x):
+        return c * x if isinstance(x, complex) else f"({src(c)} * {x})"
 
     def minus(x, y):
         if isinstance(x, complex) and isinstance(y, complex):
@@ -175,10 +174,10 @@ def _assembly_body(m, kahler, dL, A, H, B, W, L):
     def rows(entries) -> str:
         return "[" + ", ".join(map(row, entries)) + "]"
 
-    upper = table("k", [[e if p < q else Num(0) for q, e in enumerate(row)]
-                        for p, row in enumerate(kahler)])
     d = [value(f"d{p}", e) for p, e in enumerate(dL)]
     a, h, b, c = table("a", A), table("h", H), table("b", B), table("c", W)
+    upper = [[(e.value if isinstance(e, Num) else times(2j, h[p][q - m])) if p < q else 0j
+              for q, e in enumerate(row)] for p, row in enumerate(kahler)]
     K = [[upper[i][j] if i <= j else neg(upper[j][i]) for j in range(n)] for i in range(n)]
     ME = [[times(1j, a[j][i]) if j < m else times(-1j, h[i][j - m]) for j in range(n)]
           for i in range(m)]
@@ -199,10 +198,11 @@ def _assembly_body(m, kahler, dL, A, H, B, W, L):
 class LagrangianSystem:
     """A Lagrangian with optional linear velocity constraints.
 
-    Second derivatives, the symbolic two-form Phi_L and all constraint
-    coefficients are differentiated once at construction and compiled
-    into one generated function, so per-state assembly is a single call
-    that returns the saddle system as row lists.
+    Second derivatives and all constraint coefficients are differentiated
+    once at construction and compiled into one generated function, so
+    per-state assembly is a single call that returns the saddle system as
+    row lists.  The symbolic two-form ``kahler_form`` is Phi_L built from
+    the block H = L_zw: 2i H on dz_i ^ dw_j, a literal 0 elsewhere.
     """
 
     def __init__(self, m: int, lagrangian: Expr, constraints: Sequence[OneForm] = ()):
@@ -236,12 +236,12 @@ class LagrangianSystem:
         self._H = [[diff(self._Lz[i], ws[j]) for j in range(m)] for i in range(m)]
         self._B = [[diff(self._Lw[i], ws[j]) for j in range(m)] for i in range(m)]
 
-        # Phi_L assembled through the exterior layer: Phi_L = -d(d_J L).
-        self.kahler_form: TwoForm = exterior_derivative(vertical_d(lagrangian, m)).scaled(-1)
+        # Phi_L = -d(d_J L) of a holomorphic L: 2i H on dz_i ^ dw_j, else 0.
+        self.kahler_form: TwoForm = TwoForm(
+            m, lambda p, q: fold(Mul, Num(2j), self._H[p][q - m]) if p < m <= q else Num(0))
 
-        n = 2 * m
-        kahler = [[as_expr(self.kahler_form.entry(p, q)) for q in range(n)] for p in range(n)]
-        self._W = [[as_expr(omega.coefficients[p]) for omega in constraints] for p in range(n)]
+        kahler = [[as_expr(e) for e in row] for row in self.kahler_form.entries]
+        self._W = [[as_expr(omega.coefficients[p]) for omega in constraints] for p in range(2 * m)]
         dL = self._Lz + self._Lw
         blocks = (kahler, [dL], self._A, self._H, self._B, self._W, [[lagrangian]])
         body, K = _assembly_body(m, kahler, dL, self._A, self._H, self._B, self._W, lagrangian)
@@ -403,7 +403,8 @@ def _state_at(where) -> PhaseState:
 
 
 def _solve(system: LagrangianSystem, K, S, rhs, where) -> List[complex]:
-    """The saddle vector of the system's assembly (K, S, rhs); an error
+    """The saddle vector of the system's assembly (K, S, rhs); an error,
+    among them :class:`EvalDomainError` for a vector that is not finite,
     carries the state that :func:`_state_at` makes of ``where``.  K is not
     factored again when the system factored its constant Phi_L."""
     try:
@@ -412,7 +413,9 @@ def _solve(system: LagrangianSystem, K, S, rhs, where) -> List[complex]:
             linalg.lu_factor(K)
         failure = InconsistentConstraints
         lu, perm, _ = linalg.lu_factor(S)
-        return linalg.lu_solve(lu, perm, rhs)
+        vec = linalg.lu_solve(lu, perm, rhs)
+        if all(map(cmath.isfinite, vec)):
+            return vec
     except linalg.SingularMatrixError as err:
         raise failure(_state_at(where), err.condition_estimate) from None
     except linalg.NonFiniteEntryError:
@@ -420,8 +423,11 @@ def _solve(system: LagrangianSystem, K, S, rhs, where) -> List[complex]:
         state, at = _state_at(where), system._assemble
         err = at.domain_error(state.z, state.w) or at.magnitude_error(state.z, state.w)
         err = err or EvalDomainError("non-finite value in the assembled saddle", system.lagrangian)
-        err.state = state
-        raise err from None
+    else:  # finite factors can still overflow in back substitution
+        state = _state_at(where)
+        err = EvalDomainError("non-finite value in the solved saddle vector", system.lagrangian)
+    err.state = state
+    raise err from None
 
 
 def solve_semispray(system: LagrangianSystem, state: PhaseState) -> SemispraySolution:
@@ -430,7 +436,8 @@ def solve_semispray(system: LagrangianSystem, state: PhaseState) -> SemispraySol
     Phi_L is factored on its own first (a constant one once per system), so
     that a degenerate Lagrangian is reported as :class:`SingularKahlerMatrix`
     and not as inconsistent constraints.  An infinite or NaN entry of the
-    assembled system raises :class:`EvalDomainError`.  Errors carry the state.
+    assembled system or of the solved vector raises :class:`EvalDomainError`.
+    Errors carry the state.
     """
     K, S, rhs, L = system._blocks_at(state)
     vec = _solve(system, K, S, rhs, state)

@@ -44,7 +44,7 @@ class SystemFileError(Exception):
         self.line = line
 
 
-_UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_UNSIGNED = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _SIGNED = rf"[+-]?{_UNSIGNED}"
 _COMPLEX_RE = re.compile(
     rf"^(?:(?P<real>{_SIGNED})(?P<imag>[+-](?:{_UNSIGNED})?)i"
@@ -109,7 +109,7 @@ class SystemSpec:
 
 def _finite_number(key: str, value: str, lineno: int) -> float:
     try:
-        number = float(value)
+        number = float(value.encode("ascii"))  # bytes: a str takes any Unicode digit
     except ValueError:
         raise SystemFileError(f"{key} must be a number, got {value!r}", lineno) from None
     if not math.isfinite(number):
@@ -165,7 +165,7 @@ def parse_system_file(path) -> SystemSpec:
         raise SystemFileError("missing 'm' in [system]", 1)
     lineno, value = got
     try:
-        m = int(value)
+        m = int(value.encode("ascii"))
     except ValueError:
         raise SystemFileError(f"m must be an integer, got {value!r}", lineno) from None
     if m < 1:
@@ -179,7 +179,7 @@ def parse_system_file(path) -> SystemSpec:
     if got:
         lineno, value = got
         try:
-            seed = int(value)
+            seed = int(value.encode("ascii"))
         except ValueError:
             raise SystemFileError(f"seed must be an integer, got {value!r}", lineno) from None
         if seed < 0:
@@ -220,7 +220,7 @@ def parse_system_file(path) -> SystemSpec:
     z_vals: List[Optional[complex]] = [None] * m
     w_vals: List[Optional[complex]] = [None] * m
     for lineno, key, value in by_section.get("initial", []):
-        match = re.fullmatch(r"([zw])(\d+)", key)
+        match = re.fullmatch(r"([zw])([0-9]+)", key)
         if not match:
             raise SystemFileError(f"unknown initial coordinate {key!r}", lineno)
         kind, index = match.group(1), int(match.group(2))

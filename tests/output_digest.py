@@ -17,7 +17,8 @@ these commands.  Usage, from the root of a checkout::
 
 ``--against`` digests this checkout, prints the key of every command whose
 record differs from the one in the given file (or is in only one of the
-two), and exits 1 if there is any.
+two) with the fields that differ (exit code, stdout, stderr, warnings, or
+the names of the files whose hashes changed), and exits 1 if there is any.
 """
 
 import argparse
@@ -88,6 +89,18 @@ def digest() -> dict:
             os.chdir(home)
 
 
+def _differing_fields(mine, theirs) -> list:
+    """What differs between two records of one command: its exit code,
+    stdout, stderr, warnings, or the names of the files whose hashes
+    differ; a record missing on one side names that side."""
+    if mine is None or theirs is None:
+        return ["only in the given digest" if mine is None else "only in this checkout"]
+    fields = [f for f in ("exit", "stdout", "stderr", "warnings") if mine[f] != theirs[f]]
+    names = sorted(mine["files"].keys() | theirs["files"].keys())
+    return fields + [f"file {name}" for name in names
+                     if mine["files"].get(name) != theirs["files"].get(name)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="JSON file to write")
@@ -104,7 +117,7 @@ def main(argv=None) -> int:
         keys = result.keys() | other.keys()
         differing = sorted(k for k in keys if result.get(k) != other.get(k))
         for key in differing:
-            print(key)
+            print(f"{key}: {', '.join(_differing_fields(result.get(key), other.get(key)))}")
         print(f"{len(differing)} of {len(keys)} commands differ from {args.against}")
         return 1 if differing else 0
     return 0

@@ -507,6 +507,25 @@ def test_non_finite_flag_values_are_usage_errors(tmp_path, capsys, command, flag
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, kind",
+    [
+        ("simulate", "--t1", "\u0661", "finite"),
+        ("simulate", "--dt", "0.\uff10\uff11", "finite"),
+        ("check", "--tol", "1e-\u0663", "finite"),
+        ("check", "--samples", "\u0663", "count"),
+        ("check", "--seed", "\uff17", "count"),
+    ],
+)
+def test_a_numeric_flag_takes_only_ascii_digits(tmp_path, capsys, command, flag, value, kind):
+    # Before: int() and float() read any Unicode decimal digit as ASCII.
+    with pytest.raises(SystemExit) as info:
+        main([command, "--system", BILINEAR, "--out", str(tmp_path), flag, value])
+    assert info.value.code == 1
+    assert f"argument {flag}: invalid {kind} value: '{value}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_console_entry_point_round_trip(tmp_path):
     # One subprocess pass through the installed script keeps the packaging
     # wiring honest; everything else runs in process for speed.  pytest's

@@ -1,7 +1,10 @@
 """Lagrangian systems: two-form assembly, saddle solve, integration."""
 
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from kahlermech.expressions import (
     Conj,
     Div,
     EvalDomainError,
+    Expr,
     Mul,
     Num,
     Re,
@@ -37,6 +41,7 @@ from kahlermech.expressions import (
     evaluate,
     parse_expression,
 )
+from kahlermech.systemfile import parse_system_file
 import desksuite
 from bookkeeping_reference import reference_solution_from
 from fdtools import expr_evaluator, fd_kahler_matrix
@@ -136,6 +141,57 @@ def test_degenerate_lagrangians_have_zero_two_form():
 
 
 # ------------------------------------------------------------------- energy
+
+
+def _kahler_values(system, state):
+    """The tree walker's value of every kahler_form entry at the state."""
+    point = state.point()
+    return [[e.evaluate(point) if isinstance(e, Expr) else e for e in row]
+            for row in system.kahler_form.entries]
+
+
+def _benchmark_inputs():
+    """``perfbench/inputs.py``, which writes the benchmark's system files."""
+    name = "benchmark_inputs"
+    if name not in sys.modules:  # its dataclasses look their module up there
+        spec = importlib.util.spec_from_file_location(
+            name, Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def test_the_assembled_kahler_matrix_is_the_kahler_form_to_the_bit(tmp_path):
+    # The shipped systems and the seed-7 inputs of the trajectory and
+    # state_sweep benchmarks, at the initial state and 9 random ones:
+    # the generated K and the tree walk of kahler_form agree in every
+    # bit, the signs of zeros included.
+    inputs = _benchmark_inputs()
+    ops = inputs.trajectory(7, tmp_path) + inputs.state_sweep(7, tmp_path)
+    paths = sorted(desksuite.SYSTEM_DIR.glob("*.system")) + [op.path for op in ops]
+    assert len(paths) == 28
+    for path in paths:
+        spec = parse_system_file(path)
+        system, rng = spec.build_system(), random.Random(path.stem)
+        states = [spec.initial_state()] + [
+            PhaseState(0.0, *([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                               for _ in range(spec.m)] for _ in "zw"))
+            for _ in range(9)]
+        for state in states:
+            assert repr(system._blocks_at(state)[0]) == repr(_kahler_values(system, state)), path
+
+
+def test_a_negative_zero_hessian_entry_gives_a_positive_zero_kahler_entry():
+    # L_{z1 w1} of (1/2)*w1^2 - z1^2 folds to the literal -0.  Phi_L's
+    # entry is fold's literal 0 for 2i * (-0), as the exterior derivation
+    # gave: computing 2i * (-0) in the assembly would print as +0-0i.
+    system = _system("(1/2)*w1^2 - z1^2")
+    [[h]] = system._H
+    assert isinstance(h, Num) and repr(h.value) == "(-0-0j)"
+    assert system.kahler_form.entry(0, 1) == Num(0)
+    state = PhaseState(0.0, (0.3,), (0.2,))
+    K = system._blocks_at(state)[0]
+    assert repr(K) == repr(_kahler_values(system, state)) == repr([[0j, 0j], [-0j, 0j]])
 
 
 def test_energy_of_solved_bilinear_field():
@@ -290,6 +346,22 @@ def test_non_finite_assembly_is_a_domain_error(value):
     traj = integrate(system, state, 0.1, 0.01)
     assert traj.status == "solver_failure"
     assert traj.failure_kind == "EvalDomainError"
+
+
+def test_a_solve_whose_back_substitution_overflows_is_a_domain_error():
+    # Every assembled entry is finite, and so are the factors; the saddle
+    # vector is not.  Before, the solve returned xi = (nan+nanj, -0-infj),
+    # and integrate recorded it as sample 0 and failed at the next step.
+    system = _system("1e-200*z1*w1 + 1e200*z1 + 1e200*i*w1")
+    state = PhaseState(0.0, (1.0,), (1.0,))
+    K, S, rhs, _ = system._blocks_at(state)
+    assert all(math.isfinite(abs(x)) for x in (*sum(K, []), *sum(S, []), *rhs))
+    with pytest.raises(EvalDomainError, match="non-finite value in the solved saddle vector") as info:
+        solve_semispray(system, state)
+    assert info.value.state is state
+    tr = integrate(system, state, 0.01, 0.0025)
+    assert (tr.status, tr.failure_kind, tr.failure_time, tr.samples) == (
+        "solver_failure", "EvalDomainError", 0.0, [])
 
 
 def test_solution_bookkeeping_and_field_only_solves():

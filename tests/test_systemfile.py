@@ -205,6 +205,40 @@ def test_a_negative_seed_is_rejected_with_its_line(tmp_path):
     assert info.value.line == 4
 
 
+@pytest.mark.parametrize("text", ["\u0663+\u0661i", "\uff11.\uff15", "1+\u0662i", "\u0663"])
+def test_a_complex_literal_takes_only_ascii_digits(text):
+    # Before: "\u0663+\u0661i" (Arabic-Indic 3 + 1i) read as (3+1j).
+    with pytest.raises(ValueError, match="not a complex literal"):
+        parse_complex_literal(text)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("system", "m", "\u0661", "m must be an integer"),
+        ("system", "seed", "\u0663", "seed must be an integer"),
+        ("integrator", "t1", "\uff11.\uff15", "t1 must be a number"),
+        ("integrator", "dt", "0.\u0660\u0661", "dt must be a number"),
+        ("tolerances", "drift", "1e-\u0663", "drift must be a number"),
+        ("initial", "z1", "\u0663+\u0661i", "not a complex literal"),
+        ("initial", "z\u0661", "1", "unknown initial coordinate"),
+    ],
+)
+def test_a_numeric_field_takes_only_ascii_digits(tmp_path, section, key, value, message):
+    # int(), float() and a \\d regex read any Unicode decimal digit; before,
+    # each of these values was read as its ASCII number.
+    lines = textwrap.dedent(MINIMAL).splitlines()
+    header = lines.index(f"[{section}]") if f"[{section}]" in lines else None
+    if header is None:
+        lines += ["", f"[{section}]"]
+        header = len(lines) - 1
+    lines = [line for line in lines if line.split(" = ")[0] != key]
+    lines.insert(header + 1, f"{key} = {value}")
+    with pytest.raises(SystemFileError, match=message) as info:
+        parse_system_file(_write(tmp_path, "\n".join(lines) + "\n"))
+    assert info.value.line == header + 2
+
+
 def test_missing_file_raises_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         parse_system_file(tmp_path / "absent.system")
