@@ -111,10 +111,7 @@ class PhaseState:
         return make_point(self.z, self.w)
 
     def is_finite(self) -> bool:
-        return all(
-            math.isfinite(c.real) and math.isfinite(c.imag)
-            for c in (*self.z, *self.w)
-        )
+        return all(map(cmath.isfinite, (*self.z, *self.w)))
 
 
 def _assert_holomorphic(e: Expr) -> None:

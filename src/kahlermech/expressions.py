@@ -22,16 +22,18 @@ The concrete grammar accepted by :func:`parse_expression`::
     func   := sin | cos | exp | log | conj | re | im
 
 A number is an unsigned decimal literal, optionally with a fractional part
-and a scientific exponent (``2``, ``0.5``, ``1e-3``).  There is no unary
-minus; the printer renders negations as ``(0 - x)`` so that printed text
-always re-parses.  Parentheses nest at most :data:`MAX_DEPTH` deep.  The
-grammar is ASCII: any other character is a :class:`ParseError` at its position.
+and a scientific exponent (``2``, ``0.5``, ``1e-3``): :data:`NUMBER`.  There
+is no unary minus; the printer renders negations as ``(0 - x)`` so that
+printed text always re-parses.  Parentheses nest at most :data:`MAX_DEPTH`
+deep.  The grammar is ASCII: any other character is a :class:`ParseError`
+at its position.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -434,54 +436,40 @@ class Log(_Function):
 # Parsing
 
 
+# An unsigned ASCII decimal: digits with an optional fraction, or a fraction
+# alone, then an optional exponent.  System files read their numbers with it.
+NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_BLANKS = re.compile(r"\s*")
+# The tokens the lexer reads with the blanks after them: a number or a name,
+# and the digits of an exponent.
+_ATOM = re.compile(rf"(?:({NUMBER.pattern})|([A-Za-z][A-Za-z0-9_]*))\s*")
+_DIGITS = re.compile(r"([0-9]+)\s*")
+
+
 class _Lexer:
+    """A cursor that rests on a non-blank character or at the end."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _BLANKS.match(text).end()
 
     def peek(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
+        """The next character; '' at the end."""
+        return self.text[self.pos:self.pos + 1]
 
     def take(self) -> str:
         c = self.peek()
-        self.pos += 1
+        self.pos = _BLANKS.match(self.text, self.pos + 1).end()
         return c
 
-    def read_digits(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def read_number(self) -> float:
-        start = self.pos
-        text = self.text
-        self.read_digits()
-        if self.pos < len(text) and text[self.pos] == ".":
-            self.pos += 1
-            self.read_digits()
-        if self.pos < len(text) and text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(text) and text[self.pos] in "+-":
-                self.pos += 1
-            if not self.read_digits():
-                self.pos = mark  # not an exponent after all
-        return float(text[start:self.pos])
-
-    def read_name(self) -> str:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-            self.pos += 1
-        return text[start:self.pos]
+    def read(self, pattern) -> Tuple[Optional[str], ...]:
+        """The groups of ``pattern`` matched at the cursor, consumed; all
+        None if it does not match."""
+        match = pattern.match(self.text, self.pos)
+        if match is None:
+            return (None,) * pattern.groups
+        self.pos = match.end()
+        return match.groups()
 
 
 _BINARY = {kind._symbol: kind for kind in _Binary.__subclasses__()}
@@ -499,8 +487,7 @@ class _Parser:
             pos = next(i for i, c in enumerate(text) if not c.isascii())
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         e = self.expr()
-        self.lex.skip_ws()
-        if self.lex.pos != len(self.lex.text):
+        if self.lex.peek():
             raise ParseError(
                 f"unexpected trailing input {self.lex.text[self.lex.pos:]!r}",
                 self.lex.pos,
@@ -519,11 +506,11 @@ class _Parser:
     def factor(self) -> Expr:
         c = self.lex.peek()
         start = self.lex.pos
-        name = self.lex.read_name() if c.isalpha() else None
         if c == "":
             raise ParseError("unexpected end of input", start)
-        if c.isdigit() or c == ".":
-            e = Num(self.lex.read_number())
+        number, name = self.lex.read(_ATOM)
+        if number:
+            e = Num(float(number))
         elif name == "i":
             e = Num(1j)
         elif name and name[0] in "zw" and name[1:].isdigit():
@@ -551,9 +538,8 @@ class _Parser:
             raise ParseError(f"unexpected character {c!r}", start)
         if self.lex.peek() == "^":
             self.lex.take()
-            self.lex.skip_ws()
             start = self.lex.pos
-            digits = self.lex.read_digits()
+            digits, = self.lex.read(_DIGITS)
             if not digits:
                 raise ParseError("expected an integer exponent after '^'", start)
             e = Pow(e, int(digits))
@@ -650,10 +636,12 @@ def make_point(z_values, w_values) -> Dict[Sym, complex]:
 
 
 def walk(e: Expr) -> Iterator[Expr]:
-    """Every node of ``e``, parents before children."""
-    yield e
-    for a in e.args:
-        yield from walk(a)
+    """Every node of ``e``, parents before children, left to right."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.args))
 
 
 # The most nodes on a root-to-leaf path of an input expression: generated
@@ -674,10 +662,6 @@ def check_expression(e: Expr, m: int, what: str) -> None:
         stack.extend((a, depth + 1) for a in node.args)
 
 
-def _is_finite(value: complex) -> bool:
-    return math.isfinite(value.real) and math.isfinite(value.imag)
-
-
 def domain_error(e: Expr, point: Mapping[Sym, complex]) -> Optional[EvalDomainError]:
     """Why ``e`` has no finite value at ``point``, or None when it has one.
 
@@ -689,10 +673,10 @@ def domain_error(e: Expr, point: Mapping[Sym, complex]) -> Optional[EvalDomainEr
         value = e.evaluate(point)
     except EvalDomainError as err:
         return err
-    if _is_finite(value):
+    if cmath.isfinite(value):
         return None
     while True:
-        bad = next((a for a in e.args if not _is_finite(a.evaluate(point))), None)
+        bad = next((a for a in e.args if not cmath.isfinite(a.evaluate(point))), None)
         if bad is None:
             return EvalDomainError("non-finite value", e)
         e = bad
@@ -723,13 +707,13 @@ def _repr_is_exact(v: complex) -> bool:
     """Whether ``repr(v)`` evaluates back to ``v``: ``(-0-1j)`` is
     ``-0 - 1j``, whose real part is +0.0."""
     positive = [math.copysign(1.0, x) > 0 for x in (v.real, v.imag)]
-    return _is_finite(v) and (all(positive) if v.real == 0 else v.imag != 0 or positive[1])
+    return cmath.isfinite(v) and (all(positive) if v.real == 0 else v.imag != 0 or positive[1])
 
 
 def _literal(v: complex) -> str:
     """Source for exactly ``v``, signs of zeros included: a constant the
     compiler folds, except for non-finite values and mixed-sign zeros."""
-    if not _is_finite(v):
+    if not cmath.isfinite(v):
         return f"complex({str(v)!r})"
     if _repr_is_exact(v):
         return f"({v!r})"
@@ -818,7 +802,7 @@ class GeneratedFunction:
         # One sum tests them all (an infinite or NaN term never cancels);
         # only finite values that overflow the sum need the entry-by-entry
         # test.  abs() is no help: it raises on |1.7e308 + 1.7e308j|.
-        if not _is_finite(sum(values)) and not all(map(_is_finite, values)):
+        if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
             raise self.domain_error(z, w)
         return values
 

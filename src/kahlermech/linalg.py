@@ -16,6 +16,7 @@ raises.
 
 from __future__ import annotations
 
+import cmath
 from functools import cache
 from math import isfinite
 from typing import Callable, List, Sequence, Tuple
@@ -51,7 +52,7 @@ def _reject_non_finite(values) -> None:
     """Called when the sum of |values| is not finite: raise unless that was
     only finite magnitudes overflowing the sum."""
     for v in values:
-        if not (isfinite(v.real) and isfinite(v.imag)):
+        if not cmath.isfinite(v):
             raise NonFiniteEntryError(f"non-finite value {v!r}")
 
 

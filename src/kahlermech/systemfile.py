@@ -1,7 +1,8 @@
 """Line-oriented system description files.
 
 A file consists of ``[section]`` headers with ``key = value`` lines; blank
-lines and ``#`` comments are ignored.  Sections:
+lines and ``#`` comments are ignored.  A key appears at most once in a
+section.  Sections:
 
 * ``[system]``      ``m`` (chart dimension, required), optional ``name``
   and ``seed`` (the nonnegative sampling seed).
@@ -13,7 +14,7 @@ lines and ``#`` comments are ignored.  Sections:
 * ``[tolerances]``  optional per-check overrides, see ``KNOWN_TOLERANCES``.
 
 Complex literals use the usual ``a+bi`` shape: ``2``, ``-0.5i``, ``1+2i``,
-``1.5e-2-3i``.
+``1.5e-2-3i``, with each number an :data:`~kahlermech.expressions.NUMBER`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from .checks import DEFAULT_THRESHOLDS
 from .constraints import DEFAULT_SEED, ConstraintSet
 from .dynamics import LagrangianSystem, PhaseState
-from .expressions import Expr, ParseError, parse_expression
+from .expressions import NUMBER, Expr, ParseError, parse_expression
 from .exterior import OneForm
 
 DEFAULT_T1 = 10.0
@@ -44,34 +45,31 @@ class SystemFileError(Exception):
         self.line = line
 
 
-_UNSIGNED = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_SIGNED = rf"[+-]?{_UNSIGNED}"
+# A sign, then a real part with an optional signed imaginary part, or an
+# imaginary part alone; blanks only at the ends and around a sign.
 _COMPLEX_RE = re.compile(
-    rf"^(?:(?P<real>{_SIGNED})(?P<imag>[+-](?:{_UNSIGNED})?)i"
-    rf"|(?P<imonly>[+-]?(?:{_UNSIGNED})?)i"
-    rf"|(?P<realonly>{_SIGNED}))$"
+    rf"\s*(?P<sign>[+-]?)\s*(?:(?P<real>{NUMBER.pattern})"
+    rf"(?:\s*(?P<isign>[+-])\s*(?P<imag>{NUMBER.pattern})?i)?"
+    rf"|(?P<imonly>{NUMBER.pattern})?i)\s*"
 )
 
 
 def parse_complex_literal(text: str) -> complex:
-    """Parse ``a+bi`` style literals ('2', '-0.5i', '1+2i', '1e-3-2i')."""
-    s = re.sub(r"\s+", "", text)
-    match = _COMPLEX_RE.match(s)
+    """Parse ``a+bi`` style literals ('2', '-0.5i', '1+2i', '1e-3-2i').
+
+    Blanks may stand at the ends and on either side of a sign, nowhere else.
+    """
+    match = _COMPLEX_RE.fullmatch(text)
     if not match:
         raise ValueError(f"not a complex literal: {text!r}")
-    if match.group("realonly") is not None:
-        return complex(float(match.group("realonly")), 0.0)
-    if match.group("imonly") is not None:
-        part = match.group("imonly")
-        if part in ("", "+"):
-            return 1j
-        if part == "-":
-            return -1j
-        return complex(0.0, float(part))
-    real = float(match.group("real"))
-    part = match.group("imag")
-    imag = 1.0 if part == "+" else -1.0 if part == "-" else float(part)
-    return complex(real, imag)
+    sign, real, isign, imag, imonly = match.groups()
+    if real is None:
+        if imonly is None:
+            return -1j if sign == "-" else 1j
+        return complex(0.0, float(sign + imonly))
+    if isign is None:
+        return complex(float(sign + real), 0.0)
+    return complex(float(sign + real), float(isign + (imag or "1")))
 
 
 @dataclass
@@ -107,7 +105,7 @@ class SystemSpec:
         return ConstraintSet(self.constraint_forms, self.constraint_names)
 
 
-def _finite_number(key: str, value: str, lineno: int) -> float:
+def _finite_number(key: str, lineno: int, value: str) -> float:
     try:
         number = float(value.encode("ascii"))  # bytes: a str takes any Unicode digit
     except ValueError:
@@ -117,9 +115,25 @@ def _finite_number(key: str, value: str, lineno: int) -> float:
     return number
 
 
-def _split_sections(text: str) -> List[Tuple[str, int, str, str]]:
-    """Yield (section, line_number, key, value) tuples."""
-    out = []
+def _integer(key: str, lineno: int, value: str, least: int) -> int:
+    try:
+        number = int(value.encode("ascii"))
+    except ValueError:
+        raise SystemFileError(f"{key} must be an integer, got {value!r}", lineno) from None
+    if number < least:
+        raise SystemFileError(f"{key} must be >= {least}, got {number}", lineno)
+    return number
+
+
+# The keys of the sections whose keys are fixed.
+_KEYS = {"system": ("m", "name", "seed"), "lagrangian": ("L",)}
+_SECTIONS = ("system", "lagrangian", "constraints", "initial", "integrator", "tolerances")
+
+
+def _split_sections(text: str) -> Dict[str, Dict[str, Tuple[int, str]]]:
+    """``{section: {key: (line_number, value)}}`` for every known section,
+    each in file order.  A key appears at most once in a section."""
+    table: Dict[str, Dict[str, Tuple[int, str]]] = {name: {} for name in _SECTIONS}
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -132,63 +146,36 @@ def _split_sections(text: str) -> List[Tuple[str, int, str, str]]:
             continue
         if "=" not in line:
             raise SystemFileError(f"expected 'key = value', got {line!r}", lineno)
-        key, value = line.split("=", 1)
+        key, value = map(str.strip, line.split("=", 1))
         if not section:
             raise SystemFileError("key outside any [section]", lineno)
-        out.append((section, lineno, key.strip(), value.strip()))
-    return out
+        if section not in table:
+            raise SystemFileError(f"unknown section [{section}]", lineno)
+        if key in table[section]:
+            raise SystemFileError(
+                f"duplicate initial coordinate {key!r}" if section == "initial"
+                else f"duplicate {key!r} in [{section}]", lineno)
+        if key not in _KEYS.get(section, (key,)):
+            raise SystemFileError(f"unknown key {key!r} in [{section}]", lineno)
+        table[section][key] = (lineno, value)
+    return table
 
 
 def parse_system_file(path) -> SystemSpec:
     """Load and validate a system description file."""
     path = Path(path)
-    entries = _split_sections(path.read_text())
-    by_section: Dict[str, List[Tuple[int, str, str]]] = {}
-    for section, lineno, key, value in entries:
-        by_section.setdefault(section, []).append((lineno, key, value))
+    table = _split_sections(path.read_text())
+    system = table["system"]
 
-    known = {"system", "lagrangian", "constraints", "initial", "integrator", "tolerances"}
-    for section in by_section:
-        if section not in known:
-            raise SystemFileError(
-                f"unknown section [{section}]", by_section[section][0][0]
-            )
-
-    def single(section: str, key: str) -> Optional[Tuple[int, str]]:
-        found = [(ln, v) for ln, k, v in by_section.get(section, []) if k == key]
-        if len(found) > 1:
-            raise SystemFileError(f"duplicate {key!r} in [{section}]", found[1][0])
-        return found[0] if found else None
-
-    got = single("system", "m")
-    if got is None:
+    if "m" not in system:
         raise SystemFileError("missing 'm' in [system]", 1)
-    lineno, value = got
-    try:
-        m = int(value.encode("ascii"))
-    except ValueError:
-        raise SystemFileError(f"m must be an integer, got {value!r}", lineno) from None
-    if m < 1:
-        raise SystemFileError(f"m must be >= 1, got {m}", lineno)
+    m = _integer("m", *system["m"], least=1)
+    name = system["name"][1] if "name" in system else path.stem
+    seed = _integer("seed", *system["seed"], least=0) if "seed" in system else DEFAULT_SEED
 
-    got = single("system", "name")
-    name = got[1] if got else path.stem
-
-    seed = DEFAULT_SEED
-    got = single("system", "seed")
-    if got:
-        lineno, value = got
-        try:
-            seed = int(value.encode("ascii"))
-        except ValueError:
-            raise SystemFileError(f"seed must be an integer, got {value!r}", lineno) from None
-        if seed < 0:
-            raise SystemFileError(f"seed must be >= 0, got {seed}", lineno)
-
-    got = single("lagrangian", "L")
-    if got is None:
+    if "L" not in table["lagrangian"]:
         raise SystemFileError("missing 'L' in [lagrangian]", 1)
-    lineno, l_text = got
+    lineno, l_text = table["lagrangian"]["L"]
     try:
         lagrangian = parse_expression(l_text, m)
     except ParseError as err:
@@ -196,7 +183,7 @@ def parse_system_file(path) -> SystemSpec:
 
     constraint_names: List[str] = []
     constraint_forms: List[OneForm] = []
-    for lineno, key, value in by_section.get("constraints", []):
+    for key, (lineno, value) in table["constraints"].items():
         pieces = [p.strip() for p in value.split(";")]
         if len(pieces) != 2 * m:
             raise SystemFileError(
@@ -219,8 +206,8 @@ def parse_system_file(path) -> SystemSpec:
 
     z_vals: List[Optional[complex]] = [None] * m
     w_vals: List[Optional[complex]] = [None] * m
-    for lineno, key, value in by_section.get("initial", []):
-        match = re.fullmatch(r"([zw])([0-9]+)", key)
+    for key, (lineno, value) in table["initial"].items():
+        match = re.fullmatch(r"([zw])(0|[1-9][0-9]*)", key)  # one spelling per coordinate
         if not match:
             raise SystemFileError(f"unknown initial coordinate {key!r}", lineno)
         kind, index = match.group(1), int(match.group(2))
@@ -232,10 +219,7 @@ def parse_system_file(path) -> SystemSpec:
             parsed = parse_complex_literal(value)
         except ValueError as err:
             raise SystemFileError(str(err), lineno) from None
-        target = z_vals if kind == "z" else w_vals
-        if target[index - 1] is not None:
-            raise SystemFileError(f"duplicate initial coordinate {key!r}", lineno)
-        target[index - 1] = parsed
+        (z_vals if kind == "z" else w_vals)[index - 1] = parsed
     missing = [
         f"{kind}{i + 1}"
         for kind, vals in (("z", z_vals), ("w", w_vals))
@@ -248,8 +232,8 @@ def parse_system_file(path) -> SystemSpec:
         )
 
     t1, dt = DEFAULT_T1, DEFAULT_DT
-    for lineno, key, value in by_section.get("integrator", []):
-        number = _finite_number(key, value, lineno)
+    for key, (lineno, value) in table["integrator"].items():
+        number = _finite_number(key, lineno, value)
         if key == "t1":
             if number < 0:
                 raise SystemFileError("t1 must be nonnegative", lineno)
@@ -262,12 +246,12 @@ def parse_system_file(path) -> SystemSpec:
             raise SystemFileError(f"unknown integrator key {key!r}", lineno)
 
     tolerances: Dict[str, float] = {}
-    for lineno, key, value in by_section.get("tolerances", []):
+    for key, (lineno, value) in table["tolerances"].items():
         if key not in KNOWN_TOLERANCES:
             raise SystemFileError(
                 f"unknown tolerance {key!r} (known: {', '.join(KNOWN_TOLERANCES)})", lineno
             )
-        tolerances[key] = _finite_number(key, value, lineno)
+        tolerances[key] = _finite_number(key, lineno, value)
 
     return SystemSpec(
         name=name,

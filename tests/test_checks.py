@@ -8,7 +8,10 @@ from kahlermech import checks
 from kahlermech.checks import DEFAULT_THRESHOLDS, run_check_suite
 from kahlermech.cli import main
 from kahlermech.dynamics import LagrangianSystem, PhaseState, SingularKahlerMatrix, solve_semispray
-from kahlermech.expressions import Div, Expr, GeneratedFunction, Num, Sub, Sym, emit, parse_expression
+from kahlermech.constraints import sample_points
+from kahlermech.expressions import (
+    Add, Div, Expr, GeneratedFunction, Mul, Num, Sub, Sym, emit, parse_expression,
+)
 from kahlermech.real_oracle import realify_and_solve
 from check_reference import reference_measurements
 import desksuite
@@ -132,6 +135,18 @@ def test_a_state_with_an_undefined_closure_sum_adds_nothing(monkeypatch, second,
     results = run_check_suite(desksuite.build("bilinear_pair"), PhaseState(0.0, (1.0,), (0.5,)),
                               t1=0.01, dt=0.01, samples=0)
     assert {r.name: r.measured for r in results}["closedness"] == expected
+
+
+def test_a_sampled_state_where_the_assembly_is_undefined_is_skipped():
+    # L_z = w1 - 1/(z1 - s)^2 has no value at the first sampled state, where z1 = s.
+    (s, _), = sample_points(1, 1, 0)
+    lagrangian = Add(Mul(Sym("z", 1), Sym("w", 1)), Div(Num(1), Sub(Sym("z", 1), Num(s[0]))))
+    results = run_check_suite(LagrangianSystem(1, lagrangian), PhaseState(0.0, (0.5,), (0.5,)),
+                              t1=0.01, dt=0.01, samples=3, seed=0)
+    by_name = {r.name: r for r in results}
+    assert by_name["solve"].note == "3 states solved, 1 skipped"
+    for name in ("antisymmetry", "closedness", "solve", "oracle"):
+        assert by_name[name].passed, (name, by_name[name].measured)
 
 
 # ---------------------------------------------- stacked oracle vs per state

@@ -200,6 +200,25 @@ def test_classify_exchange_constraints(tmp_path, capsys):
     assert payload["system"] == {"name": "exchange_constrained", "m": 2, "r": 2}
 
 
+def test_classify_writes_the_witness_of_an_anholonomic_form(tmp_path, capsys):
+    # omega = dz2 - w1 dz1 on C^2 x C^2: d omega = dz1 ^ dw1, and omega ^ d omega != 0.
+    path = tmp_path / "contact.system"
+    path.write_text("[system]\nm = 2\nname = contact\n\n[lagrangian]\nL = z1*w1 + z2*w2\n\n"
+                    "[constraints]\ncontact = 0 - w1 ; 1 ; 0 ; 0\n\n"
+                    "[initial]\nz1 = 0.1\nz2 = 0.2\nw1 = 0.3\nw2 = 0.4\n")
+    assert main(["classify", "--system", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("contact: anholonomic")
+    payload = json.loads((tmp_path / "contact_classification.json").read_text())
+    witness = payload["witness"]
+    assert witness["form"] == "contact"
+    assert witness["value"] == payload["max_bracket"] > 0.9
+    (w1, _), (x, y) = [complex(*c) for c in witness["w"]], [
+        [complex(*c) for c in witness[f"{v}_hol"] + witness[f"{v}_fib"]] for v in "xy"]
+    for v in (x, y):  # both in the kernel of omega at the witness point
+        assert abs(v[1] - w1 * v[0]) < 1e-12
+    assert abs(abs(x[0] * y[2] - x[2] * y[0]) - witness["value"]) < 1e-12
+
+
 def test_classify_respects_parameter_flags(tmp_path):
     code = main(
         [
@@ -448,6 +467,17 @@ def test_a_non_ascii_character_is_reported_with_its_line(tmp_path, capsys):
     assert main(["simulate", "--system", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "line 5" in err and "unexpected character '\u00b2' (at position 6)" in err
+
+
+def test_a_lone_dot_in_the_lagrangian_is_reported_with_its_line(tmp_path, capsys):
+    # Before: exit 1 with float()'s untyped message and no line number.
+    path = tmp_path / "dot.system"
+    path.write_text("[system]\nm = 1\n\n[lagrangian]\nL = z1*w1 + .\n\n"
+                    "[initial]\nz1 = 1\nw1 = 1\n")
+    assert main(["simulate", "--system", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 5: bad Lagrangian: unexpected character '.' (at position 8)" in err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _terms(count):

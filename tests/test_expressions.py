@@ -127,6 +127,21 @@ def test_the_grammar_is_ascii(text, position):
     assert info.value.position == position
 
 
+@pytest.mark.parametrize("text, position", [(".", 0), (".e5", 0), ("z1 + .", 5)])
+def test_a_lone_dot_is_a_parse_error_at_its_position(text, position):
+    # Before: float()'s untyped ValueError ("could not convert string to float").
+    with pytest.raises(ParseError, match="unexpected character '.'") as info:
+        parse_expression(text, 1)
+    assert info.value.position == position
+
+
+def test_the_number_pattern_is_an_unsigned_ascii_decimal():
+    for text in ["2", "0.5", ".5", "1.", "1e-3", "2.5E+4", "1.e5"]:
+        assert expressions.NUMBER.fullmatch(text), text
+    for text in [".", ".e5", "-1", "1e", "1e+", "1 2", "1_0", "\u0663"]:
+        assert not expressions.NUMBER.fullmatch(text), text
+
+
 def test_parse_error_position_points_at_offender():
     with pytest.raises(ParseError) as info:
         parse_expression("z1 + $", 1)
@@ -464,6 +479,18 @@ def test_simplify_keeps_log_of_zero_unevaluated():
     assert simplify(e) == e
     with pytest.raises(EvalDomainError):
         evaluate(e, make_point((), ()))
+
+
+def test_walk_visits_parents_before_children_left_to_right():
+    e = parse_expression("sin(z1)*w1 - (z2 + 3)^2", 2)
+    assert [str(node) for node in walk(e)] == [
+        str(e), "sin(z1) * w1", "sin(z1)", "z1", "w1", "(z2 + 3)^2", "z2 + 3", "z2", "3",
+    ]
+    # No recursion: a chain far deeper than the interpreter's stack.
+    chain = Z1
+    for _ in range(5000):
+        chain = Neg(chain)
+    assert sum(1 for _ in walk(chain)) == 5001
 
 
 def test_make_point_maps_both_symbol_kinds():

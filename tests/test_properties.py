@@ -1,8 +1,10 @@
 """Property tests on generated inputs: the complex LU, the solve path,
-generated expression code, the printer, simplify and diff, and classify
-under rescaling."""
+generated expression code, the printer, simplify and diff, classify
+under rescaling, and the front end on arbitrary and mutated text."""
 
 import cmath
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -10,9 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kahlermech import linalg
+from kahlermech import cli, linalg
 from kahlermech.constraints import closedness_test, constraint_set, frobenius_test
-from kahlermech.dynamics import LagrangianSystem, PhaseState, solve_semispray
+from kahlermech.dynamics import (
+    LagrangianSystem,
+    NonHolomorphicLagrangian,
+    PhaseState,
+    solve_semispray,
+)
 from kahlermech.expressions import (
     COMPILED_DOMAIN_ERRORS,
     Add,
@@ -21,11 +28,13 @@ from kahlermech.expressions import (
     Div,
     EvalDomainError,
     Exp,
+    Expr,
     Im,
     Log,
     Mul,
     Neg,
     Num,
+    ParseError,
     Pow,
     Re,
     Sin,
@@ -47,6 +56,7 @@ from kahlermech.real_oracle import (
     gauss_jordan_stack,
     realify_and_solve,
 )
+from kahlermech.systemfile import KNOWN_TOLERANCES, SystemFileError, parse_system_file
 
 import desksuite
 from check_reference import reference_gauss_jordan
@@ -562,3 +572,105 @@ def test_two_form_lower_entries_are_the_simplified_negated_upper_entries():
         for p in range(n):
             for q in range(p + 1, n):
                 assert phi.entry(q, p) == simplify(Neg(phi.entry(p, q)))
+
+
+# ------------------------------------------------ the front end on any text
+
+# Characters and a few words of the grammar, blanks and non-ASCII characters.
+_EXPRESSION_PIECES = tuple("0123456789.eE+-*/()^zwiqx_ \t\u00a0\u0663\uff11\u00b2") + (
+    "z1", "w2", "z3", "sin(", "exp", "log(")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.lists(st.sampled_from(_EXPRESSION_PIECES), max_size=12).map("".join))
+def test_any_text_parses_to_a_tree_or_a_parse_error(text):
+    try:
+        e = parse_expression(text, 2)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert isinstance(e, Expr)
+
+
+_JUNK = ("@", "=", "[", "]", ";", "z9", "1e", ".", "- -", "i i")
+_NON_ASCII = ("\u00a0", "\u0663", "\uff11", "\u00e9", "\u00b2")
+_EXTREMES = ("1e308", "-1e308", "1e999", "-1", "-0.5", "0", "9" * 40, "-" + "9" * 40)
+# m is left alone: the parser allocates lists of length m.
+_FIELDS = (("integrator", "t1"), ("integrator", "dt"), ("tolerances", KNOWN_TOLERANCES[0]),
+           ("initial", "z1"), ("initial", "w1"), ("system", "seed"))
+
+
+def _key(line):
+    """The key of a ``key = value`` line, or None."""
+    text = line.split("#", 1)[0].strip()
+    return text.split("=", 1)[0].strip() if "=" in text and not text.startswith("[") else None
+
+
+def _with_value(lines, section, key, value):
+    """``lines`` with ``key = value`` in [section]: the key's line replaced,
+    or the section reopened at the end."""
+    current = None
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            current = line.strip("[]")
+        elif current == section and _key(line) == key:
+            return lines[:i] + [f"{key} = {value}"] + lines[i + 1:]
+    return lines + [f"[{section}]", f"{key} = {value}"]
+
+
+@st.composite
+def _mutated_system_files(draw):
+    """A shipped system file with one mutation, and the line a repeated key
+    line must be reported at (or None)."""
+    entry = draw(st.sampled_from(desksuite.ALL))
+    lines = entry.system_file().read_text().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    keyed = [k for k, line in enumerate(lines) if _key(line) is not None]
+    mutation = draw(st.sampled_from(["drop", "repeat", "swap", "junk", "non_ascii", "extreme"]))
+    repeated = None
+    if mutation == "drop":
+        del lines[i]
+    elif mutation == "repeat":
+        i = draw(st.sampled_from(keyed))
+        lines.insert(i + 1, lines[i])
+        repeated = i + 2
+    elif mutation == "swap":
+        a, b = draw(st.sampled_from(keyed)), draw(st.sampled_from(keyed))
+        (key_a, value_a), (key_b, value_b) = lines[a].split("=", 1), lines[b].split("=", 1)
+        lines[a], lines[b] = f"{key_b}={value_a}", f"{key_a}={value_b}"
+    elif mutation == "extreme":
+        section, key = draw(st.sampled_from(_FIELDS))
+        lines = _with_value(lines, section, key, draw(st.sampled_from(_EXTREMES)))
+    else:
+        token = draw(st.sampled_from(_JUNK if mutation == "junk" else _NON_ASCII))
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + token + lines[i][at:]
+    return "\n".join(lines) + "\n", repeated
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@PROPERTY_SETTINGS
+@given(_mutated_system_files())
+def test_a_mutated_system_file_is_a_spec_or_an_input_error(scratch_dir, mutated):
+    text, repeated = mutated
+    path = scratch_dir / "mutated.system"
+    path.write_text(text, encoding="utf-8")
+    try:
+        parse_system_file(path).build_system()
+    except SystemFileError as err:
+        assert 1 <= err.line <= len(text.splitlines())
+        if repeated is not None:
+            assert err.line == repeated and "duplicate" in str(err)
+    except (ValueError, NonHolomorphicLagrangian):
+        pass
+    else:
+        assert repeated is None
+        return
+    # What fails to parse or build is an input error: exit 1, never 2.
+    argv = ["simulate", "--system", str(path), "--out", str(scratch_dir / "out")]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 1

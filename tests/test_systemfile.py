@@ -46,6 +46,10 @@ def test_complex_literal_forms():
     assert parse_complex_literal("1+i") == 1 + 1j
     assert parse_complex_literal("1e-3") == 1e-3
     assert parse_complex_literal("0.3 + 0.1i") == 0.3 + 0.1j
+    assert parse_complex_literal("- 0.5i") == -0.5j
+    assert parse_complex_literal("1 + i") == 1 + 1j
+    assert parse_complex_literal("  -2 ") == -2
+    assert parse_complex_literal("-i") == -1j
     with pytest.raises(ValueError):
         parse_complex_literal("1+2j")
     with pytest.raises(ValueError):
@@ -242,3 +246,63 @@ def test_a_numeric_field_takes_only_ascii_digits(tmp_path, section, key, value, 
 def test_missing_file_raises_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         parse_system_file(tmp_path / "absent.system")
+
+
+# ---------------------------------------------- blanks, keys and branches
+
+
+@pytest.mark.parametrize("text", ["1 2", "1e 3", "1.5 e-3", "1 2", "0.3+0. 1i", "1 +2 i"])
+def test_a_blank_inside_a_number_is_not_a_complex_literal(tmp_path, text):
+    # Before: every blank was deleted first, so "1 2" read as 12, "1e 3" as
+    # 1000, "1.5 e-3" as 0.0015 and 1, a no-break space, 2 as 12.
+    with pytest.raises(ValueError, match="not a complex literal"):
+        parse_complex_literal(text)
+    body = textwrap.dedent(MINIMAL).replace("z1 = 1\n", f"z1 = {text}\n")
+    with pytest.raises(SystemFileError, match="not a complex literal") as info:
+        parse_system_file(_write(tmp_path, body))
+    assert info.value.line == 9
+
+
+@pytest.mark.parametrize("old, new, message, line", [
+    # Before, the first two were ignored, so the seed silently stayed 0.
+    ("name = minimal\n", "name = minimal\nsead = 5\n", "unknown key 'sead' in [system]", 4),
+    ("L = z1*w1\n", "L = z1*w1\nLagrangian = z1\n", "unknown key 'Lagrangian' in [lagrangian]", 7),
+    # Before, the last t1 and the last drift won, and both forms named c
+    # were kept while classify wrote one closedness flag for them.
+    ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\n[integrator]\nt1 = 1\nt1 = 2\n",
+     "duplicate 't1' in [integrator]", 13),
+    ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\n[tolerances]\ndrift = 1\ndrift = 2\n",
+     "duplicate 'drift' in [tolerances]", 13),
+    ("[initial]\n", "[constraints]\nc = 1 ; 0\nc = 0 ; 1\n[initial]\n",
+     "duplicate 'c' in [constraints]", 10),
+    # One spelling per coordinate: z01 is not another name of z1.
+    ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\nz01 = 2\n", "unknown initial coordinate 'z01'", 11),
+])
+def test_a_key_appears_once_and_only_where_known(tmp_path, old, new, message, line):
+    body = textwrap.dedent(MINIMAL).replace(old, new)
+    with pytest.raises(SystemFileError) as info:
+        parse_system_file(_write(tmp_path, body))
+    assert str(info.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("old, new, message, line", [
+    ("[lagrangian]\n", "[lagrangian\n", "unterminated section header", 5),
+    ("name = minimal\n", "name = minimal\nseed 3\n", "expected 'key = value', got 'seed 3'", 4),
+    ("[system]\n", "m = 1\n[system]\n", "key outside any [section]", 1),
+    ("[initial]\n", "[constraints]\nc = 1 ; z1*\n[initial]\n",
+     "bad coefficient in 'c': unexpected end of input (at position 3)", 9),
+    ("[initial]\n", "[constraints]\na = 1 ; 0\nb = 0 ; 1\n[initial]\n",
+     "at most 2m-1=1 constraints are allowed", 10),
+    ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\nw2 = 1\n", "coordinate 'w2' out of range for m=1", 11),
+    ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\n[integrator]\nt1 = -1\n", "t1 must be nonnegative", 12),
+    ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\n[integrator]\ndt = 0\n", "dt must be positive", 12),
+    ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\n[integrator]\nsteps = 9\n",
+     "unknown integrator key 'steps'", 12),
+    ("z1 = 1\n", "z1 = 1\nz1 = 2\n", "duplicate initial coordinate 'z1'", 10),
+])
+def test_each_validation_error_names_its_line(tmp_path, old, new, message, line):
+    body = textwrap.dedent(MINIMAL).replace(old, new)
+    with pytest.raises(SystemFileError) as info:
+        parse_system_file(_write(tmp_path, body))
+    assert str(info.value) == f"line {line}: {message}"
+    assert info.value.line == line
