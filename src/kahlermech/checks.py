@@ -43,7 +43,7 @@ from .dynamics import (
     diagnostics,
     integrate,
 )
-from .expressions import Add, EvalDomainError, GeneratedFunction, Sub, diff, emit, fold
+from .expressions import Add, EvalDomainError, GeneratedFunction, Sub, diff, fold
 from .exterior import coordinate_symbol
 from .real_oracle import oracle_solve
 
@@ -82,7 +82,7 @@ def _closure_terms(system: LagrangianSystem) -> GeneratedFunction:
         fold(Add, fold(Sub, diff(K[q][r], x[p]), diff(K[p][r], x[q])), diff(K[p][q], x[r]))
         for p, q, r in itertools.combinations(range(2 * m), 3)
     ]
-    return GeneratedFunction([f"return [{', '.join(map(emit, terms))}]"], terms, m)
+    return GeneratedFunction(terms, terms, m)
 
 
 def run_check_suite(

@@ -46,7 +46,7 @@ from .dynamics import (
     solve_semispray,
 )
 from .expressions import EvalDomainError, ParseError
-from .systemfile import DEFAULT_DT, SystemFileError, SystemSpec, parse_system_file
+from .systemfile import DEFAULT_DT, SystemFileError, SystemSpec, parse_system_file, read_number
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,7 +64,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def finite(text: str) -> float:
     """argparse type of ``--t1``, ``--dt`` and ``--tol``: an infinite or
     NaN value would make the step count or a threshold meaningless."""
-    value = float(text.encode("ascii"))  # ASCII only; argparse: "invalid finite value"
+    value = read_number(text, float)  # argparse: "invalid finite value"
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
@@ -72,7 +72,7 @@ def finite(text: str) -> float:
 
 def count(text: str) -> int:
     """argparse type of ``--samples`` and ``--seed``: a nonnegative integer."""
-    value = int(text.encode("ascii"))  # ASCII only; argparse: "invalid count value"
+    value = read_number(text, int)  # argparse: "invalid count value"
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
     return value

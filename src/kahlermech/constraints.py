@@ -36,8 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .expressions import (
-    EvalDomainError, GeneratedFunction, as_expr, check_expression, emit, overflow_error,
-)
+    EvalDomainError, GeneratedFunction, as_expr, check_expression, overflow_error)
 from .exterior import OneForm, VectorField, exterior_derivative
 
 RANK_RTOL = 1e-10
@@ -106,8 +105,7 @@ class ConstraintSet:
         entries = [as_expr(c) for f in self.forms for c in f.coefficients]
         entries += [d.entry(p, q) for d in map(exterior_derivative, self.forms)
                     for p in range(n) for q in range(p + 1, n)]
-        body = [f"return [{', '.join(map(emit, entries))}]"]
-        return GeneratedFunction(body, entries, self.m)
+        return GeneratedFunction(entries, entries, self.m)
 
     @cached_property
     def _last_pass(self) -> dict:

@@ -37,14 +37,15 @@ from .expressions import (
     GeneratedFunction,
     Im,
     Mul,
+    Neg,
     Num,
     Re,
+    Sub,
     Sym,
     as_expr,
     check_expression,
     compile_function,
     diff,
-    emit,
     fold,
     make_point,
     shifted,
@@ -121,75 +122,25 @@ def _assert_holomorphic(e: Expr) -> None:
 
 
 def _assembly_body(m, kahler, dL, A, H, B, W, L):
-    """Source lines of a system's assembly function ``(z, w)``, and K's
-    entries: a complex constant, or the source text of its value.
-
-    Every entry is evaluated once.  Arithmetic on constant entries is done
-    here, so the generated code is short to compile; only the sign of a
-    zero can differ from doing it at run time.  The function returns what
-    the solver reads, the row lists (K, S, rhs) and the Lagrangian's
-    value L, where K is Phi_L mirrored from its upper triangle with exact
-    negation (the folded literal of a constant ``kahler`` entry, else 2i
-    times the H entry's value), and
+    """What a system's generated assembly returns, as expression nodes:
+    the rows of K, S and rhs, which the solver reads, and L.  K mirrors
+    Phi_L's upper triangle ``kahler`` with exact negation, and
 
         S = [[K^T - M_E, -W], [W^T, 0]],   rhs = [-dL, 0],
 
     with M_E = [[i A^T, -i H], [i H^T, -i B^T]] the frozen-field energy
-    coefficient (dE_L = M_E xi - dL).
-    """
-    n, r = 2 * m, len(W[0])
-    body: List[str] = []
-
-    # An entry is a complex constant, or the source text of its value.
-    def value(name: str, e: Expr):
-        if isinstance(e, Num):
-            return e.value
-        body.append(f"{name} = {emit(e)}")
-        return name
-
-    def src(x) -> str:
-        return emit(Num(x)) if isinstance(x, complex) else x
-
-    def neg(x):
-        return -x if isinstance(x, complex) else f"-{x}"
-
-    def times(c: complex, x):
-        return c * x if isinstance(x, complex) else f"({src(c)} * {x})"
-
-    def minus(x, y):
-        if isinstance(x, complex) and isinstance(y, complex):
-            return x - y
-        return f"{src(x)} - {src(y)}"
-
-    def table(name: str, entries):
-        return [[value(f"{name}{i}_{j}", e) for j, e in enumerate(row)]
-                for i, row in enumerate(entries)]
-
-    def row(entries) -> str:
-        return "[" + ", ".join(map(src, entries)) + "]"
-
-    def rows(entries) -> str:
-        return "[" + ", ".join(map(row, entries)) + "]"
-
-    d = [value(f"d{p}", e) for p, e in enumerate(dL)]
-    a, h, b, c = table("a", A), table("h", H), table("b", B), table("c", W)
-    upper = [[(e.value if isinstance(e, Num) else times(2j, h[p][q - m])) if p < q else 0j
-              for q, e in enumerate(row)] for p, row in enumerate(kahler)]
-    K = [[upper[i][j] if i <= j else neg(upper[j][i]) for j in range(n)] for i in range(n)]
-    ME = [[times(1j, a[j][i]) if j < m else times(-1j, h[i][j - m]) for j in range(n)]
-          for i in range(m)]
-    ME += [[times(1j, h[j][i]) if j < m else times(-1j, b[j - m][i]) for j in range(n)]
-           for i in range(m)]
-    S = [[minus(K[j][i], ME[i][j]) for j in range(n)] + [neg(x) for x in c[i]]
-         for i in range(n)]
-    S += [[c[j][s] for j in range(n)] + [0j] * r for s in range(r)]
-    lag = src(value("lag", L))
-    return body + [
-        f"K = {rows(K)}",
-        f"S = {rows(S)}",
-        f"rhs = {row([neg(x) for x in d] + [0j] * r)}",
-        f"return K, S, rhs, {lag}",
-    ], K
+    coefficient (dE_L = M_E xi - dL).  The nodes are raw: ``fold``'s laws
+    change zero signs (0 - x is -x, not 0j - x).  A node that blocks share,
+    such as an H entry, :func:`emit` computes once."""
+    n, r, i, minus_i, zero = 2 * m, len(W[0]), Num(1j), Num(-1j), Num(0)
+    K = [[kahler[p][q] if p <= q else Neg(kahler[q][p]) for q in range(n)] for p in range(n)]
+    ME = [[Mul(i, A[q][p]) if q < m else Mul(minus_i, H[p][q - m]) for q in range(n)]
+          for p in range(m)]
+    ME += [[Mul(i, H[q][p]) if q < m else Mul(minus_i, B[q - m][p]) for q in range(n)]
+           for p in range(m)]
+    S = [[Sub(K[q][p], ME[p][q]) for q in range(n)] + [Neg(x) for x in W[p]] for p in range(n)]
+    S += [[W[q][a] for q in range(n)] + [zero] * r for a in range(r)]
+    return [K, S, [Neg(x) for x in dL] + [zero] * r, L]
 
 
 class LagrangianSystem:
@@ -241,15 +192,15 @@ class LagrangianSystem:
         self._W = [[as_expr(omega.coefficients[p]) for omega in constraints] for p in range(2 * m)]
         dL = self._Lz + self._Lw
         blocks = (kahler, [dL], self._A, self._H, self._B, self._W, [[lagrangian]])
-        body, K = _assembly_body(m, kahler, dL, self._A, self._H, self._B, self._W, lagrangian)
+        value = _assembly_body(m, kahler, dL, self._A, self._H, self._B, self._W, lagrangian)
         self._assemble = GeneratedFunction(
-            body, [e for block in blocks for row in block for e in row], m)
+            value, [e for block in blocks for row in block for e in row], m)
         # A constant Phi_L that factors here is not factored per solve; one
         # that fails is left for each solve to report at its state.
-        self._kahler_regular = all(isinstance(x, complex) for row in K for x in row)
+        self._kahler_regular = all(isinstance(e, Num) for row in kahler for e in row)
         if self._kahler_regular:
             try:
-                linalg.lu_factor(K)
+                linalg.lu_factor([[e.evaluate({}) for e in row] for row in value[0]])
             except (linalg.SingularMatrixError, linalg.NonFiniteEntryError):
                 self._kahler_regular = False
 

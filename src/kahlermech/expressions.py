@@ -644,9 +644,13 @@ def walk(e: Expr) -> Iterator[Expr]:
         stack.extend(reversed(node.args))
 
 
-# The most nodes on a root-to-leaf path of an input expression: generated
-# code nests a parenthesis per node, and Python's parser holds 200.
-MAX_DEPTH = 200
+# The most nodes on a root-to-leaf path of an input, and of each tree that
+# generated code computes (see emit).  What still recurses sets it, under
+# Python's default 1000 frames: the parser takes three frames per
+# parenthesis, diff and the tree walker one per level, and a quotient's first
+# derivative, which the build differentiates, is three times as deep.  Inside
+# pytest both the parser and that build stop at 315.
+MAX_DEPTH = 300
 
 
 def check_expression(e: Expr, m: int, what: str) -> None:
@@ -692,52 +696,83 @@ def overflow_error(entries: Sequence[Expr], magnitudes) -> EvalDomainError:
 # ---------------------------------------------------------------------------
 # Compiled evaluation (internal fast path for dynamics, constraints, checks)
 #
-# Each system, constraint set and check run emits one function from these
-# pieces as a GeneratedFunction; on a domain failure it falls back to the
+# Each system, constraint set and check run builds one GeneratedFunction,
+# straight-line code from emit; on a domain failure it falls back to the
 # tree walker through domain_error, which names the offending subtree.
 
 # What generated code raises where the tree walker raises EvalDomainError.
 COMPILED_DOMAIN_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
-# Mixed-sign zeros have no constant expression; generated code reads globals.
-_MIXED_ZEROS = {"-0j": "_zero_negzero", "(-0+0j)": "_negzero_zero"}
-
 
 def _repr_is_exact(v: complex) -> bool:
-    """Whether ``repr(v)`` evaluates back to ``v``: ``(-0-1j)`` is
-    ``-0 - 1j``, whose real part is +0.0."""
-    positive = [math.copysign(1.0, x) > 0 for x in (v.real, v.imag)]
-    return cmath.isfinite(v) and (all(positive) if v.real == 0 else v.imag != 0 or positive[1])
+    """Whether ``repr(v)`` of a finite ``v`` evaluates back to ``v``:
+    ``(-0-1j)`` is ``-0 - 1j``, whose real part is +0.0."""
+    imag_positive = math.copysign(1.0, v.imag) > 0
+    if v.real == 0:
+        return imag_positive and math.copysign(1.0, v.real) > 0
+    return imag_positive or v.imag != 0
 
 
 def _literal(v: complex) -> str:
     """Source for exactly ``v``, signs of zeros included: a constant the
-    compiler folds, except for non-finite values and mixed-sign zeros."""
+    compiler folds where ``repr`` spells it, else a ``complex`` call."""
     if not cmath.isfinite(v):
         return f"complex({str(v)!r})"
     if _repr_is_exact(v):
         return f"({v!r})"
     if _repr_is_exact(-v):
         return f"(-{-v!r})"
-    if v.imag != 0:  # a signed zero real part: 0.0 - |b|j is (0.0, -|b|)
-        return f"(0.0 - {-v.imag!r}j)" if v.imag < 0 else f"(-(0.0 - {v.imag!r}j))"
-    return _MIXED_ZEROS[repr(v)]
+    return f"complex({v.real!r}, {v.imag!r})"  # a zero real part repr cannot sign
 
 
-def emit(e: Expr) -> str:
-    """Python source for ``e`` over the locals z1.., w1...; a literal
-    evaluates to exactly the value of its :class:`Num`."""
-    if isinstance(e, Num):
-        return _literal(e.value)
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Pow):
-        return f"({emit(e.base)} ** {e.exponent})"
-    if isinstance(e, _Binary):
-        return f"({emit(e.left)} {e._symbol} {emit(e.right)})"
-    if isinstance(e, Neg):
-        return f"(-{emit(e.arg)})"
-    return f"_{e.name}({emit(e.arg)})"  # the function's value, bound by compile_function
+def emit(value) -> List[str]:
+    """The body of a function of the locals z1.., w1.. that returns ``value``,
+    an expression or a list of values: one line ``t<k> = a op b`` per distinct
+    operation, in the tree walker's order.  Lines are keyed by their text,
+    never by ``Expr.__eq__``, which equates the zeros of the two signs.  A
+    tree more than :data:`MAX_DEPTH` levels deep is a :class:`ValueError`:
+    the tree walker, which names a domain error here, recurses once per level."""
+    names: Dict[str, str] = {}  # a line's right-hand side -> the name it assigns
+    # id(node) -> the name or literal that holds it, and its height: the
+    # most nodes on a path down from it.
+    tokens: Dict[int, Tuple[str, int]] = {}
+    too_deep = f"a derived expression is nested too deeply (more than {MAX_DEPTH} levels)"
+
+    def token(e: Expr, depth: int) -> Tuple[str, int]:
+        if depth > MAX_DEPTH:  # before the recursion goes any deeper
+            raise ValueError(too_deep)
+        args = e.args
+        if not args:
+            known = tokens[id(e)] = (e.name if isinstance(e, Sym) else _literal(e.value), 1)
+            return known
+        left, height = tokens.get(id(args[0])) or token(args[0], depth + 1)
+        if len(args) == 2:
+            right, other = tokens.get(id(args[1])) or token(args[1], depth + 1)
+            text = f"{left} {e._symbol} {right}"
+            if other > height:
+                height = other
+        elif isinstance(e, Neg):
+            text = f"-{left}"
+        elif isinstance(e, Pow):
+            text = f"{left} ** {e.exponent}"
+        else:  # the function's value, bound by compile_function
+            text = f"_{e.name}({left})"
+        name = names.get(text)
+        if name is None:
+            name = names[text] = f"t{len(names)}"
+        known = tokens[id(e)] = (name, height + 1)
+        return known
+
+    def source(v) -> str:
+        if isinstance(v, list):
+            return "[" + ", ".join(map(source, v)) + "]"
+        name, height = tokens.get(id(v)) or token(v, 1)
+        if height > MAX_DEPTH:  # its longest path, through nodes met before too
+            raise ValueError(too_deep)
+        return name
+
+    result = source(value)
+    return [f"{name} = {text}" for text, name in names.items()] + [f"return {result}"]
 
 
 def compile_function(signature: str, body: List[str], symbols, **names) -> Callable:
@@ -745,22 +780,16 @@ def compile_function(signature: str, body: List[str], symbols, **names) -> Calla
 
     ``signature`` starts with the value tuples ``z, w``; each symbol in
     ``symbols`` is unpacked from them into the local :func:`emit` names.
-    ``names`` are further globals of the generated code.  Source nested
-    too deeply for Python's parser is a :class:`ValueError`.
+    ``names`` are further globals of the generated code.
     """
     unpack = [
         f"{s.name} = {s.kind}[{s.index - 1}]"
         for s in sorted(set(symbols), key=lambda s: (s.kind, s.index))
     ]
     source = "\n    ".join([f"def f({signature}):"] + unpack + body)
-    namespace = dict(__builtins__={}, complex=complex, _zero_negzero=complex(0.0, -0.0),
-                     _negzero_zero=complex(-0.0, 0.0), **names,
+    namespace = dict(__builtins__={}, complex=complex, **names,
                      **{f"_{name}": kind.value for name, kind in _FUNCTIONS.items()})
-    try:
-        code = compile(source, "<generated>", "exec")
-    except SyntaxError as err:  # Python's parser holds 200 nested parentheses
-        raise ValueError(f"expression nested too deeply to compile: {err.msg}") from None
-    exec(code, namespace)
+    exec(compile(source, "<generated>", "exec"), namespace)
     return namespace["f"]
 
 
@@ -771,24 +800,25 @@ def shifted(z, w, h: float, k) -> Tuple[List[complex], List[complex]]:
 
 
 class GeneratedFunction:
-    """Generated code over ``entries``, with the tree walker kept to say
-    why it failed.
+    """Generated code for ``value``, with the tree walker kept over
+    ``entries`` to say why it failed.
 
-    ``body`` is compiled as a function of ``z, w`` (m values each) and uses
-    the entries through :func:`emit`.  Where the code raises one of
-    ``COMPILED_DOMAIN_ERRORS``, :meth:`at` raises instead the tree walker's
-    :class:`EvalDomainError` for the first entry without a finite value;
-    the two agree on every value and every domain error.
+    The code is a function of ``z, w`` (m values each) that returns
+    ``value``, an expression or a list of values, through :func:`emit`.
+    Where it raises one of ``COMPILED_DOMAIN_ERRORS``, :meth:`at` raises
+    instead the tree walker's :class:`EvalDomainError` for the first entry
+    without a finite value; ``value`` is made of the entries, so the two
+    agree on every value and every domain error.
     """
 
-    def __init__(self, body: List[str], entries: Sequence[Expr], m: int):
+    def __init__(self, value, entries: Sequence[Expr], m: int):
         self.entries = tuple(entries)
         symbols = [Sym(kind, i) for kind in "zw" for i in range(1, m + 1)]
         shift = [f"    {s.name} += h * k[{s.index - 1 + m * (s.kind == 'w')}]" for s in symbols]
-        self._call = compile_function("z, w, h=0.0, k=()", ["if k:", *shift, *body], symbols)
+        self._call = compile_function("z, w, h=0.0, k=()", ["if k:", *shift, *emit(value)], symbols)
 
     def at(self, z, w, h: float = 0.0, k=()):
-        """What the body returns at ``(z, w)``, or for a nonempty ``k`` at
+        """The value at ``(z, w)``, or for a nonempty ``k`` at
         :func:`shifted` ``(z, w, h, k)``, which the generated code computes."""
         try:
             return self._call(z, w, h, k)
@@ -796,7 +826,7 @@ class GeneratedFunction:
             raise self.domain_error(*(shifted(z, w, h, k) if k else (z, w))) from None
 
     def values(self, z, w) -> List[complex]:
-        """The entries' values from a body that returns them as one list;
+        """The entries' values, where ``value`` is the list of entries;
         :class:`EvalDomainError` unless every one is finite."""
         values = self.at(z, w)
         # One sum tests them all (an infinite or NaN term never cancels);

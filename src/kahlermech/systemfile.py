@@ -15,6 +15,8 @@ section.  Sections:
 
 Complex literals use the usual ``a+bi`` shape: ``2``, ``-0.5i``, ``1+2i``,
 ``1.5e-2-3i``, with each number an :data:`~kahlermech.expressions.NUMBER`.
+Numeric fields, and the command line's numeric flags, are read by
+:func:`read_number`.  An unknown section is an error at its header.
 """
 
 from __future__ import annotations
@@ -105,9 +107,17 @@ class SystemSpec:
         return ConstraintSet(self.constraint_forms, self.constraint_names)
 
 
+def read_number(text: str, kind: type):
+    """``text`` as ``kind``, int or float: read from its ASCII bytes, since
+    a str takes any Unicode digit, and with no '_' between digits."""
+    if "_" in text:
+        raise ValueError(f"invalid {kind.__name__} literal: {text!r}")
+    return kind(text.encode("ascii"))
+
+
 def _finite_number(key: str, lineno: int, value: str) -> float:
     try:
-        number = float(value.encode("ascii"))  # bytes: a str takes any Unicode digit
+        number = read_number(value, float)
     except ValueError:
         raise SystemFileError(f"{key} must be a number, got {value!r}", lineno) from None
     if not math.isfinite(number):
@@ -117,7 +127,7 @@ def _finite_number(key: str, lineno: int, value: str) -> float:
 
 def _integer(key: str, lineno: int, value: str, least: int) -> int:
     try:
-        number = int(value.encode("ascii"))
+        number = read_number(value, int)
     except ValueError:
         raise SystemFileError(f"{key} must be an integer, got {value!r}", lineno) from None
     if number < least:
@@ -143,14 +153,14 @@ def _split_sections(text: str) -> Dict[str, Dict[str, Tuple[int, str]]]:
             if not line.endswith("]"):
                 raise SystemFileError("unterminated section header", lineno)
             section = line[1:-1].strip().lower()
+            if section not in table:
+                raise SystemFileError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in line:
             raise SystemFileError(f"expected 'key = value', got {line!r}", lineno)
         key, value = map(str.strip, line.split("=", 1))
         if not section:
             raise SystemFileError("key outside any [section]", lineno)
-        if section not in table:
-            raise SystemFileError(f"unknown section [{section}]", lineno)
         if key in table[section]:
             raise SystemFileError(
                 f"duplicate initial coordinate {key!r}" if section == "initial"

@@ -10,7 +10,7 @@ from kahlermech.cli import main
 from kahlermech.dynamics import LagrangianSystem, PhaseState, SingularKahlerMatrix, solve_semispray
 from kahlermech.constraints import sample_points
 from kahlermech.expressions import (
-    Add, Div, Expr, GeneratedFunction, Mul, Num, Sub, Sym, emit, parse_expression,
+    Add, Div, Expr, GeneratedFunction, Mul, Num, Sub, Sym, parse_expression,
 )
 from kahlermech.real_oracle import realify_and_solve
 from check_reference import reference_measurements
@@ -130,7 +130,7 @@ def test_a_state_with_an_undefined_closure_sum_adds_nothing(monkeypatch, second,
     # undefined at the only state walked (samples=0 leaves the initial one).
     # bilinear_pair's two-form has largest entry 2, the closedness scale.
     terms = [Num(0.5), second]
-    generated = GeneratedFunction([f"return [{', '.join(map(emit, terms))}]"], terms, 1)
+    generated = GeneratedFunction(terms, terms, 1)
     monkeypatch.setattr(checks, "_closure_terms", lambda system: generated)
     results = run_check_suite(desksuite.build("bilinear_pair"), PhaseState(0.0, (1.0,), (0.5,)),
                               t1=0.01, dt=0.01, samples=0)

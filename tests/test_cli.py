@@ -12,6 +12,7 @@ import pytest
 
 from kahlermech import cli
 from kahlermech.cli import main
+from kahlermech.expressions import MAX_DEPTH
 import desksuite
 
 BILINEAR = str(desksuite.BY_NAME["bilinear_pair"].system_file())
@@ -484,24 +485,47 @@ def _terms(count):
     return " + ".join(f"{k}*z1*w1" for k in range(1, count + 1))
 
 
+# A sum of n terms k*z1*w1 is n + 2 levels deep.  The last item is what
+# check adds to its command: the shapes accepted only since MAX_DEPTH was
+# raised check a short trajectory, as a full one takes 4-6 s each.
+SHORT = ["--t1", "0.01"]
 DEEP_LAGRANGIANS = {
-    "190 terms": (_terms(190), 0),
-    "250 terms": (_terms(250), 1),
-    "3000 terms": (_terms(3000), 1),
-    "400 parentheses": ("(" * 400 + "z1*w1" + ")" * 400, 1),
+    "190 terms": (_terms(190), 0, []),
+    "250 terms": (_terms(250), 0, SHORT),
+    f"{MAX_DEPTH - 2} terms": (_terms(MAX_DEPTH - 2), 0, SHORT),
+    f"{MAX_DEPTH - 1} terms": (_terms(MAX_DEPTH - 1), 1, []),
+    "3000 terms": (_terms(3000), 1, []),
+    f"{MAX_DEPTH} parentheses": ("(" * MAX_DEPTH + "z1*w1" + ")" * MAX_DEPTH, 0, SHORT),
+    "400 parentheses": ("(" * 400 + "z1*w1" + ")" * 400, 1, []),
+    # 182 levels deep, but its second derivative L_ww is 1074.  Before: exit 2,
+    # a RecursionError while generating code for it.
+    "quotient with deep derivatives":
+        ("z1*w1 + " + "/".join(["z1"] + ["(1 + w1)"] * 179), 1, []),
 }
 
 
 @pytest.mark.parametrize("shape", DEEP_LAGRANGIANS)
 def test_an_expression_nested_too_deeply_is_an_input_error(tmp_path, capsys, shape):
-    lagrangian, code = DEEP_LAGRANGIANS[shape]
+    lagrangian, code, check_args = DEEP_LAGRANGIANS[shape]
     path = tmp_path / "deep.system"
     path.write_text(f"[system]\nm = 1\n\n[lagrangian]\nL = {lagrangian}\n\n"
                     "[initial]\nz1 = 0.5\nw1 = 0.25\n")
-    for command in (["simulate", "--t1", "0.01"], ["check", "--samples", "1"]):
+    for command in (["simulate", "--t1", "0.01"], ["check", "--samples", "1", *check_args]):
         argv = [command[0], "--system", str(path), "--out", str(tmp_path), *command[1:]]
         assert main(argv) == code
         assert ("nested too deeply" in capsys.readouterr().err) == bool(code)
+
+
+def test_a_product_of_a_hundred_factors_simulates(tmp_path, capsys):
+    # Before: exit 1, "expression nested too deeply to compile".  The input
+    # is 100 levels deep, its second derivative L_zz 291.
+    path = tmp_path / "product.system"
+    path.write_text("[system]\nm = 1\n\n[lagrangian]\nL = " + "z1*" * 98 + "w1*w1\n\n"
+                    "[initial]\nz1 = 1\nw1 = 0.5\n")
+    assert main(["simulate", "--system", str(path), "--out", str(tmp_path), "--t1", "0.01"]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "product_summary.json").read_text())
+    assert (summary["status"], summary["samples"]) == ("completed", 11)
 
 
 def test_usage_errors_exit_one():
@@ -549,6 +573,20 @@ def test_non_finite_flag_values_are_usage_errors(tmp_path, capsys, command, flag
 )
 def test_a_numeric_flag_takes_only_ascii_digits(tmp_path, capsys, command, flag, value, kind):
     # Before: int() and float() read any Unicode decimal digit as ASCII.
+    with pytest.raises(SystemExit) as info:
+        main([command, "--system", BILINEAR, "--out", str(tmp_path), flag, value])
+    assert info.value.code == 1
+    assert f"argument {flag}: invalid {kind} value: '{value}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, value, kind", [
+    ("simulate", "--t1", "0_1", "finite"),
+    ("check", "--samples", "1_0", "count"),
+])
+def test_a_numeric_flag_takes_no_digit_separators(tmp_path, capsys, command, flag, value, kind):
+    # Before: int() and float() read '_' between digits, so --t1 0_1 ran to
+    # t1 = 1 and --samples 1_0 sampled 10 states.
     with pytest.raises(SystemExit) as info:
         main([command, "--system", BILINEAR, "--out", str(tmp_path), flag, value])
     assert info.value.code == 1

@@ -149,10 +149,11 @@ def test_parse_error_position_points_at_offender():
 
 
 def test_parse_rejects_parentheses_nested_beyond_the_limit():
-    assert parse_expression("(" * 200 + "z1" + ")" * 200, 1) == Z1
+    limit = expressions.MAX_DEPTH
+    assert parse_expression("(" * limit + "z1" + ")" * limit, 1) == Z1
     with pytest.raises(ParseError, match="nested too deeply") as info:
-        parse_expression("(" * 400 + "z1" + ")" * 400, 1)
-    assert info.value.position == 200
+        parse_expression("(" * (limit + 1) + "z1" + ")" * (limit + 1), 1)
+    assert info.value.position == limit
 
 
 def test_structural_equality_and_hash():
@@ -253,7 +254,7 @@ def test_evaluate_conjugation_family():
 def _compiled(e):
     """The expression as generated code, the way the dynamics layer builds it."""
     symbols = [n for n in walk(e) if isinstance(n, Sym)]
-    return compile_function("z, w", [f"return {emit(e)}"], symbols)
+    return compile_function("z, w", emit(e), symbols)
 
 
 def test_compile_matches_evaluate():
@@ -288,12 +289,51 @@ def test_a_function_kind_is_one_class(monkeypatch):
     assert _compiled(e)((0.5j,), ()) == evaluate(e, point) == cmath.sinh(1 + 0.5j)
 
 
+def _same(a: complex, b: complex) -> bool:
+    """Equal parts with equal signs of zero; NaN matches NaN."""
+    return all(
+        (math.isnan(x) and math.isnan(y)) or (x == y and math.copysign(1, x) == math.copysign(1, y))
+        for x, y in ((a.real, b.real), (a.imag, b.imag))
+    )
+
+
 def test_code_nested_too_deeply_to_compile_is_a_value_error():
+    # Once a ValueError: one parenthesis per tree level passed the 200 that
+    # Python's parser holds.  Generated code is now one line per operation,
+    # so the 250-level chain compiles and agrees with the tree walker.
     e = Z1
     for _ in range(250):
         e = Add(e, W1)
+    z, w = (0.1 + 0.2j,), (-0.3 + 1e-17j,)
+    assert _same(_compiled(e)(z, w), evaluate(e, make_point(z, w)))
+    assert len(emit(e)) == 251
+
+
+def test_generated_code_holds_no_tree_deeper_than_the_limit():
+    # The tree walker, which names a domain error, recurses once per level.
+    e = Z1
+    for _ in range(expressions.MAX_DEPTH - 1):
+        e = Neg(e)
+    assert len(emit(e)) == expressions.MAX_DEPTH
     with pytest.raises(ValueError, match="nested too deeply"):
-        _compiled(e)
+        emit([Z1, Neg(e)])
+
+
+def test_emitted_literals_keep_their_zero_signs_apart():
+    # Num(-0.0) == Num(0.0), so a value table keyed by equality would give
+    # both entries one line and one sign.
+    entries = [Mul(Num(-0.0), Z1), Mul(Num(0.0), Z1)]
+    values = GeneratedFunction(entries, entries, 1).at((1.0,), (0.0,))
+    point = make_point((1.0,), (0.0,))
+    assert [math.copysign(1, v.real) for v in values] == [-1.0, 1.0]
+    assert all(_same(v, e.evaluate(point)) for v, e in zip(values, entries))
+
+
+def test_a_repeated_subtree_is_one_assignment():
+    entries = [Add(Mul(Z1, W1), Num(1)), Sub(Mul(Z1, W1), Z1), Mul(Z1, W1)]
+    lines = emit(entries)
+    assert [line.split(" = ")[-1] for line in lines].count("z1 * w1") == 1
+    assert lines[-1] == "return [t1, t2, t0]"
 
 
 def test_emitted_literals_are_exact_to_the_sign_of_zero():
@@ -326,7 +366,7 @@ def test_compile_raises_domain_error():
 def test_generated_values_are_finite_or_a_named_domain_error():
     huge = Num(complex(1.7e308, 1.7e308))  # finite; its abs() overflows
     entries = [Mul(huge, Z1), Div(Num(1), Z1), Mul(Num(1e308), Z1)]
-    generated = GeneratedFunction([f"return [{', '.join(map(emit, entries))}]"], entries, 1)
+    generated = GeneratedFunction(entries, entries, 1)
     assert generated.values((1.0,), (0.0,)) == [complex(1.7e308, 1.7e308), 1, 1e308]
     with pytest.raises(EvalDomainError, match="division by zero"):
         generated.values((0.0,), (0.0,))

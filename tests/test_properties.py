@@ -306,7 +306,7 @@ def _same(a: complex, b: complex) -> bool:
 @given(_trees, st.lists(_value, min_size=4, max_size=4))
 def test_generated_code_matches_the_tree_walker(e, values):
     z, w = tuple(values[:2]), tuple(values[2:])
-    compiled = compile_function("z, w", [f"return {emit(e)}"], _SYMBOLS)
+    compiled = compile_function("z, w", emit(e), _SYMBOLS)
     try:
         expected = e.evaluate(make_point(z, w))
     except EvalDomainError:

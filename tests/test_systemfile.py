@@ -243,6 +243,37 @@ def test_a_numeric_field_takes_only_ascii_digits(tmp_path, section, key, value, 
     assert info.value.line == header + 2
 
 
+@pytest.mark.parametrize("old, new, message, line", [
+    ("m = 1\n", "m = 0_1\n", "m must be an integer, got '0_1'", 2),
+    ("name = minimal\n", "name = minimal\nseed = 1_0\n", "seed must be an integer, got '1_0'", 4),
+    ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\n[integrator]\nt1 = 1_0\n",
+     "t1 must be a number, got '1_0'", 12),
+    ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\n[tolerances]\ndrift = 1e-1_0\n",
+     "drift must be a number, got '1e-1_0'", 12),
+])
+def test_a_numeric_field_takes_no_digit_separators(tmp_path, old, new, message, line):
+    # int() and float() read '_' between digits: before, t1 = 1_0 read as 10
+    # and drift = 1e-1_0 as 1e-10.
+    body = textwrap.dedent(MINIMAL).replace(old, new)
+    with pytest.raises(SystemFileError) as info:
+        parse_system_file(_write(tmp_path, body))
+    assert str(info.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("header", ["[surprise]", "[integrater]"])
+def test_an_unknown_section_is_rejected_at_its_header(tmp_path, header):
+    # Before, only a key line under it was rejected, so a file that ended
+    # in an unknown header parsed.
+    body = textwrap.dedent(MINIMAL) + f"\n{header}\n"
+    with pytest.raises(SystemFileError) as info:
+        parse_system_file(_write(tmp_path, body))
+    assert str(info.value) == f"line 12: unknown section {header}"
+    body = textwrap.dedent(MINIMAL).replace("[initial]\n", f"{header}\n# no keys\n\n[initial]\n")
+    with pytest.raises(SystemFileError) as info:
+        parse_system_file(_write(tmp_path, body))
+    assert str(info.value) == f"line 8: unknown section {header}"
+
+
 def test_missing_file_raises_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         parse_system_file(tmp_path / "absent.system")
