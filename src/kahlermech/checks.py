@@ -78,11 +78,11 @@ def _closure_terms(system: LagrangianSystem) -> GeneratedFunction:
     m = system.m
     K = system.kahler_form.entries
     x = [coordinate_symbol(p, m) for p in range(2 * m)]
-    terms = [
-        fold(Add, fold(Sub, diff(K[q][r], x[p]), diff(K[p][r], x[q])), diff(K[p][q], x[r]))
-        for p, q, r in itertools.combinations(range(2 * m), 3)
-    ]
-    return GeneratedFunction(terms, terms, m)
+    triples = list(itertools.combinations(range(2 * m), 3))
+    terms = [fold(Add, fold(Sub, diff(K[q][r], x[p]), diff(K[p][r], x[q])), diff(K[p][q], x[r]))
+             for p, q, r in triples]
+    return GeneratedFunction(terms, terms, m, [(f"the closure sum d Phi_L{list(t)}", e)
+                                               for t, e in zip(triples, terms)])
 
 
 def run_check_suite(

@@ -103,9 +103,11 @@ class ConstraintSet:
         (row-major)."""
         n = 2 * self.m
         entries = [as_expr(c) for f in self.forms for c in f.coefficients]
-        entries += [d.entry(p, q) for d in map(exterior_derivative, self.forms)
-                    for p in range(n) for q in range(p + 1, n)]
-        return GeneratedFunction(entries, entries, self.m)
+        named = [(f"d{name}[{p}][{q}]", d.entry(p, q))
+                 for name, d in zip(self.names, map(exterior_derivative, self.forms))
+                 for p in range(n) for q in range(p + 1, n)]
+        entries += [e for _, e in named]
+        return GeneratedFunction(entries, entries, self.m, named)
 
     @cached_property
     def _last_pass(self) -> dict:

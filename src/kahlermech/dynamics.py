@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -193,20 +193,37 @@ class LagrangianSystem:
         dL = self._Lz + self._Lw
         blocks = (kahler, [dL], self._A, self._H, self._B, self._W, [[lagrangian]])
         value = _assembly_body(m, kahler, dL, self._A, self._H, self._B, self._W, lagrangian)
+        # The derivative blocks, by name, for emit's error past MAX_DEPTH.
+        named = [(f"L_{kind}[{i}]", e) for kind, row in (("z", self._Lz), ("w", self._Lw))
+                 for i, e in enumerate(row)]
+        named += [(f"L_{kind}[{i}][{j}]", e)
+                  for kind, block in (("zz", self._A), ("zw", self._H), ("ww", self._B))
+                  for i, row in enumerate(block) for j, e in enumerate(row)]
         self._assemble = GeneratedFunction(
-            value, [e for block in blocks for row in block for e in row], m)
-        # A constant Phi_L that factors here is not factored per solve; one
-        # that fails is left for each solve to report at its state.
-        self._kahler_regular = all(isinstance(e, Num) for row in kahler for e in row)
-        if self._kahler_regular:
+            value, [e for block in blocks for row in block for e in row], m, named)
+        # The elimination kernels of the saddle and of Phi_L.  A constant
+        # Phi_L that is regular is checked here and not per solve (its check
+        # is None); one that fails is left for each solve to report.
+        self._solve_saddle = linalg.kernel(2 * m + len(constraints), True)
+        self._check_kahler = linalg.kernel(2 * m, False)
+        if all(isinstance(e, Num) for row in kahler for e in row):
             try:
-                linalg.lu_factor([[e.evaluate({}) for e in row] for row in value[0]])
+                self._check_kahler([[e.evaluate({}) for e in row] for row in value[0]])
+                self._check_kahler = None
             except (linalg.SingularMatrixError, linalg.NonFiniteEntryError):
-                self._kahler_regular = False
+                pass
 
     @property
     def r(self) -> int:
         return len(self.constraints)
+
+    @cached_property
+    def _blocks(self) -> GeneratedFunction:
+        """The entries of dL, A, H, B and W in generated code, for
+        :func:`_derivative_blocks`."""
+        blocks = ([self._Lz + self._Lw], self._A, self._H, self._B, self._W)
+        entries = [e for block in blocks for row in block for e in row]
+        return GeneratedFunction(entries, entries, self.m)
 
     # -- per-state assembly -------------------------------------------------
 
@@ -228,20 +245,25 @@ class LagrangianSystem:
         return _bookkeeping_kernel(self.m, self.r)(S, rhs, L, vec, state.w)
 
 
-def _walked_blocks(system: LagrangianSystem, state: PhaseState):
-    """(dL, A, H, B, W) at the state as complex arrays, from the tree walker:
-    dL = (L_z, L_w), A = L_zz, H = L_zw, B = L_ww and W the constraint
-    coefficients, one column per form.  A block entry without a value
-    raises the walker's :class:`EvalDomainError`, which names its subtree.
+def _derivative_blocks(system: LagrangianSystem, state: PhaseState):
+    """(dL, A, H, B, W) at the state as complex arrays: dL = (L_z, L_w),
+    A = L_zz, H = L_zw, B = L_ww and W the constraint coefficients, one
+    column per form.  Generated code, compiled on first use, evaluates each
+    node of the blocks once.  Where it fails, the tree walker evaluates the
+    entries in order and raises its :class:`EvalDomainError` for the first
+    without a value, which names its subtree.
     """
     if state.m != system.m:
         raise ValueError("state dimension does not match the system")
-    point = state.point()
-    dL, A, H, B, W = (
-        np.array([[e.evaluate(point) for e in row] for row in block], dtype=complex)
-        for block in ([system._Lz + system._Lw], system._A, system._H, system._B, system._W)
-    )
-    return dL[0], A, H, B, W
+    blocks = system._blocks
+    try:
+        values = blocks.at(state.z, state.w)
+    except EvalDomainError:
+        point = state.point()
+        values = [e.evaluate(point) for e in blocks.entries]
+    m, n, v = system.m, 2 * system.m, np.array(values, dtype=complex)
+    A, H, B = (v[n + k * m * m:n + (k + 1) * m * m].reshape(m, m) for k in range(3))
+    return v[:n], A, H, B, v[n + 3 * m * m:].reshape(n, system.r)
 
 
 @cache
@@ -335,7 +357,7 @@ def energy_differential(system: LagrangianSystem, state: PhaseState, xi: VectorF
     """dE_L at the state with the field components held frozen."""
     if xi.m != system.m:
         raise ValueError("field dimension does not match the system")
-    dL, A, H, B, _ = _walked_blocks(system, state)
+    dL, A, H, B, _ = _derivative_blocks(system, state)
     ME = np.block([[1j * A.T, -1j * H], [1j * H.T, -1j * B.T]])
     coeffs = ME @ np.asarray(xi.components) - dL
     m = system.m
@@ -354,15 +376,16 @@ def _solve(system: LagrangianSystem, K, S, rhs, where) -> List[complex]:
     """The saddle vector of the system's assembly (K, S, rhs); an error,
     among them :class:`EvalDomainError` for a vector that is not finite,
     carries the state that :func:`_state_at` makes of ``where``.  K is not
-    factored again when the system factored its constant Phi_L."""
+    checked again when the system checked its constant Phi_L."""
     try:
         failure = SingularKahlerMatrix
-        if not system._kahler_regular:
-            linalg.lu_factor(K)
+        if system._check_kahler is not None:
+            system._check_kahler(K)
         failure = InconsistentConstraints
-        lu, perm, _ = linalg.lu_factor(S)
-        vec = linalg.lu_solve(lu, perm, rhs)
-        if all(map(cmath.isfinite, vec)):
+        vec = system._solve_saddle(S, rhs)
+        # A finite sum has no infinite or NaN term; only one that overflows
+        # needs the entry-by-entry test.
+        if cmath.isfinite(sum(vec)) or all(map(cmath.isfinite, vec)):
             return vec
     except linalg.SingularMatrixError as err:
         raise failure(_state_at(where), err.condition_estimate) from None
@@ -371,7 +394,7 @@ def _solve(system: LagrangianSystem, K, S, rhs, where) -> List[complex]:
         state, at = _state_at(where), system._assemble
         err = at.domain_error(state.z, state.w) or at.magnitude_error(state.z, state.w)
         err = err or EvalDomainError("non-finite value in the assembled saddle", system.lagrangian)
-    else:  # finite factors can still overflow in back substitution
+    else:  # a finite elimination can still overflow in back substitution
         state = _state_at(where)
         err = EvalDomainError("non-finite value in the solved saddle vector", system.lagrangian)
     err.state = state
@@ -381,7 +404,7 @@ def _solve(system: LagrangianSystem, K, S, rhs, where) -> List[complex]:
 def solve_semispray(system: LagrangianSystem, state: PhaseState) -> SemispraySolution:
     """Solve the constrained equalization problem at one state.
 
-    Phi_L is factored on its own first (a constant one once per system), so
+    Phi_L is checked on its own first (a constant one once per system), so
     that a degenerate Lagrangian is reported as :class:`SingularKahlerMatrix`
     and not as inconsistent constraints.  An infinite or NaN entry of the
     assembled system or of the solved vector raises :class:`EvalDomainError`.
@@ -410,7 +433,7 @@ def el_residual(
         raise ValueError("field dimension does not match the system")
     if len(solution.multipliers) != system.r:
         raise ValueError(f"got {len(solution.multipliers)} multipliers for {system.r} constraints")
-    dL, A, H, B, W = _walked_blocks(system, state)
+    dL, A, H, B, W = _derivative_blocks(system, state)
     xih, xif = np.asarray(solution.xi.hol), np.asarray(solution.xi.fib)
     z_eqs = dL[:m] - 1j * (A @ xih + H @ xif)
     w_eqs = dL[m:] + 1j * (H.T @ xih + B @ xif)
@@ -440,9 +463,10 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
     with the failure time and kind recorded instead of raising.
 
     Each stage is one generated assembly call, which makes the stage shift
-    itself for stages 2-4, plus the LU kernels.  Only a recorded sample
-    builds objects: its :class:`PhaseState` and :class:`SemispraySolution`.
-    A failing stage builds the PhaseState its error carries and records.
+    itself for stages 2-4, plus the system's elimination kernels.  Only a
+    recorded sample builds objects: its :class:`PhaseState` and
+    :class:`SemispraySolution`.  A failing stage builds the PhaseState its
+    error carries and records.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -89,10 +89,11 @@ class Expr:
         return f"{type(self).__name__}({str(self)!r})"
 
     def __str__(self):
-        return self._print()
+        return _printed(self, 0, {})
 
-    # Precedence levels: 1 add/sub, 2 mul/div, 3 pow, 4 atom.
-    def _print(self, prec: int = 0) -> str:
+    # Precedence levels: 1 add/sub, 2 mul/div, 3 pow, 4 atom.  Children
+    # print through _printed, which keeps each text in ``memo``.
+    def _print(self, prec: int, memo: dict) -> str:
         raise NotImplementedError
 
     def evaluate(self, point: Mapping["Sym", complex]) -> complex:
@@ -103,6 +104,16 @@ class Expr:
 
     def contains_symbol(self) -> bool:
         return any(a.contains_symbol() for a in self.args)
+
+
+def _printed(e: Expr, prec: int, memo: dict) -> str:
+    """``e``'s text at precedence ``prec``, made once per node and
+    precedence in one print: a derived tree shares its subtrees."""
+    key = (id(e), prec)
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = e._print(prec, memo)
+    return text
 
 
 def as_expr(value) -> Expr:
@@ -143,7 +154,7 @@ class Num(Expr):
     def _payload(self):
         return (self.value,)
 
-    def _print(self, prec: int = 0) -> str:
+    def _print(self, prec: int, memo: dict) -> str:
         re, im = self.value.real, self.value.imag
         if im == 0.0:
             return _fmt_real_atom(re)[0]
@@ -190,7 +201,7 @@ class Sym(Expr):
     def _payload(self):
         return (self.kind, self.index)
 
-    def _print(self, prec: int = 0) -> str:
+    def _print(self, prec: int, memo: dict) -> str:
         return self.name
 
     def evaluate(self, point):
@@ -222,11 +233,11 @@ class _Binary(Expr):
     def right(self):
         return self.args[1]
 
-    def _print(self, prec: int = 0) -> str:
+    def _print(self, prec: int, memo: dict) -> str:
         # A right child of equal precedence needs parens unless the operator
         # is associative: '-' and '/' are left-associative in the grammar.
-        right = self.right._print(self._prec if self._associative else self._prec + 1)
-        text = f"{self.left._print(self._prec)} {self._symbol} {right}"
+        right = _printed(self.right, self._prec if self._associative else self._prec + 1, memo)
+        text = f"{_printed(self.left, self._prec, memo)} {self._symbol} {right}"
         if prec > self._prec:
             return f"({text})"
         return text
@@ -302,14 +313,14 @@ class Pow(Expr):
     def _payload(self):
         return (self.exponent,)
 
-    def _print(self, prec: int = 0) -> str:
+    def _print(self, prec: int, memo: dict) -> str:
         if self.exponent < 0:
             # The grammar has no signed exponents; render via a division.
-            text = f"1 / {self.base._print(4)}^{-self.exponent}"
+            text = f"1 / {_printed(self.base, 4, memo)}^{-self.exponent}"
             if prec > 2:
                 return f"({text})"
             return text
-        text = f"{self.base._print(4)}^{self.exponent}"
+        text = f"{_printed(self.base, 4, memo)}^{self.exponent}"
         if prec > 3:
             return f"({text})"
         return text
@@ -340,8 +351,8 @@ class _Unary(Expr):
 class Neg(_Unary):
     """Negation; printed as (0 - x) to stay inside the grammar."""
 
-    def _print(self, prec: int = 0) -> str:
-        return f"(0 - {self.arg._print(2)})"
+    def _print(self, prec: int, memo: dict) -> str:
+        return f"(0 - {_printed(self.arg, 2, memo)})"
 
     def evaluate(self, point):
         return -self.arg.evaluate(point)
@@ -368,8 +379,8 @@ class _Function(_Unary):
             cls.name = cls.__name__.lower()
             _FUNCTIONS[cls.name] = cls
 
-    def _print(self, prec: int = 0) -> str:
-        return f"{self.name}({self.arg._print(0)})"
+    def _print(self, prec: int, memo: dict) -> str:
+        return f"{self.name}({_printed(self.arg, 0, memo)})"
 
     def evaluate(self, point):
         v = self.arg.evaluate(point)
@@ -725,22 +736,23 @@ def _literal(v: complex) -> str:
     return f"complex({v.real!r}, {v.imag!r})"  # a zero real part repr cannot sign
 
 
-def emit(value) -> List[str]:
+def emit(value, named: Sequence[Tuple[str, Expr]] = ()) -> List[str]:
     """The body of a function of the locals z1.., w1.. that returns ``value``,
     an expression or a list of values: one line ``t<k> = a op b`` per distinct
     operation, in the tree walker's order.  Lines are keyed by their text,
     never by ``Expr.__eq__``, which equates the zeros of the two signs.  A
     tree more than :data:`MAX_DEPTH` levels deep is a :class:`ValueError`:
-    the tree walker, which names a domain error here, recurses once per level."""
+    the tree walker, which names a domain error here, recurses once per level.
+    The error names the first of the ``named`` (name, subtree of ``value``)
+    pairs, emitted first, that is too deep, else "a derived expression"."""
     names: Dict[str, str] = {}  # a line's right-hand side -> the name it assigns
     # id(node) -> the name or literal that holds it, and its height: the
     # most nodes on a path down from it.
     tokens: Dict[int, Tuple[str, int]] = {}
-    too_deep = f"a derived expression is nested too deeply (more than {MAX_DEPTH} levels)"
 
     def token(e: Expr, depth: int) -> Tuple[str, int]:
-        if depth > MAX_DEPTH:  # before the recursion goes any deeper
-            raise ValueError(too_deep)
+        if depth > MAX_DEPTH:  # recurse no deeper: the root's height check raises
+            return "", depth
         args = e.args
         if not args:
             known = tokens[id(e)] = (e.name if isinstance(e, Sym) else _literal(e.value), 1)
@@ -763,14 +775,16 @@ def emit(value) -> List[str]:
         known = tokens[id(e)] = (name, height + 1)
         return known
 
-    def source(v) -> str:
+    def source(v, what: str = "a derived expression") -> str:
         if isinstance(v, list):
             return "[" + ", ".join(map(source, v)) + "]"
         name, height = tokens.get(id(v)) or token(v, 1)
         if height > MAX_DEPTH:  # its longest path, through nodes met before too
-            raise ValueError(too_deep)
+            raise ValueError(f"{what} is nested too deeply (more than {MAX_DEPTH} levels)")
         return name
 
+    for what, e in named:
+        source(e, what)
     result = source(value)
     return [f"{name} = {text}" for text, name in names.items()] + [f"return {result}"]
 
@@ -808,14 +822,17 @@ class GeneratedFunction:
     Where it raises one of ``COMPILED_DOMAIN_ERRORS``, :meth:`at` raises
     instead the tree walker's :class:`EvalDomainError` for the first entry
     without a finite value; ``value`` is made of the entries, so the two
-    agree on every value and every domain error.
+    agree on every value and every domain error.  ``named`` names the
+    subtrees that :func:`emit` reports when one is too deep.
     """
 
-    def __init__(self, value, entries: Sequence[Expr], m: int):
+    def __init__(self, value, entries: Sequence[Expr], m: int,
+                 named: Sequence[Tuple[str, Expr]] = ()):
         self.entries = tuple(entries)
         symbols = [Sym(kind, i) for kind in "zw" for i in range(1, m + 1)]
         shift = [f"    {s.name} += h * k[{s.index - 1 + m * (s.kind == 'w')}]" for s in symbols]
-        self._call = compile_function("z, w, h=0.0, k=()", ["if k:", *shift, *emit(value)], symbols)
+        body = ["if k:", *shift, *emit(value, named)]
+        self._call = compile_function("z, w, h=0.0, k=()", body, symbols)
 
     def at(self, z, w, h: float = 0.0, k=()):
         """The value at ``(z, w)``, or for a nonempty ``k`` at

@@ -1,11 +1,14 @@
 """Dense complex LU for the semispray saddle systems, in plain Python.
 
 The matrices are 2x2 to 12x12, where numpy's per-call overhead and a
-Python loop's own cost more than the flops, so elimination and
-substitution are generated per size n and compiled once on first use:
-straight-line code, except one loop over the rows below each pivot, which
-keeps the source (and the compile's memory) quadratic in n.  The input is
-only read.  Partial pivoting takes the first row of largest magnitude, as
+Python loop's own cost more than the flops, so the elimination is
+generated per size n and compiled once, as straight-line code over
+locals: :func:`kernel` reads the rows into locals a<i>_<j> and carries the
+right-hand side b<i> through the elimination, so a row swap moves only the
+live columns k..n-1 and b.  Its source is cubic in n (about 1,000 lines
+at n = 12), and so is the compile's memory: 3.5 MB of traced memory at its
+peak for the solve kernel at n = 10, 5.0 MB at n = 12.  The input is only
+read.  Partial pivoting takes the first row of largest magnitude, as
 ``np.argmax`` does.  Two checks are explicit: a pivot below ``PIVOT_RTOL``
 times the largest input entry is a rank deficiency, not a divisor, and an
 infinite or NaN entry is rejected up front (a NaN never compares greater
@@ -19,7 +22,7 @@ from __future__ import annotations
 import cmath
 from functools import cache
 from math import isfinite
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List
 
 from .expressions import compile_function
 
@@ -49,11 +52,22 @@ _OVERFLOW = "magnitude beyond the float range"
 
 
 def _reject_non_finite(values) -> None:
-    """Called when the sum of |values| is not finite: raise unless that was
-    only finite magnitudes overflowing the sum."""
+    """Called when the sum of |values| is not finite: an overflowing
+    magnitude raises OverflowError, else the first infinite or NaN value
+    raises; only finite magnitudes overflowing the sum return."""
+    sum(map(abs, values))
     for v in values:
         if not cmath.isfinite(v):
             raise NonFiniteEntryError(f"non-finite value {v!r}")
+
+
+def _permuted(rhs, pivots) -> List[complex]:
+    """``rhs`` in the row order of an elimination whose step k swapped
+    rows k and ``pivots[k]``."""
+    perm = list(range(len(pivots) + 1))
+    for k, p in enumerate(pivots):
+        perm[k], perm[p] = perm[p], perm[k]
+    return [rhs[p] for p in perm]
 
 
 def _singular(pivot: float, k: int, scale: float) -> None:
@@ -62,92 +76,70 @@ def _singular(pivot: float, k: int, scale: float) -> None:
 
 
 @cache
-def _factor_kernel(n: int) -> Callable:
-    """``f(a, rtol) -> (rows, perm, scale)`` for n x n row lists ``a``.
+def kernel(n: int, solve: bool) -> Callable:
+    """The elimination of an n x n matrix ``a`` (row lists): with ``solve``,
+    ``f(a, rhs) -> x`` for n complex values ``rhs``; without, ``f(a)``,
+    which only checks that ``a`` is regular.
 
-    The entries are read into locals a<i>_<j> (unpacking checks the length
-    of each row) and copied into new row lists r<i>, which a swap trades
-    whole.  Step k reads its pivot row into locals g<j> and updates the rows
-    below in a loop; the rest is unrolled."""
-    def row(i: int) -> str:
-        return "".join(f"a{i}_{j}, " for j in range(n))
+    Errors come in the order of a factorization followed by a
+    substitution: the magnitude scan of ``a`` (:class:`NonFiniteEntryError`),
+    then each step's pivot scan (an overflowing magnitude) and threshold
+    (:class:`SingularMatrixError`), then the right-hand side, whose
+    magnitudes are summed up front and checked after the last step, in the
+    order of the pivot rows p<k>.  A multiplier the elimination skips (a
+    zero in the pivot column) still updates b."""
+    rows = range(n)
 
-    body = [f"{row(i)}= a[{i}]" for i in range(n)] + [
-        f"q = [{', '.join(map(str, range(n)))}]",
-        f"magnitudes = [0.0, {''.join(f'abs(a{i}_{j}), ' for i in range(n) for j in range(n))}]",
+    def names(i: int, k: int) -> List[str]:
+        return [f"a{i}_{j}" for j in range(k, n)] + [f"b{i}"] * solve
+
+    entries = "".join(f"a{i}_{j}, " for i in rows for j in rows)
+    body = [f"{''.join(f'a{i}_{j}, ' for j in rows)}= a[{i}]" for i in rows] + [
+        f"magnitudes = [0.0, *map(abs, ({entries}))]",
         "scale = max(magnitudes)",  # 0.0 first: an empty or all-zero matrix has scale 0.0
         "if not isfinite(sum(magnitudes)):",
-        f"    _reject_non_finite(({''.join(map(row, range(n)))}))",
+        f"    _reject_non_finite(({entries}))",
         "threshold = rtol * scale",
-    ] + [f"r{i} = [{row(i)}]" for i in range(n)]
-    for k in range(n):
-        body += [f"pivot = abs(r{k}[{k}])"] + [f"p = {k}"] * (k + 1 < n)
+    ]
+    if solve:
+        body += [f"[{''.join(f'b{i}, ' for i in rows)}] = rhs", "try:",
+                 f"    finite = isfinite(0.0{''.join(f' + abs(b{i})' for i in rows)})",
+                 "except OverflowError:",  # raised by _reject_non_finite after the matrix's errors
+                 "    finite = False"]
+    for k in rows:
+        body += [f"pivot = abs(a{k}_{k})"] + [f"p{k} = {k}"] * (k + 1 < n)
         for i in range(k + 1, n):
-            body += [f"if (x := abs(r{i}[{k}])) > pivot:", f"    pivot, p = x, {i}"]
+            body += [f"if (x := abs(a{i}_{k})) > pivot:", f"    pivot, p{k} = x, {i}"]
         body += ["if pivot <= threshold or pivot == 0.0:", f"    _singular(pivot, {k}, scale)"]
         for i in range(k + 1, n):
-            body += [f"{'if' if i == k + 1 else 'elif'} p == {i}:",
-                     f"    r{k}, r{i}, q[{k}], q[{i}] = r{i}, r{k}, q[{i}], q[{k}]"]
-        if k + 1 < n:  # a zero in the pivot column needs no elimination
-            body += [f"{''.join(f'g{j}, ' for j in range(k, n))}= r{k}[{k}:]",
-                     f"for r in ({''.join(f'r{i}, ' for i in range(k + 1, n))}):",
-                     f"    if r[{k}]:", f"        f = r[{k}] = r[{k}] / g{k}"]
-            body += [f"        r[{j}] -= f * g{j}" for j in range(k + 1, n)]
-    body.append(f"return [{', '.join(f'r{i}' for i in range(n))}], q, scale")
-    return compile_function("a, rtol", body, (), abs=abs, max=max, sum=sum, isfinite=isfinite,
-                            _reject_non_finite=_reject_non_finite, _singular=_singular)
-
-
-@cache
-def _solve_kernel(n: int) -> Callable:
-    """``f(lu, perm, rhs) -> x``: the right-hand side permuted and checked,
-    then forward and back substitution, unrolled over locals x<i>."""
-    x = [f"x{i}" for i in range(n)]
-    body = [f"x{i} = complex(rhs[perm[{i}]])" for i in range(n)] + [
-        f"if not isfinite({' + '.join(['0.0'] + [f'abs({v})' for v in x])}):",
-        f"    _reject_non_finite(({''.join(f'{v}, ' for v in x)}))",
-    ] + [f"r{k} = lu[{k}]" for k in range(n)]
-    for k in range(1, n):
-        body.append(f"x{k} = x{k}" + "".join(f" - r{k}[{j}] * x{j}" for j in range(k)))
-    for k in range(n - 1, -1, -1):
-        terms = "".join(f" - r{k}[{j}] * x{j}" for j in range(k + 1, n))
-        body.append(f"x{k} = (x{k}{terms}) / r{k}[{k}]")
-    body.append(f"return [{', '.join(x)}]")
-    return compile_function("lu, perm, rhs", body, (), abs=abs, isfinite=isfinite,
-                            _reject_non_finite=_reject_non_finite)
-
-
-def lu_factor(matrix) -> Tuple[List[List[complex]], List[int], float]:
-    """Factor ``matrix`` (row lists or a 2-D array), which is left as it is.
-
-    Returns (LU rows, perm, scale), where ``scale`` is the largest absolute
-    input entry that pivots are compared against.  Raises
-    :class:`NonFiniteEntryError` on an infinite or NaN entry (or a
-    magnitude that overflows) and
-    :class:`SingularMatrixError` on a pivot below ``PIVOT_RTOL * scale``.
-    """
-    a = matrix.tolist() if hasattr(matrix, "tolist") else matrix
-    try:
-        return _factor_kernel(len(a))(a, PIVOT_RTOL)
-    except ValueError:  # a row of the wrong length fails to unpack
-        raise ValueError("matrix must be square") from None
-    except OverflowError:  # abs() of a finite entry beyond the float range
-        raise NonFiniteEntryError(_OVERFLOW) from None
-
-
-def lu_solve(lu: Sequence[Sequence[complex]], perm: Sequence[int], rhs) -> List[complex]:
-    """Solve with a factorization from :func:`lu_factor`.
-
-    Raises :class:`NonFiniteEntryError` on an infinite or NaN ``rhs`` entry,
-    or one whose magnitude overflows.
-    """
-    try:
-        return _solve_kernel(len(perm))(lu, perm, rhs)
-    except OverflowError:  # abs() of a finite entry beyond the float range
-        raise NonFiniteEntryError(_OVERFLOW) from None
+            body += [f"{'if' if i == k + 1 else 'elif'} p{k} == {i}:",
+                     f"    {', '.join(names(k, k) + names(i, k))} = "
+                     f"{', '.join(names(i, k) + names(k, k))}"]
+        for i in range(k + 1, n):  # a zero in the pivot column needs no elimination
+            body += [f"if a{i}_{k}:", f"    a{i}_{k} = a{i}_{k} / a{k}_{k}"]
+            body += [f"    a{i}_{j} -= a{i}_{k} * a{k}_{j}" for j in range(k + 1, n)]
+            body += [f"b{i} -= a{i}_{k} * b{k}"] * solve
+    if solve:
+        pivots = "".join(f"p{k}, " for k in rows[:-1])
+        body += ["if not finite:", f"    _reject_non_finite(_permuted(rhs, ({pivots})))"]
+        for k in reversed(rows):
+            terms = "".join(f" - a{k}_{j} * b{j}" for j in range(k + 1, n))
+            body.append(f"b{k} = (b{k}{terms}) / a{k}_{k}")
+        body.append(f"return [{', '.join(f'b{i}' for i in rows)}]")
+    body = ["try:", *(f"    {line}" for line in body), "except OverflowError:",
+            "    raise NonFiniteEntryError(_OVERFLOW) from None"]
+    return compile_function("a, rhs" if solve else "a", body, (), rtol=PIVOT_RTOL, abs=abs,
+                            map=map, max=max, sum=sum, isfinite=isfinite,
+                            OverflowError=OverflowError, NonFiniteEntryError=NonFiniteEntryError,
+                            _OVERFLOW=_OVERFLOW, _reject_non_finite=_reject_non_finite,
+                            _permuted=_permuted, _singular=_singular)
 
 
 def solve(matrix, rhs) -> List[complex]:
-    """Solve ``matrix @ x = rhs`` with partial pivoting."""
-    lu, perm, _ = lu_factor(matrix)
-    return lu_solve(lu, perm, rhs)
+    """Solve ``matrix @ x = rhs`` (row lists or a 2-D array) with partial
+    pivoting; raises what :func:`kernel` raises."""
+    a = matrix.tolist() if hasattr(matrix, "tolist") else matrix
+    try:
+        return kernel(len(a), True)(a, [complex(rhs[i]) for i in range(len(a))])
+    except ValueError:  # a row of the wrong length fails to unpack
+        raise ValueError("matrix must be square") from None

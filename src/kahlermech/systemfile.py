@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .checks import DEFAULT_THRESHOLDS
 from .constraints import DEFAULT_SEED, ConstraintSet
@@ -35,6 +36,8 @@ from .exterior import OneForm
 
 DEFAULT_T1 = 10.0
 DEFAULT_DT = 1e-3
+# The most missing [initial] coordinates an error names; it counts the rest.
+MISSING_NAMED = 20
 
 KNOWN_TOLERANCES = tuple(DEFAULT_THRESHOLDS)
 
@@ -214,32 +217,26 @@ def parse_system_file(path) -> SystemSpec:
             f"at most 2m-1={2 * m - 1} constraints are allowed", lineno
         )
 
-    z_vals: List[Optional[complex]] = [None] * m
-    w_vals: List[Optional[complex]] = [None] * m
+    initial: Dict[str, complex] = {}
     for key, (lineno, value) in table["initial"].items():
         match = re.fullmatch(r"([zw])(0|[1-9][0-9]*)", key)  # one spelling per coordinate
         if not match:
             raise SystemFileError(f"unknown initial coordinate {key!r}", lineno)
-        kind, index = match.group(1), int(match.group(2))
-        if not 1 <= index <= m:
+        if not 1 <= int(match.group(2)) <= m:
             raise SystemFileError(
                 f"coordinate {key!r} out of range for m={m}", lineno
             )
         try:
-            parsed = parse_complex_literal(value)
+            initial[key] = parse_complex_literal(value)
         except ValueError as err:
             raise SystemFileError(str(err), lineno) from None
-        (z_vals if kind == "z" else w_vals)[index - 1] = parsed
-    missing = [
-        f"{kind}{i + 1}"
-        for kind, vals in (("z", z_vals), ("w", w_vals))
-        for i, v in enumerate(vals)
-        if v is None
-    ]
-    if missing:
-        raise SystemFileError(
-            f"[initial] must assign every coordinate; missing {', '.join(missing)}", 1
-        )
+    unassigned = 2 * m - len(initial)
+    if unassigned:  # named up to a bound: nothing of length m is made before this
+        names = (f"{kind}{i}" for kind in "zw" for i in range(1, m + 1))
+        missing = list(islice((name for name in names if name not in initial), MISSING_NAMED))
+        more = unassigned - len(missing)
+        raise SystemFileError("[initial] must assign every coordinate; missing "
+                              + ", ".join(missing) + (f" and {more} more" if more else ""), 1)
 
     t1, dt = DEFAULT_T1, DEFAULT_DT
     for key, (lineno, value) in table["integrator"].items():
@@ -270,8 +267,8 @@ def parse_system_file(path) -> SystemSpec:
         lagrangian=lagrangian,
         constraint_names=tuple(constraint_names),
         constraint_forms=tuple(constraint_forms),
-        initial_z=tuple(v for v in z_vals),  # type: ignore[misc]
-        initial_w=tuple(v for v in w_vals),  # type: ignore[misc]
+        initial_z=tuple(initial[f"z{i}"] for i in range(1, m + 1)),
+        initial_w=tuple(initial[f"w{i}"] for i in range(1, m + 1)),
         t1=t1,
         dt=dt,
         seed=seed,

@@ -516,6 +516,20 @@ def test_an_expression_nested_too_deeply_is_an_input_error(tmp_path, capsys, sha
         assert ("nested too deeply" in capsys.readouterr().err) == bool(code)
 
 
+def test_a_derivative_nested_too_deeply_is_named(tmp_path, capsys):
+    # Before: "a derived expression is nested too deeply", naming nothing.
+    # L_z of the 182-level quotient is the first derivative block past the limit.
+    path = tmp_path / "deep.system"
+    path.write_text("[system]\nm = 1\n\n[lagrangian]\nL = "
+                    f"{DEEP_LAGRANGIANS['quotient with deep derivatives'][0]}\n\n"
+                    "[initial]\nz1 = 0.5\nw1 = 0.25\n")
+    for command in (["simulate", "--out", str(tmp_path)], ["check", "--out", str(tmp_path)],
+                    ["derive"]):
+        assert main([command[0], "--system", str(path), *command[1:]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: L_z[0] is nested too deeply (more than {MAX_DEPTH} levels)\n")
+
+
 def test_a_product_of_a_hundred_factors_simulates(tmp_path, capsys):
     # Before: exit 1, "expression nested too deeply to compile".  The input
     # is 100 levels deep, its second derivative L_zz 291.

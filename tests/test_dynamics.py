@@ -40,6 +40,7 @@ from kahlermech.expressions import (
     diff,
     evaluate,
     parse_expression,
+    walk,
 )
 from kahlermech.systemfile import parse_system_file
 import desksuite
@@ -469,14 +470,21 @@ def test_a_constant_non_finite_kahler_matrix_still_fails_at_its_first_solve():
                                              ("z1*w1 + z2*z2*w2 + (1/2)*w1^2", 2)])
 def test_a_constant_regular_kahler_matrix_is_factored_once_per_system(monkeypatch, text,
                                                                         per_solve):
-    factor, calls = linalg.lu_factor, []
-    monkeypatch.setattr(linalg, "lu_factor", lambda a: calls.append(a) or factor(a))
+    # per_solve kernel calls per solve: the S solve, and the Phi_L check
+    # unless the build checked a constant Phi_L.
+    kernel, checks, solves = linalg.kernel, [], []
+
+    def counted(n, solve):
+        calls, f = (solves if solve else checks), kernel(n, solve)
+        return lambda *args: calls.append(args) or f(*args)
+
+    monkeypatch.setattr(linalg, "kernel", counted)
     system = _system(text, 2)
-    assert len(calls) == 2 - per_solve  # the build checks a constant Phi_L
-    calls.clear()
+    assert (len(checks), len(solves)) == (2 - per_solve, 0)
+    checks.clear()
     tr = integrate(system, PhaseState(0.0, (1.0, 0.5), (0.5, 0.25)), 0.1, 0.01)
     assert tr.status == "completed" and len(tr.samples) == 11
-    assert len(calls) == per_solve * (4 * 10 + 1)
+    assert (len(checks), len(solves)) == ((per_solve - 1) * (4 * 10 + 1), 4 * 10 + 1)
 
 
 # ------------------------------------------------------------- EL residuals
@@ -608,6 +616,27 @@ def test_library_functions_walk_the_blocks_they_read(monkeypatch, name, expected
         solve_semispray(system, state)
     monkeypatch.setattr(system._assemble, "at", None)
     assert tuple(_read_blocks(name, system, state)) == pytest.approx(expected, abs=1e-15)
+
+
+def test_the_derivative_blocks_come_from_generated_code_equal_to_the_walker(monkeypatch):
+    # The walker only names a domain error: where every block entry has a
+    # value, no node is walked, and the values are the walker's bit for bit.
+    system = _system("z1*z1*z1*w1*w1 + log(z1)*w1^2")
+    state = PhaseState(0.0, (0.5 - 0.25j,), (1.5j,))
+    point = state.point()
+    expected = [np.array([[e.evaluate(point) for e in row] for row in block], dtype=complex)
+                for block in ([system._Lz + system._Lw], system._A, system._H, system._B)]
+    walked = []
+    for cls in {type(node) for e in system._blocks.entries for node in walk(e)}:
+        if "evaluate" in vars(cls):
+            def counted(self, point, _evaluate=vars(cls)["evaluate"]):
+                walked.append(self)
+                return _evaluate(self, point)
+
+            monkeypatch.setattr(cls, "evaluate", counted)
+    dL, A, H, B, W = dynamics._derivative_blocks(system, state)
+    assert walked == [] and W.shape == (2, 0)
+    assert [a.tobytes() for a in (dL[None], A, H, B)] == [a.tobytes() for a in expected]
 
 
 # -------------------------------------------------------------- integration

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import random
 
 import pytest
@@ -317,6 +318,33 @@ def test_generated_code_holds_no_tree_deeper_than_the_limit():
     assert len(emit(e)) == expressions.MAX_DEPTH
     with pytest.raises(ValueError, match="nested too deeply"):
         emit([Z1, Neg(e)])
+
+
+def test_a_tree_too_deep_to_emit_is_named_by_the_first_named_subtree_it_holds():
+    e = Z1
+    for _ in range(expressions.MAX_DEPTH):
+        e = Neg(e)
+    message = f"is nested too deeply (more than {expressions.MAX_DEPTH} levels)"
+    # The first named subtree that is too deep names the error, whether the
+    # depth shows while emitting it or at its root, over the 300 levels of a
+    # subtree emitted before it; else the error names no subtree.
+    for shallow in (Z1, e.arg):
+        named = [("shallow", shallow), ("the deep one", e), ("the deeper one", Neg(e))]
+        with pytest.raises(ValueError, match=f"^the deep one {re.escape(message)}$"):
+            emit([Neg(e), Z1], named)
+    with pytest.raises(ValueError, match=f"^a derived expression {re.escape(message)}$"):
+        emit([Neg(e)], [("shallow", Z1)])
+
+
+def test_printing_makes_the_text_of_a_shared_subtree_once(monkeypatch):
+    e = Z1
+    for _ in range(12):
+        e = Add(e, e)
+    printed, _print = [], expressions.Add._print
+    monkeypatch.setattr(expressions.Add, "_print",
+                        lambda self, prec, memo: printed.append(self) or _print(self, prec, memo))
+    assert str(e) == "z1" + " + z1" * 4095
+    assert len(printed) == 12  # once per Add node: each is printed at one precedence
 
 
 def test_emitted_literals_keep_their_zero_signs_apart():

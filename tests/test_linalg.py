@@ -6,8 +6,7 @@ import pytest
 from kahlermech.linalg import (
     NonFiniteEntryError,
     SingularMatrixError,
-    lu_factor,
-    lu_solve,
+    kernel,
     solve,
 )
 
@@ -20,14 +19,6 @@ def test_solve_matches_reference_on_random_complex_systems():
         b = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
         x = solve(A, b)
         assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-10
-
-
-def test_factorization_can_be_reused():
-    A = np.array([[2.0, 1.0j], [-1.0j, 3.0]])
-    lu, perm, _scale = lu_factor(A)
-    for b in (np.array([1.0, 0.0]), np.array([0.0, 1.0 + 1.0j])):
-        x = lu_solve(lu, perm, b)
-        assert np.max(np.abs(A @ x - b)) < 1e-13
 
 
 def test_partial_pivoting_survives_zero_leading_entry():
@@ -44,7 +35,7 @@ def test_singular_matrix_is_rejected():
         info.value.condition_estimate
     )
     with pytest.raises(SingularMatrixError):
-        lu_factor(np.zeros((3, 3), dtype=complex))
+        kernel(3, False)(np.zeros((3, 3), dtype=complex).tolist())
 
 
 def test_near_singular_matrix_is_rejected_relative_to_scale():
@@ -69,23 +60,23 @@ def test_non_finite_entries_are_rejected(bad):
     # The bad entry sits after a larger one, where a max() would skip a NaN.
     A = np.array([[4.0, 1.0], [bad, 2.0]], dtype=complex)
     with pytest.raises(NonFiniteEntryError):
-        lu_factor(A)
-    lu, perm, _ = lu_factor(np.eye(2, dtype=complex))
+        kernel(2, False)(A.tolist())
     with pytest.raises(NonFiniteEntryError):
-        lu_solve(lu, perm, np.array([1.0, bad], dtype=complex))
+        solve(A, np.ones(2, dtype=complex))
+    with pytest.raises(NonFiniteEntryError):
+        solve(np.eye(2, dtype=complex), np.array([1.0, bad], dtype=complex))
 
 
 def test_finite_entries_whose_magnitude_overflows_are_rejected():
     # |1.7e308 (1 + i)| is beyond the float range: abs() raises OverflowError.
     huge = 1.7e308 * (1 + 1j)
     with pytest.raises(NonFiniteEntryError, match="magnitude beyond the float range"):
-        lu_factor(np.array([[1.0, 0.0], [huge, 2.0]], dtype=complex))
+        kernel(2, False)([[1.0, 0.0], [huge, 2.0]])
     # Entries that fit, but elimination makes one that does not.
     with pytest.raises(NonFiniteEntryError, match="magnitude beyond the float range"):
-        lu_factor(np.array([[1.5e308, 1.5e308], [-1.5e308, 1.5e308j]], dtype=complex))
-    lu, perm, _ = lu_factor(np.eye(2, dtype=complex))
+        kernel(2, False)([[1.5e308, 1.5e308], [-1.5e308, 1.5e308j]])
     with pytest.raises(NonFiniteEntryError, match="magnitude beyond the float range"):
-        lu_solve(lu, perm, np.array([1.0, huge], dtype=complex))
+        solve(np.eye(2, dtype=complex), np.array([1.0, huge], dtype=complex))
 
 
 def test_finite_entries_whose_magnitudes_overflow_a_sum_still_factor():
@@ -95,8 +86,25 @@ def test_finite_entries_whose_magnitudes_overflow_a_sum_still_factor():
 
 
 def test_first_maximal_pivot_wins_like_argmax():
-    # Rows 1 and 2 tie in the first column; the first of them is chosen.
-    A = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 1.0], [-2.0, 1.0, 0.0]], dtype=complex)
-    _, perm, scale = lu_factor(A)
-    assert perm[0] == 1
-    assert scale == 2.0
+    # Rows 1 and 2 tie in the first column.  Either as the first pivot row
+    # gives the same solution but for the sign of a zero, so swapping the
+    # two rows shows that the first of them is chosen.
+    A = np.array([[0.0, 0.0, 1.0], [2.0, 0.0, 0.0], [-2.0, 1.0, 0.0]], dtype=complex)
+    b = np.array([1.0, 2.0, 3.0], dtype=complex)
+    assert repr(solve(A, b)) == "[(1+0j), (5+0j), (1+0j)]"
+    assert repr(solve(A[[0, 2, 1]], b[[0, 2, 1]])) == "[(1-0j), (5+0j), (1+0j)]"
+
+
+def test_a_singular_matrix_is_reported_before_a_bad_right_hand_side():
+    # The check of the right-hand side comes after the last elimination step.
+    with pytest.raises(SingularMatrixError, match="at elimination step 1") as info:
+        solve([[1.0, 2.0], [2.0, 4.0]], [float("nan"), 1.0])
+    assert info.value.condition_estimate == float("inf")
+
+
+def test_a_bad_right_hand_side_is_named_in_pivot_order():
+    # Step 0 swaps the rows, so the infinite entry comes first.
+    with pytest.raises(NonFiniteEntryError, match=r"non-finite value \(inf\+0j\)"):
+        solve([[0.0, 1.0], [1.0, 0.0]], [float("nan"), float("inf")])
+    with pytest.raises(NonFiniteEntryError, match=r"non-finite value \(nan\+0j\)"):
+        solve([[1.0, 0.0], [0.0, 1.0]], [float("nan"), float("inf")])

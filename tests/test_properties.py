@@ -115,16 +115,20 @@ def test_solve_rejects_a_repeated_row_times_a_scalar(A):
         linalg.solve(A, np.ones(A.shape[0], dtype=complex))
 
 
-# ---------------------------------------- generated LU kernels vs the loops
+# --------------------------------- generated elimination kernels vs the loops
 
 _LU_ZEROS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
 _LU_SPECIAL = [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 1.0),
                1.7e308 * (1 + 1j), 1.5e308 + 0j]
+_LU_KINDS = ["regular", "sparse", "ties", "zero_column", "deficient", "near", "threshold",
+             "tiny", "special", "deficient_bad_rhs"]
 
 
 def _lu_case(rng, n, kind):
     """A complex n x n matrix and rhs of one kind, as row lists.  Entries are
-    Gaussian multiples of 1/8, so ties and exact zeros are common."""
+    Gaussian multiples of 1/8, so ties and exact zeros are common.  A quarter
+    of the right-hand sides of every kind get up to two infinite, NaN or
+    overflowing entries, which a solve checks in its pivot order."""
     A = (rng.integers(-8, 9, (n, n)) + 1j * rng.integers(-8, 9, (n, n))) / 8.0
     b = (rng.integers(-8, 9, n) + 1j * rng.integers(-8, 9, n)) / 8.0
     if kind == "sparse":  # signed zeros that a skipped row must keep
@@ -133,7 +137,10 @@ def _lu_case(rng, n, kind):
         b[rng.random(n) < 0.4] = complex(-0.0, -0.0)
     elif kind == "ties":
         A = np.array([[1, -1, 1j, -1j][k] for k in rng.integers(0, 4, n * n)]).reshape(n, n)
-    elif kind in ("deficient", "near") and n > 1:
+    elif kind == "zero_column":  # signed zeros in the first column, all of it in half the cases
+        rows = rng.random(n) < (1.0 if rng.random() < 0.5 else 0.7)
+        A[rows, 0] = [_LU_ZEROS[k] for k in rng.integers(0, 4, rows.sum())]
+    elif kind in ("deficient", "near", "deficient_bad_rhs") and n > 1:
         i, j = rng.choice(n, 2, replace=False)
         A[j] = 0.5j * A[i]
         if kind == "near":  # a last pivot around PIVOT_RTOL times the scale
@@ -150,6 +157,9 @@ def _lu_case(rng, n, kind):
             target = A if rng.random() < 0.7 else b[None]
             index = tuple(rng.integers(0, s) for s in target.shape)
             target[index] = _LU_SPECIAL[rng.integers(0, len(_LU_SPECIAL))]
+    if kind == "deficient_bad_rhs" or rng.random() < 0.25:
+        for i in rng.choice(n, min(n, 2), replace=False):
+            b[i] = _LU_SPECIAL[rng.integers(0, len(_LU_SPECIAL))]
     return A.tolist(), b.tolist()
 
 
@@ -163,25 +173,28 @@ def _lu_outcome(f, *args):
         return ("non-finite", str(err))
 
 
+def _reference_solve(A, b):
+    lu, perm, _ = reference_lu_factor(A)
+    return reference_lu_solve(lu, perm, b)
+
+
 @pytest.mark.parametrize("n", range(1, 25))
 @settings(max_examples=6, deadline=None, database=None, derandomize=True)
-@given(st.lists(st.sampled_from(["regular", "sparse", "ties", "deficient", "near",
-                                 "threshold", "tiny", "special"]), min_size=1, max_size=4),
-       st.integers(0, 2**32 - 1))
-def test_generated_lu_kernels_equal_the_loop_reference_bitwise(n, kinds, seed):
+@given(st.integers(0, 2**32 - 1))
+def test_generated_lu_kernels_equal_the_loop_reference_bitwise(n, seed):
+    # Both uses of the kernel of each size, on every kind at 6 seeds: a
+    # check is the loop factorization's error or None, and a solve is the
+    # loop factorization then substitution, error or vector, bit for bit.
     rng = np.random.default_rng(seed)
-    for kind in kinds:
+    for kind in _LU_KINDS:
         A, b = _lu_case(rng, n, kind)
         before = repr((A, b))
-        factored = _lu_outcome(linalg.lu_factor, A)
-        assert factored == _lu_outcome(reference_lu_factor, A)
-        assert _lu_outcome(linalg.lu_factor, np.array(A)) == factored
-        if isinstance(factored, str):
-            lu, perm, _ = reference_lu_factor(A)
-            lu_before = repr((lu, perm))
-            assert _lu_outcome(linalg.lu_solve, lu, perm, b) == _lu_outcome(
-                reference_lu_solve, lu, perm, b)
-            assert repr((lu, perm)) == lu_before
+        factored = _lu_outcome(reference_lu_factor, A)
+        checked = _lu_outcome(linalg.kernel(n, False), A)
+        assert checked == (repr(None) if isinstance(factored, str) else factored)
+        solved = _lu_outcome(linalg.kernel(n, True), A, b)
+        assert solved == _lu_outcome(_reference_solve, A, b)
+        assert _lu_outcome(linalg.solve, np.array(A), np.array(b)) == solved
         assert repr((A, b)) == before
 
 

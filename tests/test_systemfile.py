@@ -337,3 +337,20 @@ def test_each_validation_error_names_its_line(tmp_path, old, new, message, line)
         parse_system_file(_write(tmp_path, body))
     assert str(info.value) == f"line {line}: {message}"
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("m, initial, missing", [
+    (1, "z1 = 1\n", "w1"),
+    (3, "z1 = 1\nw2 = 0\n", "z2, z3, w1, w3"),
+    (10, "", ", ".join(f"{kind}{i}" for kind in "zw" for i in range(1, 11))),
+    # Past 20 missing coordinates the rest are counted, so a huge m fails
+    # fast: before, m = 10**9 made two lists of a billion entries.
+    (11, "", ", ".join([f"z{i}" for i in range(1, 12)] + [f"w{i}" for i in range(1, 10)])
+     + " and 2 more"),
+    (10**9, "z1 = 1\nw1 = 0\n", ", ".join(f"z{i}" for i in range(2, 22)) + " and 1999999978 more"),
+], ids=["m=1", "m=3", "m=10", "m=11", "m=10**9"])
+def test_the_missing_initial_coordinates_are_named_up_to_a_bound(tmp_path, m, initial, missing):
+    body = f"[system]\nm = {m}\n\n[lagrangian]\nL = z1*w1\n\n[initial]\n{initial}"
+    with pytest.raises(SystemFileError) as info:
+        parse_system_file(_write(tmp_path, body))
+    assert str(info.value) == f"line 1: [initial] must assign every coordinate; missing {missing}"
