@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -96,34 +97,23 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _csv_header(m: int, r: int) -> List[str]:
-    names = ["t"]
-    for i in range(1, m + 1):
-        names += [f"z{i}_re", f"z{i}_im"]
-    for i in range(1, m + 1):
-        names += [f"w{i}_re", f"w{i}_im"]
-    for a in range(1, r + 1):
-        names += [f"lambda{a}_re", f"lambda{a}_im"]
-    names += ["E_re", "E_im", "residual_symplectic"]
-    for a in range(1, r + 1):
-        names += [f"omega{a}_residual"]
-    names += ["semispray_defect"]
-    return names
+    """The CSV columns, in the order of :func:`_trajectory_rows`."""
+    parts = [f"{kind}{i}" for kind in "zw" for i in range(1, m + 1)]
+    parts += [f"lambda{a}" for a in range(1, r + 1)]
+    return (["t", *(f"{x}_{part}" for x in parts for part in ("re", "im")),
+             "E_re", "E_im", "residual_symplectic",
+             *(f"omega{a}_residual" for a in range(1, r + 1)), "semispray_defect"])
 
 
 def _trajectory_rows(trajectory: Trajectory) -> List[List[float]]:
     rows = []
-    for sample in trajectory.samples:
-        state, sol = sample.state, sample.solution
-        row = [state.t]
-        for c in state.z:
+    for t, z, w, vec, (symplectic, _, defect, per_form), energy in zip(
+            trajectory.times, trajectory.z, trajectory.w, trajectory.vectors,
+            trajectory.bookkeeping, trajectory.energies):
+        row = [t]
+        for c in (*z, *w, *vec[2 * len(z):]):  # the multipliers follow the field
             row += [c.real, c.imag]
-        for c in state.w:
-            row += [c.real, c.imag]
-        for lam in sol.multipliers:
-            row += [lam.real, lam.imag]
-        row += [sample.energy.real, sample.energy.imag, sol.residual_symplectic]
-        row += sol.constraint_residuals
-        row += [sol.semispray_defect]
+        row += [energy.real, energy.imag, symplectic, *per_form, defect]
         rows.append([float(v) for v in row])
     return rows
 
@@ -176,7 +166,7 @@ def cmd_simulate(args) -> int:
         "max_symplectic_residual": report.max_symplectic_residual,
         "max_semispray_defect": report.max_semispray_defect,
         "energy_initial": (
-            _complex_json(trajectory.samples[0].energy) if trajectory.samples else None
+            _complex_json(trajectory.energies[0]) if trajectory.energies else None
         ),
     }
     _write_json(out / f"{spec.name}_summary.json", summary)
@@ -272,16 +262,7 @@ def cmd_check(args) -> int:
             "defaults": _defaults_block(),
             "system": {"name": spec.name, "m": spec.m, "r": spec.r},
             "parameters": {"t1": t1, "dt": dt, "samples": samples, "seed": seed},
-            "checks": [
-                {
-                    "name": r.name,
-                    "measured": r.measured,
-                    "threshold": r.threshold,
-                    "passed": r.passed,
-                    "note": r.note,
-                }
-                for r in results
-            ],
+            "checks": [asdict(r) for r in results],  # name, measured, threshold, passed, note
             "all_passed": all(r.passed for r in results),
         },
     )
@@ -335,26 +316,16 @@ def cmd_derive(args) -> int:
     print()
 
     print("residual expressions (time derivative expanded along the field):")
-    for j in range(m):
-        dt_terms = " + ".join(
-            f"({system._A[j][i]})*xi{i + 1} + ({system._H[j][i]})*xibar{i + 1}"
-            for i in range(m)
-        )
-        lam_terms = "".join(
-            f" - ({system.constraints[a].coefficients[j]})*lambda{a + 1}"
-            for a in range(r)
-        )
-        print(f"  z{j + 1}: ({system._Lz[j]}) - i*({dt_terms}){lam_terms}")
-    for j in range(m):
-        dt_terms = " + ".join(
-            f"({system._H[i][j]})*xi{i + 1} + ({system._B[j][i]})*xibar{i + 1}"
-            for i in range(m)
-        )
-        lam_terms = "".join(
-            f" - ({system.constraints[a].coefficients[m + j]})*lambda{a + 1}"
-            for a in range(r)
-        )
-        print(f"  w{j + 1}: ({system._Lw[j]}) + i*({dt_terms}){lam_terms}")
+    # z rows: L_z - i (A xi + H xibar); w rows: L_w + i (H^T xi + B xibar).
+    H_T = [list(column) for column in zip(*system._H)]
+    for offset, (kind, sign, first, hol, fib) in enumerate(
+            (("z", "-", system._Lz, system._A, system._H), ("w", "+", system._Lw, H_T, system._B))):
+        for j in range(m):
+            dt_terms = " + ".join(f"({hol[j][i]})*xi{i + 1} + ({fib[j][i]})*xibar{i + 1}"
+                                  for i in range(m))
+            lam_terms = "".join(f" - ({system.constraints[a].coefficients[offset * m + j]})"
+                                f"*lambda{a + 1}" for a in range(r))
+            print(f"  {kind}{j + 1}: ({first[j]}) {sign} i*({dt_terms}){lam_terms}")
     print()
     print("pointwise residuals: "
           f"symplectic {sol.residual_symplectic:.3e}, "

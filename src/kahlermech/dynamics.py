@@ -48,7 +48,6 @@ from .expressions import (
     diff,
     fold,
     make_point,
-    shifted,
     simplify,
     walk,
 )
@@ -242,7 +241,7 @@ class LagrangianSystem:
         """Field, multipliers and bookkeeping from a solved saddle vector in
         one generated call: the residuals of the saddle rows S @ vec = rhs,
         and E_L from rhs and L (the Lagrangian's value)."""
-        return _bookkeeping_kernel(self.m, self.r)(S, rhs, L, vec, state.w)
+        return _solution(self.m, vec, *_bookkeeping_kernel(self.m, self.r)(S, rhs, L, vec, state.w))
 
 
 def _derivative_blocks(system: LagrangianSystem, state: PhaseState):
@@ -268,7 +267,8 @@ def _derivative_blocks(system: LagrangianSystem, state: PhaseState):
 
 @cache
 def _bookkeeping_kernel(m: int, r: int) -> Callable:
-    """``f(S, rhs, L, vec, w) -> SemispraySolution`` for a saddle of width
+    """``f(S, rhs, L, vec, w) -> ((residual_symplectic, residual_constraints,
+    semispray_defect, constraint_residuals), energy)`` for a saddle of width
     2m + r, with ``w`` the state's velocities, generated once per shape.
     Each dot product is a running sum from 0j in column order, and a
     maximum takes a later term only when it compares greater, as ``max``
@@ -292,10 +292,8 @@ def _bookkeeping_kernel(m: int, r: int) -> Callable:
             *maximum("symplectic", *(f"abs({dot(i, width)} - b{i})" for i in range(n))),
             *maximum("constraint", *([f"p{a}" for a in range(r)] or ["0.0"])),
             *maximum("defect", *(f"abs(v{i} - w{i})" for i in range(m))),
-            f"return _solution(_field({group('v', 0, m)}, {group('v', m, n)}), {group('v', n)},"
-            f" symplectic, constraint, defect, {group('p', 0, r)}, (0j{energy}) - L)"]
-    return compile_function("S, rhs, L, vec, w", body, (), abs=abs,
-                            _solution=SemispraySolution, _field=VectorField)
+            f"return (symplectic, constraint, defect, {group('p', 0, r)}), (0j{energy}) - L"]
+    return compile_function("S, rhs, L, vec, w", body, (), abs=abs)
 
 
 @dataclass(frozen=True)
@@ -318,6 +316,13 @@ class SemispraySolution:
     energy: Optional[complex] = None
 
 
+def _solution(m: int, vec, book, energy) -> SemispraySolution:
+    """The solution of saddle vector ``vec`` with its bookkeeping ``book``
+    and ``energy``, as :func:`_bookkeeping_kernel` returns them."""
+    return SemispraySolution(VectorField(tuple(vec[:m]), tuple(vec[m:2 * m])), tuple(vec[2 * m:]),
+                             *book, energy)
+
+
 @dataclass(frozen=True)
 class TrajectorySample:
     state: PhaseState
@@ -327,11 +332,27 @@ class TrajectorySample:
 
 @dataclass
 class Trajectory:
-    samples: List[TrajectorySample]
+    """An integrated trajectory in columns, one entry per sample: times,
+    positions z, velocities w, stage-one saddle vectors (field, then
+    multipliers), their bookkeeping and energies as :func:`_bookkeeping_kernel`
+    returns them.  ``samples`` builds the per-sample objects on first read."""
+
+    times: List[float]
+    z: List[Tuple[complex, ...]]
+    w: List[Tuple[complex, ...]]
+    vectors: List[List[complex]]
+    bookkeeping: List[tuple]
+    energies: List[complex]
     dt: float
     status: str  # "completed" | "solver_failure" | "non_finite"
     failure_time: Optional[float] = None
     failure_kind: Optional[str] = None
+
+    @cached_property
+    def samples(self) -> List[TrajectorySample]:
+        return [TrajectorySample(PhaseState(t, z, w), _solution(len(z), vec, book, energy), energy)
+                for t, z, w, vec, book, energy in zip(self.times, self.z, self.w, self.vectors,
+                                                      self.bookkeeping, self.energies)]
 
 
 @dataclass(frozen=True)
@@ -364,19 +385,11 @@ def energy_differential(system: LagrangianSystem, state: PhaseState, xi: VectorF
     return OneForm(tuple(coeffs[:m]), tuple(coeffs[m:]))
 
 
-def _state_at(where) -> PhaseState:
-    """A state as it is, or the state of an RK stage ``(t, z, w, h, k)``."""
-    if isinstance(where, PhaseState):
-        return where
-    t, z, w, h, k = where
-    return PhaseState(t + h, *shifted(z, w, h, k))
-
-
-def _solve(system: LagrangianSystem, K, S, rhs, where) -> List[complex]:
-    """The saddle vector of the system's assembly (K, S, rhs); an error,
-    among them :class:`EvalDomainError` for a vector that is not finite,
-    carries the state that :func:`_state_at` makes of ``where``.  K is not
-    checked again when the system checked its constant Phi_L."""
+def _solve(system: LagrangianSystem, K, S, rhs, state: PhaseState) -> List[complex]:
+    """The saddle vector of the system's assembly (K, S, rhs) at the state;
+    an error, among them :class:`EvalDomainError` for a vector that is not
+    finite, carries the state.  K is not checked again when the system
+    checked its constant Phi_L."""
     try:
         failure = SingularKahlerMatrix
         if system._check_kahler is not None:
@@ -388,14 +401,13 @@ def _solve(system: LagrangianSystem, K, S, rhs, where) -> List[complex]:
         if cmath.isfinite(sum(vec)) or all(map(cmath.isfinite, vec)):
             return vec
     except linalg.SingularMatrixError as err:
-        raise failure(_state_at(where), err.condition_estimate) from None
+        raise failure(state, err.condition_estimate) from None
     except linalg.NonFiniteEntryError:
         # Finite entries can still overflow where the saddle combines them.
-        state, at = _state_at(where), system._assemble
+        at = system._assemble
         err = at.domain_error(state.z, state.w) or at.magnitude_error(state.z, state.w)
         err = err or EvalDomainError("non-finite value in the assembled saddle", system.lagrangian)
     else:  # a finite elimination can still overflow in back substitution
-        state = _state_at(where)
         err = EvalDomainError("non-finite value in the solved saddle vector", system.lagrangian)
     err.state = state
     raise err from None
@@ -443,14 +455,29 @@ def el_residual(
 
 def _stage(system: LagrangianSystem, t: float, z, w, h: float, k) -> List[complex]:
     """The saddle vector at the RK stage state (t + h, z + h k_z, w + h k_w),
-    where ``k`` holds k_z then k_w; the generated assembly makes the shift.
+    where ``k`` holds k_z then k_w, shifted as the generated assembly shifts.
     An error carries the stage state."""
+    state = PhaseState(t + h, [x + h * v for x, v in zip(z, k)],
+                       [x + h * v for x, v in zip(w, k[len(z):])])
+    K, S, rhs, _ = system._blocks_at(state)
+    return _solve(system, K, S, rhs, state)
+
+
+def _checked_step(system: LagrangianSystem, t: float, z, w, dt: float, last: bool):
+    """A step of :func:`integrate` on the path that names every error:
+    stage one as :func:`solve_semispray` solves it, then stages 2-4 through
+    :func:`_stage` unless ``last``.  Returns stage one's bookkeeping (None
+    if it failed), the vectors solved, and the first typed error or None."""
+    state, kept, vectors = PhaseState(t, z, w), None, []
     try:
-        K, S, rhs, _ = system._assemble.at(z, w, h, k)
-    except EvalDomainError as err:
-        err.state = _state_at((t, z, w, h, k))
-        raise
-    return _solve(system, K, S, rhs, (t, z, w, h, k))
+        K, S, rhs, L = system._blocks_at(state)
+        vectors.append(_solve(system, K, S, rhs, state))
+        kept = _bookkeeping_kernel(system.m, system.r)(S, rhs, L, vectors[0], w)
+        for h in () if last else (dt / 2, dt / 2, dt):
+            vectors.append(_stage(system, t, z, w, h, vectors[-1]))
+    except (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError) as err:
+        return kept, vectors, err
+    return kept, vectors, None
 
 
 def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) -> Trajectory:
@@ -462,11 +489,12 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
     solver failure or a non-finite state the partial trajectory is returned
     with the failure time and kind recorded instead of raising.
 
-    Each stage is one generated assembly call, which makes the stage shift
-    itself for stages 2-4, plus the system's elimination kernels.  Only a
-    recorded sample builds objects: its :class:`PhaseState` and
-    :class:`SemispraySolution`.  A failing stage builds the PhaseState its
-    error carries and records.
+    Each stage calls the compiled assembly, which makes the stage shift,
+    and the kernels directly; stage one's bookkeeping fills the columns.
+    These calls name no error: a step where one raises, or a saddle vector
+    does not sum to a finite value, is run again by :func:`_checked_step`,
+    which names it (its stage state's time is recorded) or returns bitwise
+    the same vectors.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -475,49 +503,51 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
     if not math.isfinite(t1 / dt):
         raise ValueError(f"t1/dt must be a finite step count, got t1={t1:g}, dt={dt:g}")
     n_steps = int(math.floor(t1 / dt + 1e-9))
-    samples: List[TrajectorySample] = []
-    state = s0
-    m, sixth = system.m, dt / 6.0
+    m, half, sixth = system.m, dt / 2, dt / 6.0
+    assemble, check, solve = system._assemble._call, system._check_kahler, system._solve_saddle
+    bookkeep, isfinite = _bookkeeping_kernel(m, system.r), cmath.isfinite
+    columns = [], [], [], [], [], []  # the Trajectory columns, in field order
+    t, zw = s0.t, [*s0.z, *s0.w]
     for step in range(n_steps + 1):
-        if not state.is_finite():
-            return Trajectory(samples, dt, "non_finite", state.t, "NonFiniteState")
-        t, z, w = state.t, state.z, state.w
+        if not all(map(isfinite, zw)):
+            return Trajectory(*columns, dt, "non_finite", t, "NonFiniteState")
+        z, w, last, err = tuple(zw[:m]), tuple(zw[m:]), step == n_steps, None
         try:
-            sol = solve_semispray(system, state)
-            samples.append(TrajectorySample(state, sol, sol.energy))
-            if step == n_steps:
-                break
-            k1 = sol.xi.hol + sol.xi.fib
-            k2 = _stage(system, t, z, w, dt / 2, k1)
-            k3 = _stage(system, t, z, w, dt / 2, k2)
-            k4 = _stage(system, t, z, w, dt, k3)
-        except (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError) as err:
-            return Trajectory(samples, dt, "solver_failure", err.state.t, type(err).__name__)
-        zw = [x + sixth * (a + 2 * b + 2 * c + d)
-              for x, a, b, c, d in zip(z + w, k1, k2, k3, k4)]
+            K, S, rhs, L = assemble(z, w)
+            if check is not None:
+                check(K)
+            ks = [solve(S, rhs)]
+            kept = bookkeep(S, rhs, L, ks[0], w)
+            for h in () if last else (half, half, dt):
+                K, S, rhs, _ = assemble(z, w, h, ks[-1])
+                if check is not None:
+                    check(K)
+                ks.append(solve(S, rhs))
+            # A vector with an infinite or NaN entry has no finite sum.
+            checked = not isfinite(sum(map(sum, ks)))
+        except Exception:  # the checked path raises it again, or names it
+            checked = True
+        if checked:
+            kept, ks, err = _checked_step(system, t, z, w, dt, last)
+        if kept is not None:  # stage one was solved
+            for column, value in zip(columns, (t, z, w, ks[0], *kept)):
+                column.append(value)
+        if err is not None:
+            return Trajectory(*columns, dt, "solver_failure", err.state.t, type(err).__name__)
+        if last:
+            break
+        zw = [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(zw, *ks)]
         # Sample times are s0.t + step*dt, not a running sum of dt.
-        state = PhaseState(s0.t + (step + 1) * dt, zw[:m], zw[m:])
-    return Trajectory(samples, dt, "completed")
+        t = s0.t + (step + 1) * dt
+    return Trajectory(*columns, dt, "completed")
 
 
 def diagnostics(trajectory: Trajectory) -> DiagnosticsReport:
-    """Drift and residual summary over a trajectory."""
-    samples = trajectory.samples
-    if not samples:
-        return DiagnosticsReport(
-            trajectory.status, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
-            trajectory.failure_time, trajectory.failure_kind,
-        )
-    e0 = samples[0].energy
-    drifts = [abs(s.energy - e0) for s in samples]
-    return DiagnosticsReport(
-        status=trajectory.status,
-        samples=len(samples),
-        max_energy_drift=float(max(drifts)),
-        mean_energy_drift=float(sum(drifts) / len(drifts)),
-        max_constraint_residual=float(max(s.solution.residual_constraints for s in samples)),
-        max_symplectic_residual=float(max(s.solution.residual_symplectic for s in samples)),
-        max_semispray_defect=float(max(s.solution.semispray_defect for s in samples)),
-        failure_time=trajectory.failure_time,
-        failure_kind=trajectory.failure_kind,
-    )
+    """Drift and residual summary over a trajectory's columns."""
+    energies, books = trajectory.energies, trajectory.bookkeeping
+    drifts = [abs(e - energies[0]) for e in energies]
+    # max_constraint_residual, max_symplectic_residual, max_semispray_defect
+    maxima = [float(max(book[k] for book in books)) if books else 0.0 for k in (1, 0, 2)]
+    return DiagnosticsReport(trajectory.status, len(drifts), float(max(drifts, default=0.0)),
+                             float(sum(drifts) / len(drifts)) if drifts else 0.0, *maxima,
+                             trajectory.failure_time, trajectory.failure_kind)

@@ -807,18 +807,14 @@ def compile_function(signature: str, body: List[str], symbols, **names) -> Calla
     return namespace["f"]
 
 
-def shifted(z, w, h: float, k) -> Tuple[List[complex], List[complex]]:
-    """The stage state (z + h k_z, w + h k_w), where ``k`` holds k_z then
-    k_w, with the arithmetic of :meth:`GeneratedFunction.at`."""
-    return [x + h * v for x, v in zip(z, k)], [x + h * v for x, v in zip(w, k[len(z):])]
-
-
 class GeneratedFunction:
     """Generated code for ``value``, with the tree walker kept over
     ``entries`` to say why it failed.
 
-    The code is a function of ``z, w`` (m values each) that returns
-    ``value``, an expression or a list of values, through :func:`emit`.
+    The code, ``_call(z, w, h=0.0, k=())`` with m values each in z and w,
+    returns ``value``, an expression or a list of values, through
+    :func:`emit`, at (z, w) or, for a nonempty ``k``, at the RK stage
+    state (z + h k_z, w + h k_w), which it computes itself.
     Where it raises one of ``COMPILED_DOMAIN_ERRORS``, :meth:`at` raises
     instead the tree walker's :class:`EvalDomainError` for the first entry
     without a finite value; ``value`` is made of the entries, so the two
@@ -834,13 +830,12 @@ class GeneratedFunction:
         body = ["if k:", *shift, *emit(value, named)]
         self._call = compile_function("z, w, h=0.0, k=()", body, symbols)
 
-    def at(self, z, w, h: float = 0.0, k=()):
-        """The value at ``(z, w)``, or for a nonempty ``k`` at
-        :func:`shifted` ``(z, w, h, k)``, which the generated code computes."""
+    def at(self, z, w):
+        """The value at ``(z, w)``."""
         try:
-            return self._call(z, w, h, k)
+            return self._call(z, w)
         except COMPILED_DOMAIN_ERRORS:
-            raise self.domain_error(*(shifted(z, w, h, k) if k else (z, w))) from None
+            raise self.domain_error(z, w) from None
 
     def values(self, z, w) -> List[complex]:
         """The entries' values, where ``value`` is the list of entries;

@@ -222,7 +222,8 @@ def parse_system_file(path) -> SystemSpec:
         match = re.fullmatch(r"([zw])(0|[1-9][0-9]*)", key)  # one spelling per coordinate
         if not match:
             raise SystemFileError(f"unknown initial coordinate {key!r}", lineno)
-        if not 1 <= int(match.group(2)) <= m:
+        index = match.group(2)  # longer than m: out of range, without int()'s 4,300-digit limit
+        if len(index) > len(str(m)) or not 1 <= int(index) <= m:
             raise SystemFileError(
                 f"coordinate {key!r} out of range for m={m}", lineno
             )

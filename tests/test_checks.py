@@ -52,8 +52,9 @@ def test_all_checks_pass_on_a_healthy_system():
 
 def test_each_sampled_state_is_assembled_once(monkeypatch):
     system = desksuite.build("exchange_constrained")
-    at, calls = system._assemble.at, []
-    monkeypatch.setattr(system._assemble, "at", lambda *args: calls.append(args) or at(*args))
+    # The compiled assembly, which GeneratedFunction.at and integrate call.
+    call, calls = system._assemble._call, []
+    monkeypatch.setattr(system._assemble, "_call", lambda *args: calls.append(args) or call(*args))
     results = _run("exchange_constrained", t1=0.0, samples=6)
     assert {r.name: r.note for r in results}["solve"] == "7 states solved, 0 skipped"
     # The initial state and 6 samples, then the trajectory's one sample at

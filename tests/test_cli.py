@@ -5,15 +5,17 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kahlermech import cli
+from kahlermech import cli, dynamics
 from kahlermech.cli import main
 from kahlermech.expressions import MAX_DEPTH
 import desksuite
+from integrate_reference import record, reference_integrate
 
 BILINEAR = str(desksuite.BY_NAME["bilinear_pair"].system_file())
 EXCHANGE = str(desksuite.BY_NAME["exchange_constrained"].system_file())
@@ -180,6 +182,27 @@ def test_simulate_is_deterministic(tmp_path):
         "bilinear_pair_summary.json",
     ):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_simulate_builds_no_per_sample_objects(tmp_path, monkeypatch):
+    # integrate records columns; Trajectory.samples builds the objects
+    # only when it is read, and they are the reference loop's.
+    built, runs = Counter(), []
+    for kind in (dynamics.TrajectorySample, dynamics.SemispraySolution, dynamics.PhaseState):
+        def counted(self, *args, _init=kind.__init__, _name=kind.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(kind, "__init__", counted)
+    integrate = cli.integrate
+    monkeypatch.setattr(cli, "integrate", lambda *args: runs.append((args, integrate(*args)))
+                        or runs[-1][1])
+    argv = ["simulate", "--system", EXCHANGE, "--out", str(tmp_path), "--t1", "0.2", "--dt", "0.01"]
+    assert main(argv) == 0
+    assert built == {"PhaseState": 1}  # the initial state
+    monkeypatch.undo()
+    [(args, trajectory)] = runs
+    assert len(trajectory.samples) == 21
+    assert record(trajectory) == record(reference_integrate(*args))
 
 
 # ------------------------------------------------------------------ classify
@@ -468,6 +491,17 @@ def test_a_non_ascii_character_is_reported_with_its_line(tmp_path, capsys):
     assert main(["simulate", "--system", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "line 5" in err and "unexpected character '\u00b2' (at position 6)" in err
+
+
+def test_an_initial_index_of_thousands_of_digits_is_reported_with_its_line(tmp_path, capsys):
+    # Before: exit 1 with int()'s untyped digit-limit message and no line.
+    path = tmp_path / "long_index.system"
+    path.write_text("[system]\nm = 1\n\n[lagrangian]\nL = z1*w1\n\n"
+                    f"[initial]\nz1 = 1\nw1 = 1\nz{'9' * 5000} = 1\n")
+    assert main(["simulate", "--system", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 10: coordinate 'z999") and err.endswith(
+        "9' out of range for m=1\n")
 
 
 def test_a_lone_dot_in_the_lagrangian_is_reported_with_its_line(tmp_path, capsys):

@@ -17,8 +17,6 @@ from kahlermech.dynamics import (
     PhaseState,
     SemispraySolution,
     SingularKahlerMatrix,
-    Trajectory,
-    TrajectorySample,
     assemble_kahler_matrix,
     diagnostics,
     el_residual,
@@ -45,6 +43,7 @@ from kahlermech.expressions import (
 from kahlermech.systemfile import parse_system_file
 import desksuite
 from bookkeeping_reference import reference_solution_from
+from integrate_reference import record, reference_integrate
 from fdtools import expr_evaluator, fd_kahler_matrix
 
 
@@ -443,7 +442,7 @@ def test_generated_bookkeeping_keeps_zero_signs_infinities_and_nan(m, r):
     for S, rhs, vec in cases:
         w, L = tuple(value() for _ in range(m)), value()
         expected = reference_solution_from(m, w, S, rhs, L, vec)
-        assert repr(kernel(S, rhs, L, vec, w)) == repr(expected)
+        assert repr(dynamics._solution(m, vec, *kernel(S, rhs, L, vec, w))) == repr(expected)
 
 
 def test_a_constant_singular_kahler_matrix_still_fails_at_its_first_solve():
@@ -793,6 +792,50 @@ def test_integrate_records_a_failure_inside_an_rk_step(monkeypatch, text, m, s0,
                if hasattr(err, key))
 
 
+@pytest.mark.parametrize("text, m, s0, dt, kind, stage, offset", [
+    # L_w = z1 - 1, so xi_z = i (z1 - 1): with dt/2 = 1, stage 2 is at
+    # z1 = i and stage 3 exactly at z1 = 0, where 1/z1 has no value.
+    ("z1*w1 - w1 + 1/z1", 1, ((1 + 1j,), (0.5,)), 2.0, "EvalDomainError", 3, 0.5),
+    # Phi_L's z2 block is 2i z2 beside 2e11 i: stage 4 is the first to come
+    # within the relative pivot threshold of z2 = 0.
+    ("1e11*z1*w1 + z2^2*w2/2 + w2^2/2", 2, ((1.0, 0.25), (1.0, 0.5)), 1.0,
+     "SingularKahlerMatrix", 4, 1.0),
+])
+def test_a_failure_first_met_at_a_late_rk_stage_is_recorded_at_its_stage_time(
+        text, m, s0, dt, kind, stage, offset):
+    system = _system(text, m)
+    tr = integrate(system, PhaseState(0.0, *s0), 4 * dt, dt)
+    assert (tr.status, tr.failure_kind, len(tr.samples)) == ("solver_failure", kind, 1)
+    assert _first_failing_stage(system, tr.samples[0], dt)[0] == stage
+    assert tr.failure_time == offset * dt
+    assert record(tr) == record(reference_integrate(system, PhaseState(0.0, *s0), 4 * dt, dt))
+
+
+def test_a_non_finite_saddle_vector_at_the_last_sample_is_a_failure():
+    # The last sample solves stage one alone, and nothing after it would
+    # fail on the vector: its finiteness test is what names it.
+    system = _system("1e-200*z1*w1 + 1e200*z1 + 1e200*i*w1")
+    tr = integrate(system, PhaseState(0.0, (1.0,), (1.0,)), 0.0, 0.0025)
+    assert (tr.status, tr.failure_kind, tr.failure_time, tr.samples) == (
+        "solver_failure", "EvalDomainError", 0.0, [])
+
+
+def test_a_saddle_vector_whose_sum_overflows_keeps_the_trajectory():
+    # Four decoupled pairs z w + a (w - z), a = 2.5e307: xi_z = i (z + a) and
+    # xi_w = i (a - w), so each stage's 8 entries are about i a, finite, but
+    # their sum overflows; the RK combinations (about 6a) and the states stay
+    # finite.
+    text = " + ".join(f"z{k}*w{k} + 2.5e307*(w{k} - z{k})" for k in range(1, 5))
+    system, s0 = _system(text, 4), PhaseState(0.0, (0.5,) * 4, (0.25,) * 4)
+    tr = integrate(system, s0, 0.004, 0.001)
+    assert tr.status == "completed" and len(tr.samples) == 5
+    for sample in tr.samples:
+        vec = sample.solution.xi.components + sample.solution.multipliers
+        assert all(map(math.isfinite, (abs(x) for x in vec)))
+        assert not math.isfinite(abs(sum(vec)))
+    assert record(tr) == record(reference_integrate(system, s0, 0.004, 0.001))
+
+
 def test_integrate_reports_non_finite_states():
     system = desksuite.build("bilinear_pair")
     s0 = PhaseState(0.0, (math.inf,), (0.5,))
@@ -815,10 +858,8 @@ def test_diagnostics_reports_injected_drift():
     system = desksuite.build("bilinear_pair")
     entry = desksuite.BY_NAME["bilinear_pair"]
     tr = integrate(system, desksuite.initial_state(entry), 1.0, 0.1)
-    corrupted = list(tr.samples)
-    sample = corrupted[5]
-    corrupted[5] = TrajectorySample(sample.state, sample.solution, sample.energy + 1.0)
-    report = diagnostics(Trajectory(corrupted, tr.dt, tr.status, None, None))
+    tr.energies[5] += 1.0  # diagnostics reads the energy column
+    report = diagnostics(tr)
     assert report.max_energy_drift >= 1.0
 
 

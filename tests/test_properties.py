@@ -18,6 +18,7 @@ from kahlermech.dynamics import (
     LagrangianSystem,
     NonHolomorphicLagrangian,
     PhaseState,
+    integrate,
     solve_semispray,
 )
 from kahlermech.expressions import (
@@ -63,6 +64,7 @@ from check_reference import reference_gauss_jordan
 from expressions_reference import reference_diff, reference_simplify
 from linalg_reference import reference_lu_factor, reference_lu_solve
 from fdtools import expr_evaluator, first_fd
+from integrate_reference import record, reference_integrate
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -535,6 +537,39 @@ def test_the_kahler_form_from_the_hessian_is_minus_d_of_d_j_l(e, values):
                 continue
             if cmath.isfinite(got) and cmath.isfinite(expected):
                 assert abs(got - expected) <= 1e-12 * scale
+
+
+# ------------------------------------------ integrate against its reference
+
+# Coordinates on the grid of eighths, or at and near the singular sets of
+# log, quotients and negative powers (0 and small values) and of exp
+# (where it overflows, past 709.78), or large enough that products overflow.
+_NEAR_SINGULAR = [0j, complex(-0.0, 0.0), 1e-9 + 0j, complex(0.0, -1e-12), 0.0625 + 0j,
+                  -0.03125j, 709.5 + 0j, complex(709.75, 0.5), 1e154 + 1e154j, 1e300 + 0j]
+_start = st.one_of(_entry, st.sampled_from(_NEAR_SINGULAR))
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(_coupled_trees, st.sampled_from([1.0, 0.125, None]), st.booleans(),
+       st.lists(_start, min_size=4, max_size=4), st.sampled_from([2.0, 0.5, 0.125]),
+       st.integers(1, 8))
+def test_integrate_records_what_its_reference_loop_records(e, weight, constrained, values,
+                                                           dt, steps):
+    # z1 w1 + z2 w2 plus weight * e keeps Phi_L regular away from the
+    # singular sets of e (None: e alone); the constraints are the exchange
+    # pair of the desk suite.
+    lagrangian = e if weight is None else Add(parse_expression("z1*w1 + z2*w2", 2),
+                                              Mul(Num(weight), e))
+    entry = desksuite.BY_NAME["exchange_constrained"]
+    system = LagrangianSystem(2, lagrangian, desksuite.constraint_forms(entry) if constrained else ())
+    s0 = PhaseState(0.0, values[:2], values[2:])
+    outcomes = []
+    for run in (integrate, reference_integrate):
+        try:
+            outcomes.append(record(run(system, s0, steps * dt, dt)))
+        except Exception as err:  # an untyped error: the same type and message
+            outcomes.append((type(err), str(err)))
+    assert outcomes[0] == outcomes[1]
 
 
 # ------------------------------------------------ classify under rescaling

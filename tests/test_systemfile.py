@@ -339,6 +339,19 @@ def test_each_validation_error_names_its_line(tmp_path, old, new, message, line)
     assert info.value.line == line
 
 
+@pytest.mark.parametrize("m, key", [(1, "z" + "9" * 5000), (1, "w10"), (9, "z10"), (10, "w99")],
+                         ids=["5000-digits", "w10", "z10", "w99"])
+def test_an_initial_index_past_m_is_out_of_range_at_its_line(tmp_path, m, key):
+    # An index with more digits than m is rejected before int() reads it:
+    # before, 5,000 digits raised int()'s untyped "Exceeds the limit (4300
+    # digits) for integer string conversion" with no line number.
+    body = (f"[system]\nm = {m}\n\n[lagrangian]\nL = z1*w1\n\n[initial]\n"
+            f"z1 = 1\nw1 = 0\n{key} = 1\n")
+    with pytest.raises(SystemFileError) as info:
+        parse_system_file(_write(tmp_path, body))
+    assert str(info.value) == f"line 10: coordinate {key!r} out of range for m={m}"
+
+
 @pytest.mark.parametrize("m, initial, missing", [
     (1, "z1 = 1\n", "w1"),
     (3, "z1 = 1\nw2 = 0\n", "z2, z3, w1, w3"),
