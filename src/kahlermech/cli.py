@@ -286,13 +286,12 @@ def cmd_derive(args) -> int:
     print(f"system {spec.name}: m={m}, r={r}")
     print(f"L = {spec.lagrangian_text}")
     print()
-    print("two-form coefficient matrix at the initial state"
-          " (rows/columns ordered dz1..dzm, dw1..dwm):")
-    for row in system._blocks_at(state)[0]:
-        print("  [" + ", ".join(map(_format_complex, row)) + "]")
-    print()
-
     try:
+        print("two-form coefficient matrix at the initial state"
+              " (rows/columns ordered dz1..dzm, dw1..dwm):")
+        for row in system._blocks_at(state)[0]:
+            print("  [" + ", ".join(map(_format_complex, row)) + "]")
+        print()
         sol = solve_semispray(system, state)
     except (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError) as err:
         print(f"solve failed at the initial state: {err}")

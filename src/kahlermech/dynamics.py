@@ -248,18 +248,12 @@ def _derivative_blocks(system: LagrangianSystem, state: PhaseState):
     """(dL, A, H, B, W) at the state as complex arrays: dL = (L_z, L_w),
     A = L_zz, H = L_zw, B = L_ww and W the constraint coefficients, one
     column per form.  Generated code, compiled on first use, evaluates each
-    node of the blocks once.  Where it fails, the tree walker evaluates the
-    entries in order and raises its :class:`EvalDomainError` for the first
-    without a value, which names its subtree.
+    node of the blocks once; where it fails, the tree walker's
+    :class:`EvalDomainError` names the first entry without a finite value.
     """
     if state.m != system.m:
         raise ValueError("state dimension does not match the system")
-    blocks = system._blocks
-    try:
-        values = blocks.at(state.z, state.w)
-    except EvalDomainError:
-        point = state.point()
-        values = [e.evaluate(point) for e in blocks.entries]
+    values = system._blocks.at(state.z, state.w)
     m, n, v = system.m, 2 * system.m, np.array(values, dtype=complex)
     A, H, B = (v[n + k * m * m:n + (k + 1) * m * m].reshape(m, m) for k in range(3))
     return v[:n], A, H, B, v[n + 3 * m * m:].reshape(n, system.r)
@@ -335,7 +329,8 @@ class Trajectory:
     """An integrated trajectory in columns, one entry per sample: times,
     positions z, velocities w, stage-one saddle vectors (field, then
     multipliers), their bookkeeping and energies as :func:`_bookkeeping_kernel`
-    returns them.  ``samples`` builds the per-sample objects on first read."""
+    returns them.  ``samples`` builds the per-sample objects from the columns
+    on every read, so it shows a column changed after an earlier read."""
 
     times: List[float]
     z: List[Tuple[complex, ...]]
@@ -348,7 +343,7 @@ class Trajectory:
     failure_time: Optional[float] = None
     failure_kind: Optional[str] = None
 
-    @cached_property
+    @property
     def samples(self) -> List[TrajectorySample]:
         return [TrajectorySample(PhaseState(t, z, w), _solution(len(z), vec, book, energy), energy)
                 for t, z, w, vec, book, energy in zip(self.times, self.z, self.w, self.vectors,

@@ -71,6 +71,7 @@ class Expr:
     """Base node.  Subclasses set ``args`` (child tuple) and a payload."""
 
     args: Tuple["Expr", ...] = ()
+    height = 1  # the most nodes on a path down; a node with args sets it when built
 
     def _payload(self):
         return ()
@@ -223,7 +224,8 @@ class _Binary(Expr):
     _associative = False
 
     def __init__(self, left, right):
-        self.args = (as_expr(left), as_expr(right))
+        self.args = left, right = (as_expr(left), as_expr(right))
+        self.height = 1 + max(left.height, right.height)
 
     @property
     def left(self):
@@ -305,6 +307,7 @@ class Pow(Expr):
             raise TypeError("Pow exponent must be a plain integer")
         self.args = (as_expr(base),)
         self.exponent = exponent
+        self.height = 1 + self.args[0].height
 
     @property
     def base(self):
@@ -342,6 +345,7 @@ class Pow(Expr):
 class _Unary(Expr):
     def __init__(self, arg):
         self.args = (as_expr(arg),)
+        self.height = 1 + self.args[0].height
 
     @property
     def arg(self):
@@ -655,26 +659,23 @@ def walk(e: Expr) -> Iterator[Expr]:
         stack.extend(reversed(node.args))
 
 
-# The most nodes on a root-to-leaf path of an input, and of each tree that
-# generated code computes (see emit).  What still recurses sets it, under
-# Python's default 1000 frames: the parser takes three frames per
-# parenthesis, diff and the tree walker one per level, and a quotient's first
-# derivative, which the build differentiates, is three times as deep.  Inside
-# pytest both the parser and that build stop at 315.
+# The largest ``height`` of an input, and of each tree that generated code
+# computes (see emit).  What still recurses sets it, under Python's default
+# 1000 frames: the parser takes three frames per parenthesis, diff and the
+# tree walker one per level, and a quotient's first derivative, which the
+# build differentiates, is three times as deep.  Inside pytest both the
+# parser and that build stop at 315.
 MAX_DEPTH = 300
 
 
 def check_expression(e: Expr, m: int, what: str) -> None:
-    """:class:`ValueError`, naming ``what``, unless ``e`` is at most
-    :data:`MAX_DEPTH` nodes deep and its symbols are among z1..zm, w1..wm."""
-    stack = [(e, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise ValueError(f"{what} is nested too deeply (more than {MAX_DEPTH} levels)")
+    """:class:`ValueError`, naming ``what``, unless ``e``'s height is at most
+    :data:`MAX_DEPTH` and its symbols are among z1..zm, w1..wm."""
+    if e.height > MAX_DEPTH:
+        raise ValueError(f"{what} is nested too deeply (more than {MAX_DEPTH} levels)")
+    for node in walk(e):
         if isinstance(node, Sym) and node.index > m:
             raise ValueError(f"{what} uses {node.name}, beyond the dimension m={m}")
-        stack.extend((a, depth + 1) for a in node.args)
 
 
 def domain_error(e: Expr, point: Mapping[Sym, complex]) -> Optional[EvalDomainError]:
@@ -741,28 +742,21 @@ def emit(value, named: Sequence[Tuple[str, Expr]] = ()) -> List[str]:
     an expression or a list of values: one line ``t<k> = a op b`` per distinct
     operation, in the tree walker's order.  Lines are keyed by their text,
     never by ``Expr.__eq__``, which equates the zeros of the two signs.  A
-    tree more than :data:`MAX_DEPTH` levels deep is a :class:`ValueError`:
-    the tree walker, which names a domain error here, recurses once per level.
-    The error names the first of the ``named`` (name, subtree of ``value``)
-    pairs, emitted first, that is too deep, else "a derived expression"."""
+    tree of height above :data:`MAX_DEPTH` is a :class:`ValueError` before it
+    is emitted: the tree walker, which names a domain error here, recurses once
+    per level.  The error names the first of the ``named`` (name, subtree of
+    ``value``) pairs, emitted first, that is too deep, else "a derived expression"."""
     names: Dict[str, str] = {}  # a line's right-hand side -> the name it assigns
-    # id(node) -> the name or literal that holds it, and its height: the
-    # most nodes on a path down from it.
-    tokens: Dict[int, Tuple[str, int]] = {}
+    tokens: Dict[int, str] = {}  # id(node) -> the name or literal that holds it
 
-    def token(e: Expr, depth: int) -> Tuple[str, int]:
-        if depth > MAX_DEPTH:  # recurse no deeper: the root's height check raises
-            return "", depth
+    def token(e: Expr) -> str:
         args = e.args
         if not args:
-            known = tokens[id(e)] = (e.name if isinstance(e, Sym) else _literal(e.value), 1)
+            known = tokens[id(e)] = e.name if isinstance(e, Sym) else _literal(e.value)
             return known
-        left, height = tokens.get(id(args[0])) or token(args[0], depth + 1)
+        left = tokens.get(id(args[0])) or token(args[0])
         if len(args) == 2:
-            right, other = tokens.get(id(args[1])) or token(args[1], depth + 1)
-            text = f"{left} {e._symbol} {right}"
-            if other > height:
-                height = other
+            text = f"{left} {e._symbol} {tokens.get(id(args[1])) or token(args[1])}"
         elif isinstance(e, Neg):
             text = f"-{left}"
         elif isinstance(e, Pow):
@@ -772,16 +766,15 @@ def emit(value, named: Sequence[Tuple[str, Expr]] = ()) -> List[str]:
         name = names.get(text)
         if name is None:
             name = names[text] = f"t{len(names)}"
-        known = tokens[id(e)] = (name, height + 1)
-        return known
+        tokens[id(e)] = name
+        return name
 
     def source(v, what: str = "a derived expression") -> str:
         if isinstance(v, list):
             return "[" + ", ".join(map(source, v)) + "]"
-        name, height = tokens.get(id(v)) or token(v, 1)
-        if height > MAX_DEPTH:  # its longest path, through nodes met before too
+        if v.height > MAX_DEPTH:
             raise ValueError(f"{what} is nested too deeply (more than {MAX_DEPTH} levels)")
-        return name
+        return tokens.get(id(v)) or token(v)
 
     for what, e in named:
         source(e, what)

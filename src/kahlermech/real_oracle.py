@@ -72,30 +72,22 @@ def gauss_jordan_stack(matrices: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarra
     if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2]:
         raise ValueError("need a stack of square matrices and matching vectors")
     count, n = a.shape[:2]
-    x = np.full((count, n), np.nan)
     cond = np.full(count, np.nan)
     scale = np.abs(a).max(axis=(1, 2), initial=0.0)
     threshold = PIVOT_RTOL * scale
     col_of = np.tile(np.arange(n), (count, 1))
-    members = np.arange(count)  # the stack index of each working member
+    rows = np.arange(count)
     for k in range(n):
-        if not len(members):
-            break
-        rows = np.arange(len(members))
-        flat = np.abs(a[:, k:, k:]).reshape(len(members), -1).argmax(axis=1)
+        flat = np.abs(a[:, k:, k:]).reshape(count, (n - k) ** 2).argmax(axis=1)
         i, j = k + flat // (n - k), k + flat % (n - k)
         pivot = np.abs(a[rows, i, j])
         failed = (pivot <= threshold) | (pivot == 0.0)
+        failed &= np.isnan(cond)  # a member fails once: its first failure
         if failed.any():
             with np.errstate(divide="ignore", invalid="ignore"):
-                cond[members[failed]] = np.where(
-                    pivot[failed] == 0.0, np.inf, scale[failed] / pivot[failed]
-                )
-            keep = ~failed
-            a, b, col_of, members, scale, threshold, i, j = (
-                v[keep] for v in (a, b, col_of, members, scale, threshold, i, j)
-            )
-            rows = rows[:len(members)]
+                cond[failed] = np.where(pivot[failed] == 0.0, np.inf, scale[failed] / pivot[failed])
+            # It goes on as the identity with a zero right-hand side, which no step changes.
+            a[failed], b[failed], i[failed], j[failed] = np.eye(n), 0.0, k, k
         # Swap row k with row i, then column k with column j.  The indexed
         # side is a copy; the sliced side is a view, and the first
         # assignment changes none of its values (where i == k, or j == k,
@@ -113,7 +105,9 @@ def gauss_jordan_stack(matrices: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarra
         eliminate[:, k] = False
         np.subtract(a, factor[:, :, None] * a[:, None, k], out=a, where=eliminate[:, :, None])
         np.subtract(b, factor * b[:, k, None], out=b, where=eliminate)
-    x[members[:, None], col_of] = b
+    x = np.empty((count, n))
+    x[rows[:, None], col_of] = b
+    x[~np.isnan(cond)] = np.nan
     return x, cond
 
 

@@ -454,6 +454,18 @@ def test_derive_reports_singular_systems(capsys):
     assert "solve failed" in capsys.readouterr().out
 
 
+def test_derive_reports_a_domain_error_in_the_assembly_as_a_solve_failure(tmp_path, capsys):
+    # Before: the two-form header, then "error: EvalDomainError: ..." on stderr.
+    path = tmp_path / "log.system"
+    path.write_text("[system]\nm = 1\n\n[lagrangian]\nL = z1*w1 + log(z1)\n\n"
+                    "[initial]\nz1 = 0\nw1 = 1\n")
+    assert main(["derive", "--system", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.endswith(
+        "solve failed at the initial state: division by zero: 1 / z1\n")
+    assert captured.err == ""
+
+
 def test_derive_shows_multipliers_for_constrained_systems(capsys):
     code = main(["derive", "--system", EXCHANGE])
     assert code == 0

@@ -661,6 +661,15 @@ def test_integrate_sample_counts_and_times():
     assert abs(short.samples[-1].state.t - 0.3) < 1e-9
 
 
+def test_samples_show_a_column_changed_after_an_earlier_read():
+    system = desksuite.build("bilinear_pair")
+    tr = integrate(system, PhaseState(0.0, (1.0,), (0.5,)), 1.0, 0.1)
+    tr.samples
+    tr.energies[5] += 1.0
+    assert tr.samples[5].energy == tr.energies[5]
+    assert diagnostics(tr).max_energy_drift == pytest.approx(1.0)
+
+
 def test_integrate_rejects_bad_steps():
     system = desksuite.build("bilinear_pair")
     s0 = PhaseState(0.0, (1.0,), (0.5,))

@@ -237,7 +237,9 @@ def _member(rng, n, kind):
     """A real n x n system of one kind; entries are multiples of 1/8, so
     pivot ties and exact zeros are common.  Sparse members also make
     negative zeros, which an elimination that touched rows with a zero in
-    the pivot column would flip."""
+    the pivot column would flip.  A huge member has rank at most one and
+    entries near 1e300: its threshold stays above a unit pivot after it
+    fails, so only its first failure may set its condition estimate."""
     A = rng.integers(-8, 9, (n, n)) / 8.0
     b = rng.integers(-8, 9, n) / 8.0
     if kind == "sparse":
@@ -251,6 +253,9 @@ def _member(rng, n, kind):
         A[j] = 0.5 * A[i] if i != j else 0.0
     elif kind == "tiny":
         A *= 1e-300
+    elif kind == "huge":
+        A[1:] = 0.0
+        A *= 1e300
     return A, b
 
 
@@ -261,7 +266,7 @@ def _bits(x) -> bytes:
 @PROPERTY_SETTINGS
 @given(
     st.integers(1, 24),
-    st.lists(st.sampled_from(["regular", "sparse", "zero", "deficient", "tiny"]),
+    st.lists(st.sampled_from(["regular", "sparse", "zero", "deficient", "tiny", "huge"]),
              min_size=1, max_size=6),
     st.integers(0, 2**32 - 1),
 )
@@ -467,6 +472,27 @@ def test_derivatives_of_folded_trees_are_the_folded_raw_derivatives(e):
         for t in _SYMBOLS:
             second = reference_simplify(reference_diff(expected, t))
             assert _same_tree(diff(first, t), second, _up_to_zero_signs)
+
+
+def _walked_depth(e) -> int:
+    """The most nodes on a path down from ``e``, by an explicit stack walk."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((a, depth + 1) for a in node.args)
+    return deepest
+
+
+@PROPERTY_SETTINGS
+@given(_trees)
+def test_every_node_carries_its_height(e):
+    # A node's height is set where it is built: here by the strategy's
+    # constructors, by fold in simplify and by the rules of diff.
+    folded = simplify(e)
+    derivatives = [diff(tree, s) for tree in (e, folded) for s in _SYMBOLS]
+    for tree in (e, folded, *derivatives):
+        assert all(node.height == _walked_depth(node) for node in walk(tree))
 
 
 # Parts are 0 or at least 1e-3 in size, so that no value of a derivative
