@@ -28,11 +28,11 @@ that stopped mirroring.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
+from ._numpy import np
 from .constraints import sample_points
 from .dynamics import (
     InconsistentConstraints,
@@ -120,13 +120,17 @@ def run_check_suite(
             continue
         # Antisymmetry and closedness of the assembled two-form.
         k_array = np.array(k, dtype=complex)
+        largest = float(np.max(np.abs(k_array)))
+        if not math.isfinite(largest):  # the solve rejects such a K too
+            skipped += 1
+            continue
         antisymmetry = max(antisymmetry, float(np.max(np.abs(k_array + k_array.T))))
         try:
             sums = closure.values(state.z, state.w)
         except EvalDomainError:
             pass
         else:
-            scale = max(1.0, float(np.max(np.abs(k_array))))
+            scale = max(1.0, largest)
             for value in sums:
                 closedness = max(closedness, abs(value) / scale)
 

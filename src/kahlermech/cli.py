@@ -8,8 +8,8 @@ Four commands over system description files:
 * ``derive``    print the assembled two-form, energy differential and
   residual expressions at the initial state.
 
-Exit codes: 0 on success, 1 for input errors (bad flags or files), 2 for
-runtime failures (solver errors, failed checks).  Outputs contain no
+Exit codes: 0 on success, 1 for input errors (bad flags, files or paths),
+2 for runtime failures (solver errors, failed checks).  Outputs contain no
 timestamps or environment data, so repeated runs are byte-identical.
 """
 
@@ -24,8 +24,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .checks import DEFAULT_CHECK_SAMPLES, run_check_suite
 from .constraints import (
     DEFAULT_SAMPLES,
@@ -379,16 +378,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as err:  # a ValueError, but never bad input
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (SystemFileError, ParseError, NonHolomorphicLagrangian, FileNotFoundError,
-            ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as err:  # runtime failures keep the 0/1/2 contract
+        if _is_input_error(err):
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+
+
+def _is_input_error(err: Exception) -> bool:
+    """An OSError is bad input when it names a path (a full disk does not).
+    numpy's LinAlgError is a ValueError but never bad input; numpy is not
+    loaded to test for it."""
+    if isinstance(err, OSError):
+        return err.filename is not None
+    if "numpy" in sys.modules and isinstance(err, np.linalg.LinAlgError):
+        return False
+    return isinstance(err, (SystemFileError, ParseError, NonHolomorphicLagrangian, ValueError))
 
 
 if __name__ == "__main__":

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .expressions import (
     EvalDomainError, GeneratedFunction, as_expr, check_expression, overflow_error)
 from .exterior import OneForm, VectorField, exterior_derivative

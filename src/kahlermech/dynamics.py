@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from . import linalg
 from .expressions import (
     Conj,
@@ -540,7 +539,10 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
 def diagnostics(trajectory: Trajectory) -> DiagnosticsReport:
     """Drift and residual summary over a trajectory's columns."""
     energies, books = trajectory.energies, trajectory.bookkeeping
-    drifts = [abs(e - energies[0]) for e in energies]
+    try:
+        drifts = [abs(e - energies[0]) for e in energies]
+    except OverflowError:  # past the float range, or NaN after an overflow left errno set
+        drifts = [math.hypot((e - energies[0]).real, (e - energies[0]).imag) for e in energies]
     # max_constraint_residual, max_symplectic_residual, max_semispray_defect
     maxima = [float(max(book[k] for book in books)) if books else 0.0 for k in (1, 0, 2)]
     return DiagnosticsReport(trajectory.status, len(drifts), float(max(drifts, default=0.0)),

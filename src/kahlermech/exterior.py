@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, List, Mapping, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from .expressions import Add, Expr, Mul, Neg, Num, Sub, Sym, as_expr, diff, evaluate, fold, simplify
 
 Coef = Union[Expr, complex]

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .dynamics import (
     InconsistentConstraints,
     LagrangianSystem,

@@ -177,7 +177,10 @@ def _split_sections(text: str) -> Dict[str, Dict[str, Tuple[int, str]]]:
 def parse_system_file(path) -> SystemSpec:
     """Load and validate a system description file."""
     path = Path(path)
-    table = _split_sections(path.read_text())
+    try:
+        table = _split_sections(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     system = table["system"]
 
     if "m" not in system:

@@ -150,6 +150,19 @@ def test_a_sampled_state_where_the_assembly_is_undefined_is_skipped():
         assert by_name[name].passed, (name, by_name[name].measured)
 
 
+def test_a_state_with_a_non_finite_two_form_is_skipped():
+    # Phi_L = 2i(1 + exp(w1)) is infinite at w1 = 709.5, where exp(w1) is
+    # still finite, so the assembly raises nothing; the solve rejects it.
+    # Before: K + K^T summed inf and -inf, and numpy warned "invalid value".
+    system = LagrangianSystem(1, parse_expression("z1*w1 + z1*exp(w1)", 1))
+    results = run_check_suite(system, PhaseState(0.0, (0.5,), (709.5,)),
+                              t1=0.01, dt=0.01, samples=2, seed=0)
+    by_name = {r.name: r for r in results}
+    assert by_name["solve"].note == "2 states solved, 1 skipped"
+    for name in ("antisymmetry", "closedness", "solve", "oracle"):
+        assert by_name[name].passed, (name, by_name[name].measured)
+
+
 # ---------------------------------------------- stacked oracle vs per state
 
 # Phi_L has the entry 2i(z1 - 0.5) beside entries of size 2.  At

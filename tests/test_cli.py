@@ -482,6 +482,31 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# argv and the stderr line of an unusable path; {tmp} is the test's directory.
+UNUSABLE_PATHS = {
+    "system_is_a_directory": (["simulate", "--system", "{tmp}", "--out", "{tmp}/out"],
+                              "[Errno 21] Is a directory: '{tmp}'"),
+    "out_is_a_file": (["simulate", "--system", BILINEAR, "--t1", "0.1", "--out", "{tmp}/afile"],
+                      "[Errno 17] File exists: '{tmp}/afile'"),
+    "out_below_a_file": (["classify", "--system", EXCHANGE, "--out", "{tmp}/afile/x"],
+                         "[Errno 20] Not a directory: '{tmp}/afile/x'"),
+    "system_not_utf8": (["simulate", "--system", "{tmp}/latin1.system", "--out", "{tmp}/out"],
+                        "{tmp}/latin1.system: 'utf-8' codec can't decode byte 0xff"
+                        " in position 0: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_PATHS)
+def test_an_unusable_path_is_an_input_error(tmp_path, capsys, case):
+    # Before: the first three exited 2 with the OSError's class name, and
+    # the decode error did not name the file.
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "latin1.system").write_bytes(b"\xff[system]\nm = 1\n")
+    argv, message = UNUSABLE_PATHS[case]
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n".replace("{tmp}", str(tmp_path))
+
+
 def test_malformed_file_reports_line_and_symbol(tmp_path, capsys):
     path = tmp_path / "broken.system"
     path.write_text(
@@ -683,3 +708,24 @@ def test_console_entry_point_round_trip(tmp_path):
     assert result.returncode == 0
     assert "completed" in result.stdout
     assert (tmp_path / "bilinear_pair_summary.json").exists()
+
+    # A fresh interpreter: simulate never loads numpy, not even to report
+    # an input error; the other commands load it at first use.
+    out = str(tmp_path / "fresh")
+    code = f"""
+import sys
+from kahlermech.cli import main
+assert "numpy" not in sys.modules
+assert main(["simulate", "--system", {BILINEAR!r}, "--out", {out!r}, "--t1", "0.2"]) == 0
+assert "numpy" not in sys.modules
+assert main(["simulate", "--system", {out + "/nope.system"!r}, "--out", {out!r}]) == 1
+assert "numpy" not in sys.modules
+for command, system in (("classify", {EXCHANGE!r}), ("check", {BILINEAR!r}),
+                        ("derive", {BILINEAR!r})):
+    assert main([command, "--system", system, "--out", {out!r}]) == 0, command
+assert "numpy" in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert "nope.system" in result.stderr

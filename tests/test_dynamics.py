@@ -1,5 +1,6 @@
 """Lagrangian systems: two-form assembly, saddle solve, integration."""
 
+import cmath
 import importlib.util
 import math
 import random
@@ -870,6 +871,20 @@ def test_diagnostics_reports_injected_drift():
     tr.energies[5] += 1.0  # diagnostics reads the energy column
     report = diagnostics(tr)
     assert report.max_energy_drift >= 1.0
+
+
+def test_a_drift_past_the_float_range_reads_inf_and_a_nan_drift_nan():
+    # Before: abs() raised OverflowError on a finite drift whose modulus
+    # overflows, and on a NaN drift after any earlier overflow: CPython's
+    # complex abs keeps a stale ERANGE for a NaN.
+    system = desksuite.build("bilinear_pair")
+    tr = integrate(system, desksuite.initial_state(desksuite.BY_NAME["bilinear_pair"]), 0.2, 0.1)
+    tr.energies[1] = tr.energies[0] + complex(1.5e308, 1.5e308)
+    assert diagnostics(tr).max_energy_drift == math.inf
+    tr.energies[0] = complex(math.nan, math.nan)
+    with pytest.raises(OverflowError):
+        cmath.exp(1000)
+    assert math.isnan(diagnostics(tr).mean_energy_drift)
 
 
 def test_phase_state_helpers():

@@ -1,15 +1,18 @@
 """Property tests on generated inputs: the complex LU, the solve path,
 generated expression code, the printer, simplify and diff, classify
-under rescaling, and the front end on arbitrary and mutated text."""
+under rescaling, the front end on arbitrary and mutated text, and the CLI
+on generated systems."""
 
+import builtins
 import cmath
 import contextlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kahlermech import cli, linalg
@@ -748,3 +751,54 @@ def test_a_mutated_system_file_is_a_spec_or_an_input_error(scratch_dir, mutated)
     argv = ["simulate", "--system", str(path), "--out", str(scratch_dir / "out")]
     with contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 1
+
+
+# ------------------------------------------------ the CLI on generated systems
+
+_BUILTIN_ERRORS = re.compile(r"\b(?:%s)\b" % "|".join(
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)))
+
+
+def _literal(c: complex) -> str:
+    return f"{c.real!r}{'-' if math.copysign(1, c.imag) < 0 else '+'}{abs(c.imag)!r}i"
+
+
+_z1, _w1, _w2 = Sym("z", 1), Sym("w", 1), Sym("w", 2)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(_coupled_trees, st.sampled_from([1.0, None]), st.booleans(),
+       st.lists(_start, min_size=4, max_size=4))
+# Two draws of 300 that failed before: simulate's energy drift raised
+# OverflowError, and check's two-form sum made numpy warn.
+@example(e=Add(Mul(Add(_z1, _z1), Add(Exp(_z1), _w1)), _z1), weight=1.0, constrained=False,
+         values=[0.25j, 0j, 1e300 + 0j, 0j])
+@example(e=Add(Mul(Add(_z1, _z1), Add(Exp(_w2), _w1)), _z1), weight=1.0, constrained=False,
+         values=[0j, 0j, 0j, 709.5 + 0j])
+def test_the_cli_on_a_generated_system_exits_with_one_error_line_at_most(
+        scratch_dir, e, weight, constrained, values):
+    # The Lagrangians of the integrate property above, written as system
+    # files: simulate, check and derive exit 0, 1 or 2, print at most one
+    # stderr line, an "error:" one, and name no built-in exception class.
+    lagrangian = e if weight is None else f"z1*w1 + z2*w2 + ({e})"
+    lines = ["[system]", "m = 2", "[lagrangian]", f"L = {lagrangian}", "[initial]"]
+    lines += [f"{kind}{i} = {_literal(c)}" for (kind, i), c in zip(
+        [("z", 1), ("z", 2), ("w", 1), ("w", 2)], values)]
+    lines += ["[integrator]", "t1 = 0.25", "dt = 0.125"]
+    if constrained:
+        lines += ["[constraints]"] + [
+            f"{name} = {' ; '.join(a + b)}"
+            for name, a, b in desksuite.BY_NAME["exchange_constrained"].constraints]
+    path = scratch_dir / "drawn.system"
+    path.write_text("\n".join(lines) + "\n")
+    for command, extra in (("simulate", []), ("check", ["--samples", "2"]), ("derive", [])):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        argv = [command, "--system", str(path), "--out", str(scratch_dir / "out"), *extra]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        errors = stderr.getvalue().splitlines()
+        assert code in (0, 1, 2), command
+        assert len(errors) <= 1 and all(line.startswith("error:") for line in errors), errors
+        assert not _BUILTIN_ERRORS.search(stdout.getvalue() + stderr.getvalue()), (
+            command, stdout.getvalue(), stderr.getvalue())
