@@ -132,7 +132,11 @@ def run_check_suite(
         else:
             scale = max(1.0, largest)
             for value in sums:
-                closedness = max(closedness, abs(value) / scale)
+                try:
+                    size = abs(value)
+                except OverflowError:  # past the float range (or a NaN after an overflow)
+                    size = math.hypot(value.real, value.imag)
+                closedness = max(closedness, size / scale)
 
         # The primary solve of the same assembly.
         try:

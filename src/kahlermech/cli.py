@@ -105,16 +105,13 @@ def _csv_header(m: int, r: int) -> List[str]:
 
 
 def _trajectory_rows(trajectory: Trajectory) -> List[List[float]]:
-    rows = []
-    for t, z, w, vec, (symplectic, _, defect, per_form), energy in zip(
-            trajectory.times, trajectory.z, trajectory.w, trajectory.vectors,
-            trajectory.bookkeeping, trajectory.energies):
-        row = [t]
-        for c in (*z, *w, *vec[2 * len(z):]):  # the multipliers follow the field
-            row += [c.real, c.imag]
-        row += [energy.real, energy.imag, symplectic, *per_form, defect]
-        rows.append([float(v) for v in row])
-    return rows
+    """The CSV rows; every value but t is a float already.  The multipliers
+    follow the field in a saddle vector."""
+    return [[float(t), *(x for c in (*z, *w, *vec[2 * len(z):]) for x in (c.real, c.imag)),
+             energy.real, energy.imag, symplectic, *per_form, defect]
+            for t, z, w, vec, (symplectic, _, defect, per_form), energy in zip(
+                trajectory.times, trajectory.z, trajectory.w, trajectory.vectors,
+                trajectory.bookkeeping, trajectory.energies)]
 
 
 def _write_csv(path: Path, header: List[str], rows: List[List[float]]) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._numpy import np
@@ -199,17 +199,23 @@ class LagrangianSystem:
                   for i, row in enumerate(block) for j, e in enumerate(row)]
         self._assemble = GeneratedFunction(
             value, [e for block in blocks for row in block for e in row], m, named)
-        # The elimination kernels of the saddle and of Phi_L.  A constant
-        # Phi_L that is regular is checked here and not per solve (its check
-        # is None); one that fails is left for each solve to report.
-        self._solve_saddle = linalg.kernel(2 * m + len(constraints), True)
+        # The elimination kernels of the saddle and of Phi_L.  What emit folded
+        # to constants is eliminated here, not per solve: a regular Phi_L is
+        # checked (its check is None), a regular saddle factored (a solve only
+        # substitutes).  One that fails is left for each solve to report.
+        n, constants, solve = 2 * m + len(constraints), self._assemble.constants, None
         self._check_kahler = linalg.kernel(2 * m, False)
-        if all(isinstance(e, Num) for row in kahler for e in row):
-            try:
-                self._check_kahler([[e.evaluate({}) for e in row] for row in value[0]])
+        K, S = ([[constants.get(id(e)) for e in row] for row in rows] for rows in value[:2])
+        try:
+            if all(None not in row for row in K):
+                self._check_kahler(K)
                 self._check_kahler = None
-            except (linalg.SingularMatrixError, linalg.NonFiniteEntryError):
-                pass
+            if all(None not in row for row in S):
+                factor, substitute = linalg.halves(n)
+                solve = partial(substitute, factor(S))
+        except (linalg.SingularMatrixError, linalg.NonFiniteEntryError):
+            pass
+        self._solve_saddle = solve or linalg.kernel(n, True)
 
     @property
     def r(self) -> int:
@@ -474,6 +480,9 @@ def _checked_step(system: LagrangianSystem, t: float, z, w, dt: float, last: boo
     return kept, vectors, None
 
 
+MAX_STEPS = 10**7  # the most RK4 steps of one integration, each a sample in memory
+
+
 def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) -> Trajectory:
     """Fixed-step RK4 over [0, t1], re-solving the saddle at every stage.
 
@@ -481,12 +490,13 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
     completes; each sample records the state, the stage-one solve (field,
     multipliers and residuals) and the energy with the solved field.  On a
     solver failure or a non-finite state the partial trajectory is returned
-    with the failure time and kind recorded instead of raising.
+    with the failure time and kind recorded instead of raising.  More than
+    :data:`MAX_STEPS` steps is a :class:`ValueError` before the run starts.
 
-    Each stage calls the compiled assembly, which makes the stage shift,
-    and the kernels directly; stage one's bookkeeping fills the columns.
-    These calls name no error: a step where one raises, or a saddle vector
-    does not sum to a finite value, is run again by :func:`_checked_step`,
+    Each stage, written out, calls the compiled assembly, which makes the
+    stage shift, and the kernels directly; stage one's bookkeeping fills the
+    columns.  These calls name no error: a step where one raises, or a saddle
+    vector does not sum to a finite value, is run again by :func:`_checked_step`,
     which names it (its stage state's time is recorded) or returns bitwise
     the same vectors.
     """
@@ -497,10 +507,12 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
     if not math.isfinite(t1 / dt):
         raise ValueError(f"t1/dt must be a finite step count, got t1={t1:g}, dt={dt:g}")
     n_steps = int(math.floor(t1 / dt + 1e-9))
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"t1/dt = {n_steps:.10g} steps is above the bound of {MAX_STEPS}")
     m, half, sixth = system.m, dt / 2, dt / 6.0
     assemble, check, solve = system._assemble._call, system._check_kahler, system._solve_saddle
     bookkeep, isfinite = _bookkeeping_kernel(m, system.r), cmath.isfinite
-    columns = [], [], [], [], [], []  # the Trajectory columns, in field order
+    times, zs, ws, vectors, books, energies = columns = [], [], [], [], [], []
     t, zw = s0.t, [*s0.z, *s0.w]
     for step in range(n_steps + 1):
         if not all(map(isfinite, zw)):
@@ -510,27 +522,41 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
             K, S, rhs, L = assemble(z, w)
             if check is not None:
                 check(K)
-            ks = [solve(S, rhs)]
-            kept = bookkeep(S, rhs, L, ks[0], w)
-            for h in () if last else (half, half, dt):
-                K, S, rhs, _ = assemble(z, w, h, ks[-1])
+            k1 = solve(S, rhs)
+            kept = bookkeep(S, rhs, L, k1, w)
+            k2 = k3 = k4 = ()  # the last step has stage one only
+            if not last:
+                K, S, rhs, _ = assemble(z, w, half, k1)
                 if check is not None:
                     check(K)
-                ks.append(solve(S, rhs))
+                k2 = solve(S, rhs)
+                K, S, rhs, _ = assemble(z, w, half, k2)
+                if check is not None:
+                    check(K)
+                k3 = solve(S, rhs)
+                K, S, rhs, _ = assemble(z, w, dt, k3)
+                if check is not None:
+                    check(K)
+                k4 = solve(S, rhs)
             # A vector with an infinite or NaN entry has no finite sum.
-            checked = not isfinite(sum(map(sum, ks)))
+            checked = not isfinite(sum(k1) + sum(k2) + sum(k3) + sum(k4))
         except Exception:  # the checked path raises it again, or names it
             checked = True
         if checked:
             kept, ks, err = _checked_step(system, t, z, w, dt, last)
+            k1, k2, k3, k4 = ks + [()] * (4 - len(ks))  # fewer on a last or failed step
         if kept is not None:  # stage one was solved
-            for column, value in zip(columns, (t, z, w, ks[0], *kept)):
-                column.append(value)
+            times.append(t)
+            zs.append(z)
+            ws.append(w)
+            vectors.append(k1)
+            books.append(kept[0])
+            energies.append(kept[1])
         if err is not None:
             return Trajectory(*columns, dt, "solver_failure", err.state.t, type(err).__name__)
         if last:
             break
-        zw = [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(zw, *ks)]
+        zw = [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(zw, k1, k2, k3, k4)]
         # Sample times are s0.t + step*dt, not a running sum of dt.
         t = s0.t + (step + 1) * dt
     return Trajectory(*columns, dt, "completed")

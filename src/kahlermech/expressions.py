@@ -737,7 +737,7 @@ def _literal(v: complex) -> str:
     return f"complex({v.real!r}, {v.imag!r})"  # a zero real part repr cannot sign
 
 
-def emit(value, named: Sequence[Tuple[str, Expr]] = ()) -> List[str]:
+def emit(value, named: Sequence[Tuple[str, Expr]] = ()) -> tuple:
     """The body of a function of the locals z1.., w1.. that returns ``value``,
     an expression or a list of values: one line ``t<k> = a op b`` per distinct
     operation, in the tree walker's order.  Lines are keyed by their text,
@@ -745,18 +745,39 @@ def emit(value, named: Sequence[Tuple[str, Expr]] = ()) -> List[str]:
     tree of height above :data:`MAX_DEPTH` is a :class:`ValueError` before it
     is emitted: the tree walker, which names a domain error here, recurses once
     per level.  The error names the first of the ``named`` (name, subtree of
-    ``value``) pairs, emitted first, that is too deep, else "a derived expression"."""
+    ``value``) pairs, emitted first, that is too deep, else "a derived expression".
+    An operation on constants is done here by the tree walker, as the code
+    would do it, unless it raises or its value is not finite; a constant that
+    :func:`_literal` spells as a call is bound to a name.  Returns the lines,
+    the names to bind, and the value of each constant node of ``value`` by id."""
     names: Dict[str, str] = {}  # a line's right-hand side -> the name it assigns
     tokens: Dict[int, str] = {}  # id(node) -> the name or literal that holds it
+    constants: Dict[int, complex] = {}  # id(node) -> the value of a constant node
+    bound: Dict[str, Tuple[str, complex]] = {}  # a complex(...) call -> a name and its value
+
+    def constant(e: Expr, v: complex) -> str:
+        text = _literal(v)
+        if text.startswith("complex("):  # a call per run: bind a name once instead
+            text = bound.setdefault(text, (f"c{len(bound)}", v))[0]
+        constants[id(e)], tokens[id(e)] = v, text
+        return text
 
     def token(e: Expr) -> str:
         args = e.args
         if not args:
-            known = tokens[id(e)] = e.name if isinstance(e, Sym) else _literal(e.value)
+            known = tokens[id(e)] = e.name if isinstance(e, Sym) else constant(e, e.value)
             return known
         left = tokens.get(id(args[0])) or token(args[0])
+        right = tokens.get(id(args[-1])) or token(args[-1])  # left again for one argument
+        if left[0] in "(c" and right[0] in "(c":  # literals and bound names are constants
+            try:
+                v = type(e)(*(Num(constants[id(a)]) for a in args), *e._payload()).evaluate({})
+            except EvalDomainError:
+                v = math.nan
+            if cmath.isfinite(v):
+                return constant(e, v)
         if len(args) == 2:
-            text = f"{left} {e._symbol} {tokens.get(id(args[1])) or token(args[1])}"
+            text = f"{left} {e._symbol} {right}"
         elif isinstance(e, Neg):
             text = f"-{left}"
         elif isinstance(e, Pow):
@@ -779,7 +800,8 @@ def emit(value, named: Sequence[Tuple[str, Expr]] = ()) -> List[str]:
     for what, e in named:
         source(e, what)
     result = source(value)
-    return [f"{name} = {text}" for text, name in names.items()] + [f"return {result}"]
+    lines = [f"{name} = {text}" for text, name in names.items()] + [f"return {result}"]
+    return lines, dict(bound.values()), constants
 
 
 def compile_function(signature: str, body: List[str], symbols, **names) -> Callable:
@@ -812,7 +834,8 @@ class GeneratedFunction:
     instead the tree walker's :class:`EvalDomainError` for the first entry
     without a finite value; ``value`` is made of the entries, so the two
     agree on every value and every domain error.  ``named`` names the
-    subtrees that :func:`emit` reports when one is too deep.
+    subtrees that :func:`emit` reports when one is too deep.  ``constants``
+    holds emit's value of each constant node, by id (valid while ``value`` lives).
     """
 
     def __init__(self, value, entries: Sequence[Expr], m: int,
@@ -820,8 +843,9 @@ class GeneratedFunction:
         self.entries = tuple(entries)
         symbols = [Sym(kind, i) for kind in "zw" for i in range(1, m + 1)]
         shift = [f"    {s.name} += h * k[{s.index - 1 + m * (s.kind == 'w')}]" for s in symbols]
-        body = ["if k:", *shift, *emit(value, named)]
-        self._call = compile_function("z, w, h=0.0, k=()", body, symbols)
+        body, names, self.constants = emit(value, named)
+        self._call = compile_function("z, w, h=0.0, k=()", ["if k:", *shift, *body], symbols,
+                                      **names)
 
     def at(self, z, w):
         """The value at ``(z, w)``."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 from functools import cache
 from math import isfinite
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 from .expressions import compile_function
 
@@ -52,10 +52,12 @@ _OVERFLOW = "magnitude beyond the float range"
 
 
 def _reject_non_finite(values) -> None:
-    """Called when the sum of |values| is not finite: an overflowing
-    magnitude raises OverflowError, else the first infinite or NaN value
-    raises; only finite magnitudes overflowing the sum return."""
-    sum(map(abs, values))
+    """Called when a magnitude scan of ``values`` raised OverflowError or
+    summed to a value that is not finite: an overflowing magnitude raises
+    OverflowError, else the first infinite or NaN value raises; only finite
+    magnitudes overflowing the sum return.  A NaN skips abs(), which raises
+    OverflowError on it when an earlier overflow left errno set."""
+    sum(map(abs, filter(cmath.isfinite, values)))
     for v in values:
         if not cmath.isfinite(v):
             raise NonFiniteEntryError(f"non-finite value {v!r}")
@@ -76,10 +78,68 @@ def _singular(pivot: float, k: int, scale: float) -> None:
 
 
 @cache
+def _generated(n: int, kinds: str) -> Callable:
+    """The lines of :func:`kernel`'s elimination with a right-hand side whose
+    kind is in ``kinds``, compiled: "a" works on the matrix, "b" on the
+    right-hand side; "k" is only in the solve kernel, "f" only in the factor
+    half of :func:`halves` and "l" only in its substitute half; a row swap's
+    condition (kind "") is in all."""
+    rows, body = range(n), []
+
+    def add(kind: str, *lines: str) -> None:
+        if kind in kinds:
+            body.extend(lines)
+
+    entries = "".join(f"a{i}_{j}, " for i in rows for j in rows)
+    pivots = "".join(f"p{k}, " for k in rows[:-1])
+    add("l", f"{entries}{pivots}= lu")
+    add("a", *(f"{''.join(f'a{i}_{j}, ' for j in rows)}= a[{i}]" for i in rows),
+        "try:",  # a zero entry can neither be the largest magnitude nor change the sum
+        f"    magnitudes = [0.0, *map(abs, filter(None, ({entries})))]",
+        "except OverflowError:",  # so does abs() of a NaN after an earlier overflow
+        "    _reject_non_finite([v for row in a for v in row])",  # which raises
+        "scale = max(magnitudes)",  # 0.0 first: an empty or all-zero matrix has scale 0.0
+        "if not isfinite(sum(magnitudes)):",
+        "    _reject_non_finite([v for row in a for v in row])",
+        "threshold = rtol * scale")
+    add("b", f"[{''.join(f'b{i}, ' for i in rows)}] = rhs", "try:",
+        f"    finite = isfinite(0.0{''.join(f' + abs(b{i})' for i in rows)})",
+        "except OverflowError:",  # raised by _reject_non_finite after the matrix's errors
+        "    finite = False")
+    for k in rows:
+        add("a", f"pivot = abs(a{k}_{k})", *[f"p{k} = {k}"] * (k + 1 < n))
+        for i in range(k + 1, n):
+            add("a", f"if (x := abs(a{i}_{k})) > pivot:", f"    pivot, p{k} = x, {i}")
+        add("a", "if pivot <= threshold or pivot == 0.0:", f"    _singular(pivot, {k}, scale)")
+        for i in range(k + 1, n):
+            head, row = (", ".join(f"a{r}_{j}" for j in range(k, n)) for r in (k, i))
+            add("", f"{'if' if i == k + 1 else 'elif'} p{k} == {i}:")
+            add("k", f"    {head}, b{k}, {row}, b{i} = {row}, b{i}, {head}, b{k}")
+            add("f", f"    {head}, {row} = {row}, {head}")
+            add("l", f"    b{k}, b{i} = b{i}, b{k}")
+        for i in range(k + 1, n):  # a zero in the pivot column needs no elimination
+            add("a", f"if a{i}_{k}:", f"    a{i}_{k} = a{i}_{k} / a{k}_{k}",
+                *(f"    a{i}_{j} -= a{i}_{k} * a{k}_{j}" for j in range(k + 1, n)))
+            add("b", f"b{i} -= a{i}_{k} * b{k}")
+    add("b", "if not finite:", f"    _reject_non_finite(_permuted(rhs, ({pivots})))",
+        *(f"b{k} = (b{k}{''.join(f' - a{k}_{j} * b{j}' for j in range(k + 1, n))}) / a{k}_{k}"
+          for k in reversed(rows)), f"return [{', '.join(f'b{i}' for i in rows)}]")
+    add("f", f"return ({entries}{pivots})")
+    body = ["try:", *(f"    {line}" for line in body), "except OverflowError:",
+            "    raise NonFiniteEntryError(_OVERFLOW) from None"]
+    signature = "lu, a, rhs" if "l" in kinds else "a, rhs" if "b" in kinds else "a"
+    return compile_function(signature, body, (), rtol=PIVOT_RTOL, abs=abs, filter=filter,
+                            map=map, max=max, sum=sum, isfinite=isfinite,
+                            OverflowError=OverflowError, NonFiniteEntryError=NonFiniteEntryError,
+                            _OVERFLOW=_OVERFLOW, _reject_non_finite=_reject_non_finite,
+                            _permuted=_permuted, _singular=_singular)
+
+
 def kernel(n: int, solve: bool) -> Callable:
     """The elimination of an n x n matrix ``a`` (row lists): with ``solve``,
     ``f(a, rhs) -> x`` for n complex values ``rhs``; without, ``f(a)``,
-    which only checks that ``a`` is regular.
+    which checks that ``a`` is regular and returns its factorization, the
+    factor half of :func:`halves`.
 
     Errors come in the order of a factorization followed by a
     substitution: the magnitude scan of ``a`` (:class:`NonFiniteEntryError`),
@@ -88,51 +148,15 @@ def kernel(n: int, solve: bool) -> Callable:
     magnitudes are summed up front and checked after the last step, in the
     order of the pivot rows p<k>.  A multiplier the elimination skips (a
     zero in the pivot column) still updates b."""
-    rows = range(n)
+    return _generated(n, "abk" if solve else "af")
 
-    def names(i: int, k: int) -> List[str]:
-        return [f"a{i}_{j}" for j in range(k, n)] + [f"b{i}"] * solve
 
-    entries = "".join(f"a{i}_{j}, " for i in rows for j in rows)
-    body = [f"{''.join(f'a{i}_{j}, ' for j in rows)}= a[{i}]" for i in rows] + [
-        f"magnitudes = [0.0, *map(abs, ({entries}))]",
-        "scale = max(magnitudes)",  # 0.0 first: an empty or all-zero matrix has scale 0.0
-        "if not isfinite(sum(magnitudes)):",
-        f"    _reject_non_finite(({entries}))",
-        "threshold = rtol * scale",
-    ]
-    if solve:
-        body += [f"[{''.join(f'b{i}, ' for i in rows)}] = rhs", "try:",
-                 f"    finite = isfinite(0.0{''.join(f' + abs(b{i})' for i in rows)})",
-                 "except OverflowError:",  # raised by _reject_non_finite after the matrix's errors
-                 "    finite = False"]
-    for k in rows:
-        body += [f"pivot = abs(a{k}_{k})"] + [f"p{k} = {k}"] * (k + 1 < n)
-        for i in range(k + 1, n):
-            body += [f"if (x := abs(a{i}_{k})) > pivot:", f"    pivot, p{k} = x, {i}"]
-        body += ["if pivot <= threshold or pivot == 0.0:", f"    _singular(pivot, {k}, scale)"]
-        for i in range(k + 1, n):
-            body += [f"{'if' if i == k + 1 else 'elif'} p{k} == {i}:",
-                     f"    {', '.join(names(k, k) + names(i, k))} = "
-                     f"{', '.join(names(i, k) + names(k, k))}"]
-        for i in range(k + 1, n):  # a zero in the pivot column needs no elimination
-            body += [f"if a{i}_{k}:", f"    a{i}_{k} = a{i}_{k} / a{k}_{k}"]
-            body += [f"    a{i}_{j} -= a{i}_{k} * a{k}_{j}" for j in range(k + 1, n)]
-            body += [f"b{i} -= a{i}_{k} * b{k}"] * solve
-    if solve:
-        pivots = "".join(f"p{k}, " for k in rows[:-1])
-        body += ["if not finite:", f"    _reject_non_finite(_permuted(rhs, ({pivots})))"]
-        for k in reversed(rows):
-            terms = "".join(f" - a{k}_{j} * b{j}" for j in range(k + 1, n))
-            body.append(f"b{k} = (b{k}{terms}) / a{k}_{k}")
-        body.append(f"return [{', '.join(f'b{i}' for i in rows)}]")
-    body = ["try:", *(f"    {line}" for line in body), "except OverflowError:",
-            "    raise NonFiniteEntryError(_OVERFLOW) from None"]
-    return compile_function("a, rhs" if solve else "a", body, (), rtol=PIVOT_RTOL, abs=abs,
-                            map=map, max=max, sum=sum, isfinite=isfinite,
-                            OverflowError=OverflowError, NonFiniteEntryError=NonFiniteEntryError,
-                            _OVERFLOW=_OVERFLOW, _reject_non_finite=_reject_non_finite,
-                            _permuted=_permuted, _singular=_singular)
+def halves(n: int) -> Tuple[Callable, Callable]:
+    """``kernel(n, True)`` as ``factor(a) -> lu``, the eliminated entries and
+    pivot rows, with the matrix's errors, then ``substitute(lu, a, rhs) -> x``,
+    which replays only the right-hand side's operations and errors, in order,
+    and does not read ``a``: bit for bit a solve of the kernel."""
+    return _generated(n, "af"), _generated(n, "lb")
 
 
 def solve(matrix, rhs) -> List[complex]:

@@ -7,7 +7,7 @@ scale and solution, signs of zeros included, and the same errors with the
 same messages and condition estimates.
 """
 
-from math import isfinite
+from math import inf, isfinite
 
 from kahlermech.linalg import PIVOT_RTOL, NonFiniteEntryError, SingularMatrixError
 
@@ -30,7 +30,9 @@ def reference_lu_factor(matrix):
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for v in row:
-                x = abs(v)
+                # abs() of a NaN raises OverflowError when an earlier
+                # overflow left errno set; an infinite x rejects v all the same.
+                x = abs(v) if isfinite(v.real) and isfinite(v.imag) else inf
                 total += x
                 if x > scale:
                     scale = x
@@ -72,7 +74,7 @@ def reference_lu_solve(lu, perm, rhs):
     total = 0.0
     try:
         for v in x:
-            total += abs(v)
+            total += abs(v) if isfinite(v.real) and isfinite(v.imag) else inf
     except OverflowError:
         raise NonFiniteEntryError(_OVERFLOW) from None
     if not isfinite(total):

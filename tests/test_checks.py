@@ -138,6 +138,18 @@ def test_a_state_with_an_undefined_closure_sum_adds_nothing(monkeypatch, second,
     assert {r.name: r.measured for r in results}["closedness"] == expected
 
 
+def test_a_closure_sum_whose_magnitude_passes_the_float_range_reads_inf(monkeypatch):
+    # A finite stand-in sum on which abs() raises OverflowError, which the
+    # suite let through.
+    terms = [Num(0.5), Num(complex(1.3e308, 1.3e308))]
+    generated = GeneratedFunction(terms, terms, 1)
+    monkeypatch.setattr(checks, "_closure_terms", lambda system: generated)
+    results = run_check_suite(desksuite.build("bilinear_pair"), PhaseState(0.0, (1.0,), (0.5,)),
+                              t1=0.01, dt=0.01, samples=0)
+    closedness = {r.name: r for r in results}["closedness"]
+    assert (closedness.measured, closedness.passed) == (math.inf, False)
+
+
 def test_a_sampled_state_where_the_assembly_is_undefined_is_skipped():
     # L_z = w1 - 1/(z1 - s)^2 has no value at the first sampled state, where z1 = s.
     (s, _), = sample_points(1, 1, 0)

@@ -171,6 +171,17 @@ def test_simulate_rejects_a_step_count_beyond_the_float_range(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_a_step_count_above_the_bound_is_an_input_error(tmp_path, capsys, command):
+    # t1/dt = 1e300 is finite: both commands ran until they were killed.
+    code = main([command, "--system", BILINEAR, "--out", str(tmp_path),
+                 "--t1", "1", "--dt", "1e-300"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: t1/dt = 1e+300 steps is above the bound of 10000000\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_is_deterministic(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

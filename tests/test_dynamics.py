@@ -1,6 +1,7 @@
 """Lagrangian systems: two-form assembly, saddle solve, integration."""
 
 import cmath
+import hashlib
 import importlib.util
 import math
 import random
@@ -471,14 +472,20 @@ def test_a_constant_non_finite_kahler_matrix_still_fails_at_its_first_solve():
 def test_a_constant_regular_kahler_matrix_is_factored_once_per_system(monkeypatch, text,
                                                                         per_solve):
     # per_solve kernel calls per solve: the S solve, and the Phi_L check
-    # unless the build checked a constant Phi_L.
-    kernel, checks, solves = linalg.kernel, [], []
+    # unless the build checked a constant Phi_L.  The S solve of a saddle
+    # the build factored is a substitution.
+    kernel, halves, checks, solves = linalg.kernel, linalg.halves, [], []
 
     def counted(n, solve):
         calls, f = (solves if solve else checks), kernel(n, solve)
         return lambda *args: calls.append(args) or f(*args)
 
+    def counted_halves(n):
+        factor, substitute = halves(n)
+        return factor, lambda *args: solves.append(args) or substitute(*args)
+
     monkeypatch.setattr(linalg, "kernel", counted)
+    monkeypatch.setattr(linalg, "halves", counted_halves)
     system = _system(text, 2)
     assert (len(checks), len(solves)) == (2 - per_solve, 0)
     checks.clear()
@@ -681,6 +688,74 @@ def test_integrate_rejects_bad_steps():
     # Both finite, but t1/dt overflows: no step count, so bad input.
     with pytest.raises(ValueError, match="finite step count"):
         integrate(system, s0, 1e300, 1e-10)
+
+
+def test_a_step_count_above_the_bound_is_rejected(monkeypatch):
+    system = desksuite.build("bilinear_pair")
+    s0 = PhaseState(0.0, (1.0,), (0.5,))
+    assert dynamics.MAX_STEPS == 10**7
+    with pytest.raises(ValueError, match="^t1/dt = 10000001 steps is above the bound of 10000000$"):
+        integrate(system, s0, 10**7 + 1, 1.0)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+    assert len(integrate(system, s0, 1.0, 0.1).times) == 11
+    with pytest.raises(ValueError, match="= 11 steps is above the bound of 10$"):
+        integrate(system, s0, 1.1, 0.1)
+
+
+def _trajectory_digests(work_dir):
+    """sha256 of the repr of every column, the status and the failure fields
+    of a 256-step trajectory at dt = 2^-10, per shipped system and per
+    generated ``state_sweep`` system at seeds 7 and 11."""
+    inputs = _benchmark_inputs()
+    paths = {path.stem: path for path in sorted(desksuite.SYSTEM_DIR.glob("*.system"))}
+    for seed in (7, 11):
+        (work_dir / str(seed)).mkdir()
+        paths.update((f"{seed}/{op.name}", op.path)
+                     for op in inputs.state_sweep(seed, work_dir / str(seed))
+                     if op.name.startswith("sweep_gen"))
+    digests = {}
+    for name, path in paths.items():
+        spec = parse_system_file(path)
+        tr = integrate(spec.build_system(), spec.initial_state(), 256 * 2.0**-10, 2.0**-10)
+        record = (tr.times, tr.z, tr.w, tr.vectors, tr.bookkeeping, tr.energies,
+                  tr.status, tr.failure_time, tr.failure_kind)
+        digests[name] = hashlib.sha256(repr(record).encode()).hexdigest()
+    return digests
+
+
+# What the integrator recorded before its stages folded constants, factored
+# a constant saddle once per system and unrolled; rounding differences of
+# another platform's libm in exp, log, sin or cos would move these too.
+TRAJECTORY_DIGESTS = {
+    "bilinear_pair": "9f5a7ea1caf6f918eb3f330160853e554f80be9663b4049e875aa6a4c6bd0ae2",
+    "coupled_pairs": "b160b320deb341872bf4ee0047ee47153768bdd34c2ba3598224ed9ac455e352",
+    "degenerate_quadratic": "6368fcf0f32ce7444dbaf49f535adc4b3f687eefebfbb43afb3bedd6b65cb86f",
+    "exchange_constrained": "89f050aec8360f4c8bf71127da6d94394c96b74d1d595712247de299f344a484",
+    "exponential_pair": "9b46e46a2a51f7b3dc99753f2fc355746d51dc2eb5ef319b97988d579a40c4e0",
+    "saturating_pair": "607e75743806cfbb0edf4957a6fa9896d355622005d795d2e9649ccec1cdb3df",
+    "shifted_pair": "eeb2b56700bf291a2a467b72ef1e33874e9e3cefb70a1d7684b2ed970e9feac2",
+    "standard_oscillator": "6368fcf0f32ce7444dbaf49f535adc4b3f687eefebfbb43afb3bedd6b65cb86f",
+    "7/sweep_gen0_m1_r0": "67d106d3e74a555ba854c8dee1600fa41a6fdda9155f854630da4838465f5bdf",
+    "7/sweep_gen1_m2_r0": "a20c622c07d23987fcee596df13c46626e437e2fa6668f84551e8ae1a9ecbe12",
+    "7/sweep_gen2_m2_r2": "a2804e7f8297c32093dfae8c73a42edd5cda73af94d7991b4108f1826b5af72c",
+    "7/sweep_gen3_m3_r0": "c1d765959e950f30464f20ad3501c9ff16f6ea08c5b24cafaa45dd13c512dfef",
+    "7/sweep_gen4_m3_r2": "e206848cba76b8fae018779ceba4ca6e5cfdd554f4137208d4c55b71bbb65960",
+    "7/sweep_gen5_m4_r0": "8b483ec612f3556e8f78b277a349a9e61d74543c893cf01bbf77dcf8e959a8e0",
+    "7/sweep_gen6_m4_r2": "ffb7099ab5de9d6ff6ca2e452cfbfd9c76ab2c82083c8c3c56445bae0a9ebe4d",
+    "7/sweep_gen7_m4_r4": "4d38c6629edc42f4c0656d413bb233d772c74e347f2ab779344db9668d203502",
+    "11/sweep_gen0_m1_r0": "cd2588bf866ad9004a0690a057aa61287d6eec556f3514bfbe923e698db1b758",
+    "11/sweep_gen1_m2_r0": "14d047365cf15851be86a336658b88d1bc2968b1eaca6205da9b9ec7214ca726",
+    "11/sweep_gen2_m2_r2": "ed373d80ec34f4e72402416afd852cbae737b07aa3f0518b26778627ad0e567a",
+    "11/sweep_gen3_m3_r0": "7b683da48a9edd1eaef5b802d431d012c4c40c3644f4b6554f6725a964d833f4",
+    "11/sweep_gen4_m3_r2": "562eba5aec7b276f7c5b95759a682b74acd0067738f87e5c016e1711be9c8a9c",
+    "11/sweep_gen5_m4_r0": "7fbbeab40b56d491540250f31f7bc57a665652d600f17a87a42d2aaeb049d348",
+    "11/sweep_gen6_m4_r2": "49ebf5c2111de53ae5d6f3ee315f24b0f1cb7029b5158ed5de736983a5c412cd",
+    "11/sweep_gen7_m4_r4": "ede5ad403fedb4839c67de3bb7a8b86cfca1c396268995a25cb55bc8f4a3c41d",
+}
+
+
+def test_trajectories_keep_their_digests(tmp_path):
+    assert _trajectory_digests(tmp_path) == TRAJECTORY_DIGESTS
 
 
 @pytest.mark.parametrize(

@@ -255,7 +255,8 @@ def test_evaluate_conjugation_family():
 def _compiled(e):
     """The expression as generated code, the way the dynamics layer builds it."""
     symbols = [n for n in walk(e) if isinstance(n, Sym)]
-    return compile_function("z, w", emit(e), symbols)
+    lines, names, _ = emit(e)
+    return compile_function("z, w", lines, symbols, **names)
 
 
 def test_compile_matches_evaluate():
@@ -307,7 +308,7 @@ def test_code_nested_too_deeply_to_compile_is_a_value_error():
         e = Add(e, W1)
     z, w = (0.1 + 0.2j,), (-0.3 + 1e-17j,)
     assert _same(_compiled(e)(z, w), evaluate(e, make_point(z, w)))
-    assert len(emit(e)) == 251
+    assert len(emit(e)[0]) == 251
 
 
 def test_generated_code_holds_no_tree_deeper_than_the_limit():
@@ -315,7 +316,7 @@ def test_generated_code_holds_no_tree_deeper_than_the_limit():
     e = Z1
     for _ in range(expressions.MAX_DEPTH - 1):
         e = Neg(e)
-    assert len(emit(e)) == expressions.MAX_DEPTH
+    assert len(emit(e)[0]) == expressions.MAX_DEPTH
     with pytest.raises(ValueError, match="nested too deeply"):
         emit([Z1, Neg(e)])
 
@@ -359,7 +360,7 @@ def test_emitted_literals_keep_their_zero_signs_apart():
 
 def test_a_repeated_subtree_is_one_assignment():
     entries = [Add(Mul(Z1, W1), Num(1)), Sub(Mul(Z1, W1), Z1), Mul(Z1, W1)]
-    lines = emit(entries)
+    lines = emit(entries)[0]
     assert [line.split(" = ")[-1] for line in lines].count("z1 * w1") == 1
     assert lines[-1] == "return [t1, t2, t0]"
 
@@ -377,6 +378,48 @@ def test_emitted_literals_are_exact_to_the_sign_of_zero():
                     x == y and math.copysign(1, x) == math.copysign(1, y)), (value, got)
     e = Log(Mul(Num(complex(-1.0, -0.0)), Z1))
     assert _compiled(e)((2.0 + 0j,), ()) == evaluate(e, make_point((2.0,), ()))
+
+
+def test_operations_on_constants_are_done_where_the_code_is_generated():
+    # Zeros keep the signs the operations give them, as the tree walker
+    # computes them; so do functions and powers of constants.
+    zero, minus_zero = Num(0j), Num(complex(-0.0, -0.0))
+    entries = [Neg(zero), Mul(Num(-1), zero), Sub(zero, zero), Add(minus_zero, minus_zero),
+               Sub(minus_zero, zero), Div(minus_zero, Num(2j)), Exp(Neg(zero)), Pow(Num(-2j), 3),
+               Mul(Z1, Neg(Num(1)))]
+    lines, names, constants = emit(entries)
+    assert lines[:-1] == ["t0 = z1 * (-(1+0j))"]
+    assert [constants[id(e)] for e in entries[:-1]] == [e.evaluate({}) for e in entries[:-1]]
+    got = GeneratedFunction(entries, entries, 1).at((0.5,), (0.0,))
+    assert all(_same(a, e.evaluate(make_point((0.5,), (0.0,)))) for a, e in zip(got, entries))
+
+
+def test_a_constant_repr_cannot_spell_is_a_name_bound_once():
+    # Neither 0 - 1j nor its negation -0 + 1j reads back from its repr with
+    # the sign of its zero real part.
+    e = Neg(Num(complex(0.0, -1.0)))
+    entries = [e, Mul(e, Z1), Mul(Neg(Num(complex(0.0, -1.0))), W1)]
+    lines, names, constants = emit(entries)
+    assert lines == ["t0 = c1 * z1", "t1 = c1 * w1", "return [c1, t0, t1]"]
+    assert list(names) == ["c0", "c1"] and _same(names["c1"], complex(-0.0, 1.0))
+    assert _same(constants[id(e)], complex(-0.0, 1.0))
+    got = GeneratedFunction(entries, entries, 1).at((2.0,), (3.0,))
+    assert all(_same(a, b.evaluate(make_point((2.0,), (3.0,)))) for a, b in zip(got, entries))
+
+
+def test_a_constant_line_that_raises_or_is_not_finite_runs_at_call_time():
+    # 1/0 is left to raise its ZeroDivisionError, so GeneratedFunction
+    # names it; 1e308 * 1e308 is left to overflow to inf.
+    quotient, product = Div(Num(1), Num(0)), Mul(Num(1e308), Num(1e308))
+    lines, _, constants = emit(product)
+    assert lines[0] == "t0 = ((1e+308+0j)) * ((1e+308+0j))" and id(product) not in constants
+    assert not cmath.isfinite(_compiled(product)((), ()))
+    lines, _, constants = emit([quotient, Z1])
+    assert lines[0] == "t0 = ((1+0j)) / (0j)" and id(quotient) not in constants
+    with pytest.raises(ZeroDivisionError):
+        _compiled(quotient)((), ())
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        GeneratedFunction([quotient, Z1], [quotient, Z1], 1).at((1.0,), (0.0,))
 
 
 def test_compile_raises_domain_error():

@@ -1,11 +1,14 @@
 """Dense complex LU solver used by the primary saddle path."""
 
+import cmath
+
 import numpy as np
 import pytest
 
 from kahlermech.linalg import (
     NonFiniteEntryError,
     SingularMatrixError,
+    halves,
     kernel,
     solve,
 )
@@ -108,3 +111,29 @@ def test_a_bad_right_hand_side_is_named_in_pivot_order():
         solve([[0.0, 1.0], [1.0, 0.0]], [float("nan"), float("inf")])
     with pytest.raises(NonFiniteEntryError, match=r"non-finite value \(nan\+0j\)"):
         solve([[1.0, 0.0], [0.0, 1.0]], [float("nan"), float("inf")])
+
+
+def _message_after_an_overflow(f, *args) -> str:
+    """The NonFiniteEntryError message of ``f(*args)`` called right after a
+    caught overflow; pytest.raises in between would clear errno."""
+    try:
+        cmath.exp(1000)
+    except OverflowError:
+        pass
+    try:
+        f(*args)
+    except NonFiniteEntryError as err:
+        return str(err)
+
+
+def test_a_nan_is_named_after_an_earlier_overflow():
+    # CPython's complex abs() of a NaN leaves errno as it was, and raises
+    # OverflowError when an overflow just before left ERANGE there: the
+    # kernel reported a NaN entry as a magnitude beyond the float range.
+    nan = complex("nan")
+    factor, substitute = halves(2)
+    lu = factor([[2.0, 1.0], [0.0, 1.0]])
+    for f, args in ((solve, ([[nan, 1], [0j, 1]], [1j, 1j])),
+                    (kernel(2, True), ([[nan, 1], [0j, 1]], [1j, 1j])),
+                    (substitute, (lu, None, [nan, 1j]))):
+        assert _message_after_an_overflow(f, *args) == "non-finite value (nan+0j)"

@@ -188,17 +188,19 @@ def _reference_solve(A, b):
 @given(st.integers(0, 2**32 - 1))
 def test_generated_lu_kernels_equal_the_loop_reference_bitwise(n, seed):
     # Both uses of the kernel of each size, on every kind at 6 seeds: a
-    # check is the loop factorization's error or None, and a solve is the
+    # check is the loop factorization's error or returns, and a solve is the
     # loop factorization then substitution, error or vector, bit for bit.
-    rng = np.random.default_rng(seed)
+    # So is the check's factorization followed by the substitute half.
+    rng, (factor, substitute) = np.random.default_rng(seed), linalg.halves(n)
     for kind in _LU_KINDS:
         A, b = _lu_case(rng, n, kind)
         before = repr((A, b))
         factored = _lu_outcome(reference_lu_factor, A)
         checked = _lu_outcome(linalg.kernel(n, False), A)
-        assert checked == (repr(None) if isinstance(factored, str) else factored)
+        assert isinstance(checked, str) if isinstance(factored, str) else checked == factored
         solved = _lu_outcome(linalg.kernel(n, True), A, b)
         assert solved == _lu_outcome(_reference_solve, A, b)
+        assert _lu_outcome(lambda A, b: substitute(factor(A), A, b), A, b) == solved
         assert _lu_outcome(linalg.solve, np.array(A), np.array(b)) == solved
         assert repr((A, b)) == before
 
@@ -329,7 +331,8 @@ def _same(a: complex, b: complex) -> bool:
 @given(_trees, st.lists(_value, min_size=4, max_size=4))
 def test_generated_code_matches_the_tree_walker(e, values):
     z, w = tuple(values[:2]), tuple(values[2:])
-    compiled = compile_function("z, w", emit(e), _SYMBOLS)
+    lines, names, _ = emit(e)
+    compiled = compile_function("z, w", lines, _SYMBOLS, **names)
     try:
         expected = e.evaluate(make_point(z, w))
     except EvalDomainError:
