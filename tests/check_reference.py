@@ -1,17 +1,23 @@
-"""Per-state reference for the check suite's solve and oracle measurements.
+"""Per-state reference for the check suite's sampled-state measurements.
 
-One state at a time, as the suite ran before its oracle was stacked: the
+One state at a time, as the suite ran before its measurements were
+stacked: the antisymmetry and closedness of the assembled two-form, the
 primary solve, then the real-split re-solve with a per-matrix full-pivot
 Gauss-Jordan elimination (numpy row operations, one matrix at a time).
 ``gauss_jordan_stack`` and ``run_check_suite`` must agree with it bitwise.
 """
 
+import math
+
 import numpy as np
 
 from kahlermech import checks, real_oracle
+from kahlermech.checks import CheckResult, DEFAULT_THRESHOLDS
 from kahlermech.dynamics import (
     InconsistentConstraints,
     SingularKahlerMatrix,
+    diagnostics,
+    integrate,
     solve_semispray,
 )
 from kahlermech.expressions import EvalDomainError
@@ -76,11 +82,36 @@ def reference_oracle(system, state):
 
 
 def reference_measurements(system, initial, samples, seed):
-    """(worst solve residual, worst oracle gap, solved, skipped), the solve
-    and oracle measurements of ``run_check_suite``, one state at a time."""
-    worst_solve = worst_oracle = 0.0
+    """(antisymmetry, closedness, worst solve residual, worst oracle gap,
+    solved, skipped), the sampled-state measurements of ``run_check_suite``,
+    one state at a time."""
+    closure = checks._closure_terms(system)
+    antisymmetry = closedness = worst_solve = worst_oracle = 0.0
     solved = skipped = 0
     for state in checks._sample_states(system, initial, samples, seed):
+        try:
+            k = system._blocks_at(state)[0]
+        except EvalDomainError:
+            skipped += 1
+            continue
+        k_array = np.array(k, dtype=complex)
+        largest = float(np.max(np.abs(k_array)))
+        if not math.isfinite(largest):  # the solve rejects such a K too
+            skipped += 1
+            continue
+        antisymmetry = max(antisymmetry, float(np.max(np.abs(k_array + k_array.T))))
+        try:
+            sums = closure.values(state.z, state.w)
+        except EvalDomainError:
+            pass
+        else:
+            scale = max(1.0, largest)
+            for value in sums:
+                try:
+                    size = abs(value)
+                except OverflowError:  # past the float range (or a NaN after an overflow)
+                    size = math.hypot(value.real, value.imag)
+                closedness = max(closedness, size / scale)
         try:
             sol = solve_semispray(system, state)
             alt = reference_oracle(system, state)
@@ -91,4 +122,30 @@ def reference_measurements(system, initial, samples, seed):
         worst_solve = max(worst_solve, sol.residual_symplectic, sol.residual_constraints)
         both = zip(sol.xi.components + sol.multipliers, alt)
         worst_oracle = max(worst_oracle, max(abs(a - b) for a, b in both))
-    return worst_solve, worst_oracle, solved, skipped
+    return antisymmetry, closedness, worst_solve, worst_oracle, solved, skipped
+
+
+def reference_suite(system, initial, t1, dt, samples, seed):
+    """The results ``run_check_suite`` returns at the default thresholds,
+    from :func:`reference_measurements` and the declared trajectory."""
+    antisymmetry, closedness, worst_solve, worst_oracle, solved, skipped = \
+        reference_measurements(system, initial, samples, seed)
+    note = f"{solved} states solved, {skipped} skipped"
+    if solved == 0:
+        worst_solve = worst_oracle = float("inf")
+    measured = [("antisymmetry", antisymmetry, ""), ("closedness", closedness, ""),
+                ("solve", worst_solve, note), ("oracle", worst_oracle, note)]
+    trajectory = integrate(system, initial, t1, dt)
+    report = diagnostics(trajectory)
+    if trajectory.status != "completed" or report.samples == 0:
+        note = f"integration {trajectory.status} at t={trajectory.failure_time}"
+        drift = constraint = float("inf")
+    else:
+        note = f"{report.samples} samples to t1={t1:g}"
+        drift, constraint = report.max_energy_drift, report.max_constraint_residual
+    measured.append(("drift", drift, note))
+    if system.r:
+        measured.append(("constraint", constraint, note))
+    return [CheckResult(name, float(value), DEFAULT_THRESHOLDS[name],
+                        value <= DEFAULT_THRESHOLDS[name], note)
+            for name, value, note in measured]

@@ -6,6 +6,8 @@ packaged initial state, and a guard that keeps random samples away from
 the degeneracy locus of that particular system.
 """
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -176,3 +178,14 @@ def sample_state(entry: DeskSystem, rng: np.random.Generator) -> PhaseState:
 def sample_states(entry: DeskSystem, count: int, seed: int) -> Tuple[PhaseState, ...]:
     rng = np.random.default_rng(seed)
     return tuple(sample_state(entry, rng) for _ in range(count))
+
+
+def benchmark_inputs():
+    """``perfbench/inputs.py``, which writes the benchmark's system files."""
+    name = "benchmark_inputs"
+    if name not in sys.modules:  # its dataclasses look their module up there
+        spec = importlib.util.spec_from_file_location(
+            name, Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]

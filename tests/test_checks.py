@@ -1,5 +1,6 @@
 """The consistency check suite behind the check subcommand."""
 
+import hashlib
 import math
 
 import pytest
@@ -13,7 +14,8 @@ from kahlermech.expressions import (
     Add, Div, Expr, GeneratedFunction, Mul, Num, Sub, Sym, parse_expression,
 )
 from kahlermech.real_oracle import realify_and_solve
-from check_reference import reference_measurements
+from kahlermech.systemfile import parse_system_file
+from check_reference import reference_suite
 import desksuite
 
 
@@ -133,9 +135,10 @@ def test_a_state_with_an_undefined_closure_sum_adds_nothing(monkeypatch, second,
     terms = [Num(0.5), second]
     generated = GeneratedFunction(terms, terms, 1)
     monkeypatch.setattr(checks, "_closure_terms", lambda system: generated)
-    results = run_check_suite(desksuite.build("bilinear_pair"), PhaseState(0.0, (1.0,), (0.5,)),
-                              t1=0.01, dt=0.01, samples=0)
+    system, state = desksuite.build("bilinear_pair"), PhaseState(0.0, (1.0,), (0.5,))
+    results = run_check_suite(system, state, t1=0.01, dt=0.01, samples=0)
     assert {r.name: r.measured for r in results}["closedness"] == expected
+    assert _suite_against_reference(system, state, 0, 0, t1=0.01) == (1, 0)
 
 
 def test_a_closure_sum_whose_magnitude_passes_the_float_range_reads_inf(monkeypatch):
@@ -144,22 +147,39 @@ def test_a_closure_sum_whose_magnitude_passes_the_float_range_reads_inf(monkeypa
     terms = [Num(0.5), Num(complex(1.3e308, 1.3e308))]
     generated = GeneratedFunction(terms, terms, 1)
     monkeypatch.setattr(checks, "_closure_terms", lambda system: generated)
-    results = run_check_suite(desksuite.build("bilinear_pair"), PhaseState(0.0, (1.0,), (0.5,)),
-                              t1=0.01, dt=0.01, samples=0)
+    system, state = desksuite.build("bilinear_pair"), PhaseState(0.0, (1.0,), (0.5,))
+    results = run_check_suite(system, state, t1=0.01, dt=0.01, samples=0)
     closedness = {r.name: r for r in results}["closedness"]
     assert (closedness.measured, closedness.passed) == (math.inf, False)
+    assert _suite_against_reference(system, state, 0, 0, t1=0.01) == (1, 0)
+
+
+def test_closedness_matches_the_reference_on_sums_that_vary_by_state(monkeypatch):
+    # Every shipped two-form is closed to the bit, so closedness reads 0 on
+    # them all.  Stand-in sums that vary by state, over a two-form whose
+    # largest entry does too (the scale, below and above 1), measure each
+    # state's magnitudes and scale against the reference.
+    terms = [parse_expression(text, 1) for text in ("z1*w1 - 0.3", "exp(2*z1) + w1", "0.5")]
+    generated = GeneratedFunction(terms, terms, 1)
+    monkeypatch.setattr(checks, "_closure_terms", lambda system: generated)
+    entry = desksuite.BY_NAME["exponential_pair"]
+    system, state = desksuite.build(entry.name), desksuite.initial_state(entry)
+    assert _suite_against_reference(system, state, 40, 3) == (41, 0)
+    closedness = run_check_suite(system, state, 0.02, 0.01, samples=40, seed=3)[1]
+    assert 0.5 < closedness.measured < math.inf
 
 
 def test_a_sampled_state_where_the_assembly_is_undefined_is_skipped():
     # L_z = w1 - 1/(z1 - s)^2 has no value at the first sampled state, where z1 = s.
     (s, _), = sample_points(1, 1, 0)
     lagrangian = Add(Mul(Sym("z", 1), Sym("w", 1)), Div(Num(1), Sub(Sym("z", 1), Num(s[0]))))
-    results = run_check_suite(LagrangianSystem(1, lagrangian), PhaseState(0.0, (0.5,), (0.5,)),
-                              t1=0.01, dt=0.01, samples=3, seed=0)
+    system, state = LagrangianSystem(1, lagrangian), PhaseState(0.0, (0.5,), (0.5,))
+    results = run_check_suite(system, state, t1=0.01, dt=0.01, samples=3, seed=0)
     by_name = {r.name: r for r in results}
     assert by_name["solve"].note == "3 states solved, 1 skipped"
     for name in ("antisymmetry", "closedness", "solve", "oracle"):
         assert by_name[name].passed, (name, by_name[name].measured)
+    assert _suite_against_reference(system, state, 3, 0, t1=0.01) == (3, 1)
 
 
 def test_a_state_with_a_non_finite_two_form_is_skipped():
@@ -167,12 +187,13 @@ def test_a_state_with_a_non_finite_two_form_is_skipped():
     # still finite, so the assembly raises nothing; the solve rejects it.
     # Before: K + K^T summed inf and -inf, and numpy warned "invalid value".
     system = LagrangianSystem(1, parse_expression("z1*w1 + z1*exp(w1)", 1))
-    results = run_check_suite(system, PhaseState(0.0, (0.5,), (709.5,)),
-                              t1=0.01, dt=0.01, samples=2, seed=0)
+    state = PhaseState(0.0, (0.5,), (709.5,))
+    results = run_check_suite(system, state, t1=0.01, dt=0.01, samples=2, seed=0)
     by_name = {r.name: r for r in results}
     assert by_name["solve"].note == "2 states solved, 1 skipped"
     for name in ("antisymmetry", "closedness", "solve", "oracle"):
         assert by_name[name].passed, (name, by_name[name].measured)
+    assert _suite_against_reference(system, state, 2, 0, t1=0.01) == (2, 1)
 
 
 # ---------------------------------------------- stacked oracle vs per state
@@ -199,28 +220,52 @@ def test_near_singular_states_split_the_two_solvers():
     realify_and_solve(system, _near(2e-12))
 
 
-def _suite_against_reference(system, initial, samples, seed):
-    results = run_check_suite(system, initial, t1=0.02, dt=0.01, samples=samples, seed=seed)
-    by_name = {r.name: r for r in results}
-    worst_solve, worst_oracle, solved, skipped = reference_measurements(
-        system, initial, samples, seed
-    )
-    note = f"{solved} states solved, {skipped} skipped"
-    if solved == 0:
-        worst_solve = worst_oracle = float("inf")
-    for name, measured in (("solve", worst_solve), ("oracle", worst_oracle)):
-        assert by_name[name].note == note
-        assert by_name[name].measured == measured, name
-    return solved, skipped
+def _suite_against_reference(system, initial, samples, seed, t1=0.02, dt=0.01):
+    """Asserts that the suite returns the per-state reference's results,
+    every measured value, note and verdict to the bit (by repr); returns
+    the (solved, skipped) counts of the note."""
+    results = run_check_suite(system, initial, t1=t1, dt=dt, samples=samples, seed=seed)
+    assert repr(results) == repr(reference_suite(system, initial, t1, dt, samples, seed))
+    words = results[2].note.split()
+    return int(words[0]), int(words[3])
 
 
-@pytest.mark.parametrize("name", ["coupled_pairs", "exchange_constrained", "degenerate_quadratic"])
+@pytest.mark.parametrize("name", sorted(desksuite.BY_NAME))
 def test_check_suite_matches_the_per_state_reference_on_the_desk(name):
     entry = desksuite.BY_NAME[name]
     solved, skipped = _suite_against_reference(
         desksuite.build(name), desksuite.initial_state(entry), 30, 4
     )
-    assert (solved, skipped) == ((0, 31) if name == "degenerate_quadratic" else (31, 0))
+    assert (solved, skipped) == ((0, 31) if entry in desksuite.SINGULAR else (31, 0))
+
+
+# The state_sweep benchmark's t1 (its --samples is 75).
+SWEEP_T1 = 2.0**-5
+SWEEP_REFERENCE_SAMPLES = 75
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """(name, system, initial state, seed) of each seed-7 ``state_sweep``
+    input: the shipped systems and the generated ones, m up to 4, r up to 4."""
+    work = tmp_path_factory.mktemp("state_sweep")
+    found = []
+    for op in desksuite.benchmark_inputs().state_sweep(7, work):
+        spec = parse_system_file(op.path)
+        seed = int(op.args[op.args.index("--seed") + 1])
+        found.append((op.name, spec, seed))
+    assert len(found) == 14
+    return found
+
+
+def test_check_suite_matches_the_per_state_reference_on_the_sweep(sweep_inputs):
+    for name, spec, seed in sweep_inputs:
+        system, initial = spec.build_system(), spec.initial_state()
+        results = run_check_suite(system, initial, SWEEP_T1, spec.dt,
+                                  samples=SWEEP_REFERENCE_SAMPLES, seed=seed)
+        reference = reference_suite(system, initial, SWEEP_T1, spec.dt,
+                                    SWEEP_REFERENCE_SAMPLES, seed)
+        assert repr(results) == repr(reference), name
 
 
 def test_check_suite_matches_the_per_state_reference_where_the_oracle_fails(monkeypatch):
@@ -233,3 +278,38 @@ def test_check_suite_matches_the_per_state_reference_where_the_oracle_fails(monk
         sampled[position] = _near(t)
     monkeypatch.setattr(checks, "_sample_states", lambda *args: list(sampled))
     assert _suite_against_reference(system, _near(2e-12), 12, 6) == (9, 4)
+
+
+def _check_digests(sweep_inputs):
+    """sha256 of the repr of every result ``run_check_suite`` returns on
+    each seed-7 ``state_sweep`` input, run as that workload's ``check``
+    runs it: 75 samples, t1 = 2^-5, the file's dt and tolerances."""
+    digests = {}
+    for name, spec, seed in sweep_inputs:
+        results = run_check_suite(spec.build_system(), spec.initial_state(), SWEEP_T1, spec.dt,
+                                  samples=75, seed=seed, overrides=spec.tolerances)
+        digests[name] = hashlib.sha256(repr(results).encode()).hexdigest()
+    return digests
+
+
+# What the suite returned while it measured one sampled state at a time.
+CHECK_DIGESTS = {
+    "sweep_bilinear_pair": "296a586a820c5b0937788bd5c1f7d5073eb6d29e868b55c66e6dd5f300793faa",
+    "sweep_coupled_pairs": "8c43d0ba1799483cb0759f6784cfb31fc29456f4af4f7a05088bb78a84482c9d",
+    "sweep_exchange_constrained": "e4dc0004405f1bea3ce029b70841c315d842ce283fd7d8f732ddcf1a6a738608",
+    "sweep_exponential_pair": "4a8bda5eb34f651711a8afcfa11a826d454821b369e7a4c6c331deb61b1e4e60",
+    "sweep_saturating_pair": "596b9b3199fbb14e23fb1bbf06bd74e015e45caf3444233ce14a0237f700b2fc",
+    "sweep_shifted_pair": "ce32dde163e47f46cca8f4a0c1e6298f38f41e04fd6d8c26e4d62cf04e5b35cd",
+    "sweep_gen0_m1_r0": "d5a355fcd24a40f83344fb8749643f66225ed9d007ac098f5e06a8a00a46f658",
+    "sweep_gen1_m2_r0": "b3c2e0a54829ee70bc4fe80aff6e722549fa940c08e99f3fedbfa0080e41fe29",
+    "sweep_gen2_m2_r2": "a13053e657a3bd5167d33eb8667cf154bdad1b9be2dfdfd13a4fb8e291fba068",
+    "sweep_gen3_m3_r0": "f497f2d424e6a5c77f1e8afbd5c6c58a5bb9b33ce702e0ee1f200c24abe83c11",
+    "sweep_gen4_m3_r2": "882590b47446e1714e20075c6402866df6409e8ea1cb15698add2bb302a92c2e",
+    "sweep_gen5_m4_r0": "cfa4d0a0c07cd3cf4efa2ce835fa1c6d521279e6e5443f03deb66b6770d27ce5",
+    "sweep_gen6_m4_r2": "2aae8984f24c638293dddf77f9a2fe08562b75d27ba8fe860203f828972e46c4",
+    "sweep_gen7_m4_r4": "3ec1af63d2aeb8aa7253cf23add1d6a8fecd9bc4a9a38b82d4d3afe8164a3a8a",
+}
+
+
+def test_check_results_keep_their_digests(sweep_inputs):
+    assert _check_digests(sweep_inputs) == CHECK_DIGESTS

@@ -2,11 +2,8 @@
 
 import cmath
 import hashlib
-import importlib.util
 import math
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,23 +149,12 @@ def _kahler_values(system, state):
             for row in system.kahler_form.entries]
 
 
-def _benchmark_inputs():
-    """``perfbench/inputs.py``, which writes the benchmark's system files."""
-    name = "benchmark_inputs"
-    if name not in sys.modules:  # its dataclasses look their module up there
-        spec = importlib.util.spec_from_file_location(
-            name, Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
 def test_the_assembled_kahler_matrix_is_the_kahler_form_to_the_bit(tmp_path):
     # The shipped systems and the seed-7 inputs of the trajectory and
     # state_sweep benchmarks, at the initial state and 9 random ones:
     # the generated K and the tree walk of kahler_form agree in every
     # bit, the signs of zeros included.
-    inputs = _benchmark_inputs()
+    inputs = desksuite.benchmark_inputs()
     ops = inputs.trajectory(7, tmp_path) + inputs.state_sweep(7, tmp_path)
     paths = sorted(desksuite.SYSTEM_DIR.glob("*.system")) + [op.path for op in ops]
     assert len(paths) == 28
@@ -706,7 +692,7 @@ def _trajectory_digests(work_dir):
     """sha256 of the repr of every column, the status and the failure fields
     of a 256-step trajectory at dt = 2^-10, per shipped system and per
     generated ``state_sweep`` system at seeds 7 and 11."""
-    inputs = _benchmark_inputs()
+    inputs = desksuite.benchmark_inputs()
     paths = {path.stem: path for path in sorted(desksuite.SYSTEM_DIR.glob("*.system"))}
     for seed in (7, 11):
         (work_dir / str(seed)).mkdir()
