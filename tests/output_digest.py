@@ -14,11 +14,16 @@ these commands.  Usage, from the root of a checkout::
 
     python3 tests/output_digest.py --out digest.json
     python3 tests/output_digest.py --against digest.json
+    python3 tests/output_digest.py --parent HEAD~1
 
 ``--against`` digests this checkout, prints the key of every command whose
 record differs from the one in the given file (or is in only one of the
 two) with the fields that differ (exit code, stdout, stderr, warnings, or
 the names of the files whose hashes changed), and exits 1 if there is any.
+``--parent REV`` does the same against the digest of git revision REV:
+it exports REV with ``git archive`` into a temporary directory (the
+repository is only read) and runs that tree's own ``output_digest.py
+--out`` there first.
 """
 
 import argparse
@@ -28,6 +33,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -101,26 +107,43 @@ def _differing_fields(mine, theirs) -> list:
                      if mine["files"].get(name) != theirs["files"].get(name)]
 
 
+def parent_digest(rev: str) -> dict:
+    """The digest that revision ``rev``'s own script writes of its tree."""
+    with tempfile.TemporaryDirectory() as tree:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        out = Path(tree) / "digest.json"
+        subprocess.run([sys.executable, "tests/output_digest.py", "--out", str(out)],
+                       cwd=tree, check=True)
+        return json.loads(out.read_text())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--against", help="digest JSON file to compare with")
+    parser.add_argument("--parent", metavar="REV", help="git revision whose digest to compare with")
     args = parser.parse_args(argv)
-    if not (args.out or args.against):
-        parser.error("give --out, --against or both")
+    if not (args.out or args.against or args.parent):
+        parser.error("give --out, --against, --parent or a combination")
+    if args.against and args.parent:
+        parser.error("give --against or --parent, not both")
+    other = parent_digest(args.parent) if args.parent else None
     result = digest()
     if args.out:
         Path(args.out).write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
         print(f"{len(result)} commands digested into {args.out}")
     if args.against:
         other = json.loads(Path(args.against).read_text())
-        keys = result.keys() | other.keys()
-        differing = sorted(k for k in keys if result.get(k) != other.get(k))
-        for key in differing:
-            print(f"{key}: {', '.join(_differing_fields(result.get(key), other.get(key)))}")
-        print(f"{len(differing)} of {len(keys)} commands differ from {args.against}")
-        return 1 if differing else 0
-    return 0
+    if other is None:
+        return 0
+    keys = result.keys() | other.keys()
+    differing = sorted(k for k in keys if result.get(k) != other.get(k))
+    for key in differing:
+        print(f"{key}: {', '.join(_differing_fields(result.get(key), other.get(key)))}")
+    print(f"{len(differing)} of {len(keys)} commands differ from {args.against or args.parent}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
