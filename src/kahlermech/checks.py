@@ -7,17 +7,21 @@ around the origin plus the declared initial state; sample states where the
 solver legitimately refuses (rank deficiencies on a singular locus) are
 skipped and counted.
 
-The sampled states are walked once, on generated code only: each state is
-assembled once, and its assembly serves ``antisymmetry`` and
-``closedness`` and is then solved by the primary solver.  The assemblies
-of the states that solver accepts fill one stack, and the real-split
-oracle cross-checks them all in one stacked elimination of K (for its
-rank) and one of the saddle; a state that either elimination fails counts
-as skipped.  The cyclic closure sums of Phi_L are compiled
-once per run, not with the system, so ``simulate`` does not pay for them.
-A state where the assembly is undefined adds to neither measurement; one
-where some closure sum is undefined or not finite adds nothing to
-``closedness``.
+The sampled states are walked on generated code only, in two phases:
+each state is assembled once, then each measurement is one numpy call
+over the stack of assemblies (K's finiteness, its largest magnitude,
+which scales ``closedness``, and ``antisymmetry``) or of the closure sums
+(``closedness``).  The primary solver still solves state by state, and
+its residuals come from the bookkeeping kernel.  The assemblies of the
+states it accepts form one stack, and the real-split oracle cross-checks
+them all in one stacked elimination of K (for its rank) and one of the
+saddle; a state that either elimination fails counts as skipped.  The
+cyclic closure sums of Phi_L are compiled once per run, not with the
+system, so ``simulate`` does not pay for them.  A state where the
+assembly is undefined, or K is not finite, adds to neither measurement
+and is skipped; one where some closure sum is undefined or not finite
+adds nothing to ``closedness``, and a sum whose magnitude passes the
+float range makes it inf.
 
 ``antisymmetry`` reads 0 on every system: the generated assembly mirrors
 Phi_L from its upper triangle with exact negation.  It stays because it is
@@ -28,7 +32,6 @@ that stopped mirroring.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -39,6 +42,7 @@ from .dynamics import (
     LagrangianSystem,
     PhaseState,
     SingularKahlerMatrix,
+    _bookkeeping_kernel,
     _solve,
     diagnostics,
     integrate,
@@ -101,70 +105,60 @@ def run_check_suite(
     if tol_all is not None:
         thresholds = {k: tol_all for k in thresholds}
 
-    closure = _closure_terms(system)
-    states = _sample_states(system, initial, samples, seed)
-    n, width = 2 * system.m, 2 * system.m + system.r
-    # The assemblies of the states the primary solver accepted, for the
-    # oracle, and each state's primary residuals and saddle vector.
-    K = np.empty((len(states), n, n), dtype=complex)
-    S = np.empty((len(states), width, width), dtype=complex)
-    rhs = np.empty((len(states), width), dtype=complex)
-    primary = []
-    antisymmetry = closedness = worst_solve = worst_oracle = 0.0
-    skipped = 0
-    for state in states:
+    # Phase one assembles every state; phase two measures the stacks.  A
+    # state where K is not finite (the solve rejects it too) is skipped.
+    assembled, skipped = [], 0
+    for state in _sample_states(system, initial, samples, seed):
         try:
-            k, s, b, L = system._blocks_at(state)
+            assembled.append((state, *system._blocks_at(state)))
         except EvalDomainError:
             skipped += 1
-            continue
-        # Antisymmetry and closedness of the assembled two-form.
-        k_array = np.array(k, dtype=complex)
-        largest = float(np.max(np.abs(k_array)))
-        if not math.isfinite(largest):  # the solve rejects such a K too
-            skipped += 1
-            continue
-        antisymmetry = max(antisymmetry, float(np.max(np.abs(k_array + k_array.T))))
+    n, count = 2 * system.m, len(assembled)
+    K = np.array([k for _, k, _, _, _ in assembled], dtype=complex).reshape(count, n, n)
+    largest = np.abs(K).max(axis=(1, 2))
+    finite = np.isfinite(largest)
+    skipped += count - int(np.count_nonzero(finite))
+    antisymmetry = float(np.abs(K[finite] + K[finite].transpose(0, 2, 1)).max(initial=0.0))
+
+    # Per finite state: its closure sums, its primary solve and residuals.
+    closure, bookkeep = _closure_terms(system), _bookkeeping_kernel(system.m, system.r)
+    sums, summed, primary = [], [], []
+    for row in np.flatnonzero(finite).tolist():
+        state, k, s, b, L = assembled[row]
         try:
-            sums = closure.values(state.z, state.w)
+            sums.append(closure.values(state.z, state.w))
+            summed.append(row)
         except EvalDomainError:
             pass
-        else:
-            scale = max(1.0, largest)
-            for value in sums:
-                try:
-                    size = abs(value)
-                except OverflowError:  # past the float range (or a NaN after an overflow)
-                    size = math.hypot(value.real, value.imag)
-                closedness = max(closedness, size / scale)
-
-        # The primary solve of the same assembly.
         try:
             vec = _solve(system, k, s, b, state)
         except (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError):
             skipped += 1
             continue
-        sol = system._solution_from(state, s, b, L, vec)
-        row = len(primary)
-        K[row], S[row], rhs[row] = k_array, s, b
-        primary.append((sol.residual_symplectic, sol.residual_constraints,
-                        sol.xi.components + sol.multipliers))
+        (symplectic, constraint, *_), _ = bookkeep(s, b, L, vec, state.w)
+        primary.append((row, s, b, symplectic, constraint, vec))
+    sums = np.array(sums, dtype=complex).reshape(len(summed), len(closure.entries))
+    with np.errstate(over="ignore"):  # a magnitude past the float range reads inf
+        sizes = np.abs(sums) / np.maximum(1.0, largest[summed])[:, None]
+    closedness = float(sizes.max(initial=0.0))
 
     # Oracle agreement, all accepted states in one stacked elimination; a
     # state the oracle fails on counts as skipped.
-    count = len(primary)
-    vec, k_cond, s_cond = oracle_solve(K[:count], S[:count], rhs[:count])
+    count, width = len(primary), n + system.r
+    vec, k_cond, s_cond = oracle_solve(
+        K[[p[0] for p in primary]],
+        np.array([p[1] for p in primary], dtype=complex).reshape(count, width, width),
+        np.array([p[2] for p in primary], dtype=complex).reshape(count, width))
     accepted = np.isnan(k_cond) & np.isnan(s_cond)
     solved = int(np.count_nonzero(accepted))
     skipped += count - solved
-    for (symplectic, constraint, mine), theirs, ok in zip(primary, vec.tolist(), accepted):
+    worst_solve = worst_oracle = 0.0
+    for (_, _, _, symplectic, constraint, mine), theirs, ok in zip(primary, vec.tolist(), accepted):
         if ok:
             worst_solve = max(worst_solve, symplectic, constraint)
             worst_oracle = max(worst_oracle, max(abs(p - q) for p, q in zip(mine, theirs)))
-    results = [
-        _result("antisymmetry", antisymmetry, thresholds["antisymmetry"]),
-        _result("closedness", closedness, thresholds["closedness"]),
-    ]
+    results = [_result("antisymmetry", antisymmetry, thresholds["antisymmetry"]),
+               _result("closedness", closedness, thresholds["closedness"])]
     note = f"{solved} states solved, {skipped} skipped"
     if solved == 0:
         results.append(CheckResult("solve", float("inf"), thresholds["solve"], False, note))

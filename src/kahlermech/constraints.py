@@ -145,8 +145,13 @@ class Classification:
     tol: float
 
 
+MAX_SAMPLES = 10**5  # the most draws of one check or classify run; more is a ValueError
+
+
 def sample_points(m: int, samples: int, seed: int) -> List[Tuple[tuple, tuple]]:
     """Seeded uniform (z, w) draws from the per-component box [-1,1] + [-1,1]i."""
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"{samples} samples is above the bound of {MAX_SAMPLES}")
     vals = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, 2, 2 * m))
     zw = (vals[:, 0] + 1j * vals[:, 1]).tolist()
     return [(tuple(row[:m]), tuple(row[m:])) for row in zw]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kahlermech import cli, dynamics
+from kahlermech import cli, constraints, dynamics
 from kahlermech.cli import main
 from kahlermech.expressions import MAX_DEPTH
 import desksuite
@@ -180,6 +180,21 @@ def test_a_step_count_above_the_bound_is_an_input_error(tmp_path, capsys, comman
     assert capsys.readouterr().err == (
         "error: t1/dt = 1e+300 steps is above the bound of 10000000\n")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, extra", [("check", ["--t1", "0.05"]), ("classify", [])])
+def test_a_sample_count_above_the_bound_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                                          command, extra):
+    # Nothing bounded --samples: a large count ended in MemoryError (exit 2)
+    # or the OOM killer.  The bound is patched small, so no large count runs.
+    assert constraints.MAX_SAMPLES == 10**5
+    monkeypatch.setattr(constraints, "MAX_SAMPLES", 3)
+    argv = [command, "--system", EXCHANGE, *extra, "--samples"]
+    assert main([*argv, "3", "--out", str(tmp_path / "at")]) == 0
+    capsys.readouterr()
+    assert main([*argv, "4", "--out", str(tmp_path / "above")]) == 1
+    assert capsys.readouterr().err == "error: 4 samples is above the bound of 3\n"
+    assert not (tmp_path / "above").exists()
 
 
 def test_simulate_is_deterministic(tmp_path):
