@@ -138,8 +138,9 @@ def run_check_suite(
         (symplectic, constraint, *_), _ = bookkeep(s, b, L, vec, state.w)
         primary.append((row, s, b, symplectic, constraint, vec))
     sums = np.array(sums, dtype=complex).reshape(len(summed), len(closure.entries))
-    with np.errstate(over="ignore"):  # a magnitude past the float range reads inf
-        sizes = np.abs(sums) / np.maximum(1.0, largest[summed])[:, None]
+    # hypot is abs() of a Python complex to the bit (np.abs is not); past the float range, inf.
+    with np.errstate(over="ignore"):
+        sizes = np.hypot(sums.real, sums.imag) / np.maximum(1.0, largest[summed])[:, None]
     closedness = float(sizes.max(initial=0.0))
 
     # Oracle agreement, all accepted states in one stacked elimination; a

@@ -154,17 +154,20 @@ def test_a_closure_sum_whose_magnitude_passes_the_float_range_reads_inf(monkeypa
     assert _suite_against_reference(system, state, 0, 0, t1=0.01) == (1, 0)
 
 
-def test_closedness_matches_the_reference_on_sums_that_vary_by_state(monkeypatch):
+@pytest.mark.parametrize("name, counts", [("exponential_pair", (41, 0)),
+                                          ("degenerate_quadratic", (0, 41))])
+def test_closedness_matches_the_reference_on_sums_that_vary_by_state(monkeypatch, name, counts):
     # Every shipped two-form is closed to the bit, so closedness reads 0 on
-    # them all.  Stand-in sums that vary by state, over a two-form whose
-    # largest entry does too (the scale, below and above 1), measure each
-    # state's magnitudes and scale against the reference.
+    # them all.  Stand-in sums that vary by state measure each state's
+    # magnitudes and scale against the reference: over a two-form whose
+    # largest entry varies (the scale, below and above 1), and over a
+    # singular one, where every state counts though no solve succeeds.
     terms = [parse_expression(text, 1) for text in ("z1*w1 - 0.3", "exp(2*z1) + w1", "0.5")]
     generated = GeneratedFunction(terms, terms, 1)
     monkeypatch.setattr(checks, "_closure_terms", lambda system: generated)
-    entry = desksuite.BY_NAME["exponential_pair"]
+    entry = desksuite.BY_NAME[name]
     system, state = desksuite.build(entry.name), desksuite.initial_state(entry)
-    assert _suite_against_reference(system, state, 40, 3) == (41, 0)
+    assert _suite_against_reference(system, state, 40, 3) == counts
     closedness = run_check_suite(system, state, 0.02, 0.01, samples=40, seed=3)[1]
     assert 0.5 < closedness.measured < math.inf
 
@@ -239,35 +242,6 @@ def test_check_suite_matches_the_per_state_reference_on_the_desk(name):
     assert (solved, skipped) == ((0, 31) if entry in desksuite.SINGULAR else (31, 0))
 
 
-# The state_sweep benchmark's t1 (its --samples is 75).
-SWEEP_T1 = 2.0**-5
-SWEEP_REFERENCE_SAMPLES = 75
-
-
-@pytest.fixture(scope="module")
-def sweep_inputs(tmp_path_factory):
-    """(name, system, initial state, seed) of each seed-7 ``state_sweep``
-    input: the shipped systems and the generated ones, m up to 4, r up to 4."""
-    work = tmp_path_factory.mktemp("state_sweep")
-    found = []
-    for op in desksuite.benchmark_inputs().state_sweep(7, work):
-        spec = parse_system_file(op.path)
-        seed = int(op.args[op.args.index("--seed") + 1])
-        found.append((op.name, spec, seed))
-    assert len(found) == 14
-    return found
-
-
-def test_check_suite_matches_the_per_state_reference_on_the_sweep(sweep_inputs):
-    for name, spec, seed in sweep_inputs:
-        system, initial = spec.build_system(), spec.initial_state()
-        results = run_check_suite(system, initial, SWEEP_T1, spec.dt,
-                                  samples=SWEEP_REFERENCE_SAMPLES, seed=seed)
-        reference = reference_suite(system, initial, SWEEP_T1, spec.dt,
-                                    SWEEP_REFERENCE_SAMPLES, seed)
-        assert repr(results) == repr(reference), name
-
-
 def test_check_suite_matches_the_per_state_reference_where_the_oracle_fails(monkeypatch):
     system = LagrangianSystem(2, parse_expression(NEAR_SINGULAR, 2))
     # The initial state fails the oracle alone; the random samples pass.
@@ -280,16 +254,21 @@ def test_check_suite_matches_the_per_state_reference_where_the_oracle_fails(monk
     assert _suite_against_reference(system, _near(2e-12), 12, 6) == (9, 4)
 
 
-def _check_digests(sweep_inputs):
-    """sha256 of the repr of every result ``run_check_suite`` returns on
-    each seed-7 ``state_sweep`` input, run as that workload's ``check``
-    runs it: 75 samples, t1 = 2^-5, the file's dt and tolerances."""
-    digests = {}
-    for name, spec, seed in sweep_inputs:
-        results = run_check_suite(spec.build_system(), spec.initial_state(), SWEEP_T1, spec.dt,
-                                  samples=75, seed=seed, overrides=spec.tolerances)
-        digests[name] = hashlib.sha256(repr(results).encode()).hexdigest()
-    return digests
+# The state_sweep benchmark's check flags.
+SWEEP_T1 = 2.0**-5
+SWEEP_SAMPLES = 75
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """name -> (system file spec, seed) of each seed-7 ``state_sweep``
+    input: the shipped systems and the generated ones, m up to 4, r up to 4."""
+    work = tmp_path_factory.mktemp("state_sweep")
+    found = {}
+    for op in desksuite.benchmark_inputs().state_sweep(7, work):
+        found[op.name] = parse_system_file(op.path), int(op.args[op.args.index("--seed") + 1])
+    assert len(found) == 14
+    return found
 
 
 # What the suite returned while it measured one sampled state at a time.
@@ -312,4 +291,20 @@ CHECK_DIGESTS = {
 
 
 def test_check_results_keep_their_digests(sweep_inputs):
-    assert _check_digests(sweep_inputs) == CHECK_DIGESTS
+    # sha256 of the repr of every result on each input, run as the
+    # workload's check runs it: its flags, the file's dt and tolerances.
+    digests = {}
+    for name, (spec, seed) in sweep_inputs.items():
+        results = run_check_suite(spec.build_system(), spec.initial_state(), SWEEP_T1, spec.dt,
+                                  samples=SWEEP_SAMPLES, seed=seed, overrides=spec.tolerances)
+        digests[name] = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digests == CHECK_DIGESTS
+
+
+@pytest.mark.parametrize("name", list(CHECK_DIGESTS))
+def test_check_suite_matches_the_per_state_reference_on_the_sweep(sweep_inputs, name):
+    spec, seed = sweep_inputs[name]
+    system, initial = spec.build_system(), spec.initial_state()
+    results = run_check_suite(system, initial, SWEEP_T1, spec.dt, samples=SWEEP_SAMPLES, seed=seed)
+    reference = reference_suite(system, initial, SWEEP_T1, spec.dt, SWEEP_SAMPLES, seed)
+    assert repr(results) == repr(reference)
