@@ -158,40 +158,24 @@ def run_check_suite(
         if ok:
             worst_solve = max(worst_solve, symplectic, constraint)
             worst_oracle = max(worst_oracle, max(abs(p - q) for p, q in zip(mine, theirs)))
-    results = [_result("antisymmetry", antisymmetry, thresholds["antisymmetry"]),
-               _result("closedness", closedness, thresholds["closedness"])]
-    note = f"{solved} states solved, {skipped} skipped"
-    if solved == 0:
-        results.append(CheckResult("solve", float("inf"), thresholds["solve"], False, note))
-        results.append(CheckResult("oracle", float("inf"), thresholds["oracle"], False, note))
-    else:
-        results.append(_result("solve", worst_solve, thresholds["solve"], note))
-        results.append(_result("oracle", worst_oracle, thresholds["oracle"], note))
 
     # Energy and constraint drift along the declared trajectory.
     trajectory = integrate(system, initial, t1, dt)
     report = diagnostics(trajectory)
-    if trajectory.status != "completed" or report.samples == 0:
-        note = f"integration {trajectory.status} at t={trajectory.failure_time}"
-        results.append(CheckResult("drift", float("inf"), thresholds["drift"], False, note))
-        if system.r:
-            results.append(
-                CheckResult("constraint", float("inf"), thresholds["constraint"], False, note)
-            )
-    else:
-        note = f"{report.samples} samples to t1={t1:g}"
-        results.append(_result("drift", report.max_energy_drift, thresholds["drift"], note))
-        if system.r:
-            results.append(
-                _result(
-                    "constraint",
-                    report.max_constraint_residual,
-                    thresholds["constraint"],
-                    note,
-                )
-            )
-    return results
+    failed = trajectory.status != "completed" or report.samples == 0
+    solves = f"{solved} states solved, {skipped} skipped"
+    along = (f"integration {trajectory.status} at t={trajectory.failure_time}" if failed
+             else f"{report.samples} samples to t1={t1:g}")
+    # A measurement with nothing to measure reads inf, and fails.
+    inf = float("inf")
+    measured = [("antisymmetry", antisymmetry, ""), ("closedness", closedness, ""),
+                ("solve", worst_solve if solved else inf, solves),
+                ("oracle", worst_oracle if solved else inf, solves),
+                ("drift", inf if failed else report.max_energy_drift, along),
+                ("constraint", inf if failed else report.max_constraint_residual, along)]
+    return [_result(name, value, thresholds[name], note)
+            for name, value, note in measured[:6 if system.r else 5]]
 
 
-def _result(name: str, measured: float, threshold: float, note: str = "") -> CheckResult:
+def _result(name: str, measured: float, threshold: float, note: str) -> CheckResult:
     return CheckResult(name, float(measured), float(threshold), measured <= threshold, note)

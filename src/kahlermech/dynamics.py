@@ -224,9 +224,8 @@ class LagrangianSystem:
     @cached_property
     def _blocks(self) -> GeneratedFunction:
         """The entries of dL, A, H, B and W in generated code, for
-        :func:`_derivative_blocks`."""
-        blocks = ([self._Lz + self._Lw], self._A, self._H, self._B, self._W)
-        entries = [e for block in blocks for row in block for e in row]
+        :func:`_derivative_blocks`: the assembly's, after Phi_L's and before L."""
+        entries = list(self._assemble.entries[4 * self.m ** 2:-1])
         return GeneratedFunction(entries, entries, self.m)
 
     # -- per-state assembly -------------------------------------------------
@@ -241,12 +240,6 @@ class LagrangianSystem:
         except EvalDomainError as err:
             err.state = state
             raise
-
-    def _solution_from(self, state: PhaseState, S, rhs, L, vec) -> "SemispraySolution":
-        """Field, multipliers and bookkeeping from a solved saddle vector in
-        one generated call: the residuals of the saddle rows S @ vec = rhs,
-        and E_L from rhs and L (the Lagrangian's value)."""
-        return _solution(self.m, vec, *_bookkeeping_kernel(self.m, self.r)(S, rhs, L, vec, state.w))
 
 
 def _derivative_blocks(system: LagrangianSystem, state: PhaseState):
@@ -420,11 +413,12 @@ def solve_semispray(system: LagrangianSystem, state: PhaseState) -> SemispraySol
     that a degenerate Lagrangian is reported as :class:`SingularKahlerMatrix`
     and not as inconsistent constraints.  An infinite or NaN entry of the
     assembled system or of the solved vector raises :class:`EvalDomainError`.
-    Errors carry the state.
+    Errors carry the state.  This is stage one of :func:`_checked_step`.
     """
-    K, S, rhs, L = system._blocks_at(state)
-    vec = _solve(system, K, S, rhs, state)
-    return system._solution_from(state, S, rhs, L, vec)
+    kept, vectors, err = _checked_step(system, state)
+    if err is not None:
+        raise err
+    return _solution(system.m, vectors[0], *kept)
 
 
 def el_residual(
@@ -453,28 +447,26 @@ def el_residual(
     return tuple(complex(v) for v in np.concatenate([z_eqs, w_eqs]) - lam_terms)
 
 
-def _stage(system: LagrangianSystem, t: float, z, w, h: float, k) -> List[complex]:
-    """The saddle vector at the RK stage state (t + h, z + h k_z, w + h k_w),
-    where ``k`` holds k_z then k_w, shifted as the generated assembly shifts.
-    An error carries the stage state."""
-    state = PhaseState(t + h, [x + h * v for x, v in zip(z, k)],
-                       [x + h * v for x, v in zip(w, k[len(z):])])
-    K, S, rhs, _ = system._blocks_at(state)
-    return _solve(system, K, S, rhs, state)
-
-
-def _checked_step(system: LagrangianSystem, t: float, z, w, dt: float, last: bool):
-    """A step of :func:`integrate` on the path that names every error:
-    stage one as :func:`solve_semispray` solves it, then stages 2-4 through
-    :func:`_stage` unless ``last``.  Returns stage one's bookkeeping (None
-    if it failed), the vectors solved, and the first typed error or None."""
-    state, kept, vectors = PhaseState(t, z, w), None, []
+def _checked_step(system: LagrangianSystem, state: PhaseState, dt: float = 0.0,
+                  last: bool = True):
+    """A step of :func:`integrate` on the path that names every error: stage
+    one at ``state`` itself, then, unless ``last``, stages 2-4 at the RK
+    stage states (t + h, z + h k_z, w + h k_w), where k holds the previous
+    stage's k_z then k_w.  Returns stage one's bookkeeping (None if it
+    failed), the vectors solved, and the first typed error (which carries
+    the state of its stage) or None."""
+    t, z, w = state.t, state.z, state.w
+    kept, vectors = None, []
     try:
-        K, S, rhs, L = system._blocks_at(state)
-        vectors.append(_solve(system, K, S, rhs, state))
-        kept = _bookkeeping_kernel(system.m, system.r)(S, rhs, L, vectors[0], w)
-        for h in () if last else (dt / 2, dt / 2, dt):
-            vectors.append(_stage(system, t, z, w, h, vectors[-1]))
+        for h in (0.0,) if last else (0.0, dt / 2, dt / 2, dt):
+            if vectors:
+                k = vectors[-1]
+                state = PhaseState(t + h, [x + h * v for x, v in zip(z, k)],
+                                   [x + h * v for x, v in zip(w, k[len(z):])])
+            K, S, rhs, L = system._blocks_at(state)
+            vectors.append(_solve(system, K, S, rhs, state))
+            if kept is None:
+                kept = _bookkeeping_kernel(system.m, system.r)(S, rhs, L, vectors[0], w)
     except (SingularKahlerMatrix, InconsistentConstraints, EvalDomainError) as err:
         return kept, vectors, err
     return kept, vectors, None
@@ -543,7 +535,7 @@ def integrate(system: LagrangianSystem, s0: PhaseState, t1: float, dt: float) ->
         except Exception:  # the checked path raises it again, or names it
             checked = True
         if checked:
-            kept, ks, err = _checked_step(system, t, z, w, dt, last)
+            kept, ks, err = _checked_step(system, PhaseState(t, z, w), dt, last)
             k1, k2, k3, k4 = ks + [()] * (4 - len(ks))  # fewer on a last or failed step
         if kept is not None:  # stage one was solved
             times.append(t)

@@ -24,6 +24,8 @@ from .dynamics import (
     PhaseState,
     SemispraySolution,
     SingularKahlerMatrix,
+    _bookkeeping_kernel,
+    _solution,
 )
 
 PIVOT_RTOL = 1e-12
@@ -147,4 +149,5 @@ def realify_and_solve(system: LagrangianSystem, state: PhaseState) -> SemisprayS
         raise SingularKahlerMatrix(state, float(k_cond[0]))
     if not np.isnan(s_cond[0]):
         raise InconsistentConstraints(state, float(s_cond[0]))
-    return system._solution_from(state, S, rhs, L, vec[0].tolist())
+    vec, bookkeep = vec[0].tolist(), _bookkeeping_kernel(system.m, system.r)
+    return _solution(system.m, vec, *bookkeep(S, rhs, L, vec, state.w))
