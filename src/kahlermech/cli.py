@@ -70,6 +70,13 @@ def finite(text: str) -> float:
     return value
 
 
+@functools.wraps(finite)  # so argparse still words a bad number "invalid finite value"
+def _tolerance(text: str) -> float:
+    if (value := finite(text)) < 0:  # every check would fail, and classify misjudge
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def count(text: str) -> int:
     """argparse type of ``--samples`` and ``--seed``: a nonnegative integer."""
     value = read_number(text, int)  # argparse: "invalid count value"
@@ -348,7 +355,7 @@ def build_parser() -> _ArgumentParser:
             p.add_argument("--t1", type=finite, default=None, help="final time override")
             p.add_argument("--dt", type=finite, default=None, help="step size override")
         if with_sampling:
-            p.add_argument("--tol", type=finite, default=None, help="tolerance override")
+            p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
             p.add_argument("--samples", type=count, default=None, help="sample count")
             p.add_argument("--seed", type=count, default=None, help="sampling seed")
 

@@ -450,11 +450,10 @@ def el_residual(
 def _checked_step(system: LagrangianSystem, state: PhaseState, dt: float = 0.0,
                   last: bool = True):
     """A step of :func:`integrate` on the path that names every error: stage
-    one at ``state`` itself, then, unless ``last``, stages 2-4 at the RK
-    stage states (t + h, z + h k_z, w + h k_w), where k holds the previous
-    stage's k_z then k_w.  Returns stage one's bookkeeping (None if it
-    failed), the vectors solved, and the first typed error (which carries
-    the state of its stage) or None."""
+    one at ``state`` itself, then, unless ``last``, stages 2-4 at (t + h,
+    z + h k_z, w + h k_w), k the previous stage's vector.  Returns stage
+    one's bookkeeping (None if it failed), the vectors solved, and the first
+    typed error, which carries the state of its stage, or None."""
     t, z, w = state.t, state.z, state.w
     kept, vectors = None, []
     try:

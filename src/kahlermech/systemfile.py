@@ -118,13 +118,15 @@ def read_number(text: str, kind: type):
     return kind(text.encode("ascii"))
 
 
-def _finite_number(key: str, lineno: int, value: str) -> float:
+def _finite_number(key: str, lineno: int, value: str, nonnegative: bool) -> float:
     try:
         number = read_number(value, float)
     except ValueError:
         raise SystemFileError(f"{key} must be a number, got {value!r}", lineno) from None
     if not math.isfinite(number):
         raise SystemFileError(f"{key} must be finite, got {value!r}", lineno)
+    if nonnegative and number < 0:
+        raise SystemFileError(f"{key} must be nonnegative", lineno)
     return number
 
 
@@ -244,10 +246,8 @@ def parse_system_file(path) -> SystemSpec:
 
     t1, dt = DEFAULT_T1, DEFAULT_DT
     for key, (lineno, value) in table["integrator"].items():
-        number = _finite_number(key, lineno, value)
+        number = _finite_number(key, lineno, value, key == "t1")
         if key == "t1":
-            if number < 0:
-                raise SystemFileError("t1 must be nonnegative", lineno)
             t1 = number
         elif key == "dt":
             if number <= 0:
@@ -262,7 +262,7 @@ def parse_system_file(path) -> SystemSpec:
             raise SystemFileError(
                 f"unknown tolerance {key!r} (known: {', '.join(KNOWN_TOLERANCES)})", lineno
             )
-        tolerances[key] = _finite_number(key, lineno, value)
+        tolerances[key] = _finite_number(key, lineno, value, True)
 
     return SystemSpec(
         name=name,

@@ -312,6 +312,17 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["classify", "check"])
+def test_a_negative_tolerance_is_a_usage_error(tmp_path, capsys, command):
+    # Before: classify called exchange_constrained anholonomic (closed without
+    # --tol), and check failed every check at a measured value of 0.
+    with pytest.raises(SystemExit) as info:
+        main([command, "--system", EXCHANGE, "--out", str(tmp_path), "--tol", "-1"])
+    assert info.value.code == 1
+    assert "argument --tol: must be nonnegative, got '-1'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_classify_with_zero_samples_says_none_were_requested(tmp_path, capsys):
     # Before: "every draw hit a domain error", though nothing was drawn.
     code = main(["classify", "--system", EXCHANGE, "--out", str(tmp_path), "--samples", "0"])

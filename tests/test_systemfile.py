@@ -326,6 +326,9 @@ def test_a_key_appears_once_and_only_where_known(tmp_path, old, new, message, li
      "at most 2m-1=1 constraints are allowed", 10),
     ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\nw2 = 1\n", "coordinate 'w2' out of range for m=1", 11),
     ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\n[integrator]\nt1 = -1\n", "t1 must be nonnegative", 12),
+    # Before, a negative threshold was kept, and every check failed against it.
+    ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\n[tolerances]\ndrift = -1e-9\n",
+     "drift must be nonnegative", 12),
     ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\n[integrator]\ndt = 0\n", "dt must be positive", 12),
     ("w1 = 0.5-0.4i\n", "w1 = 0.5-0.4i\n[integrator]\nsteps = 9\n",
      "unknown integrator key 'steps'", 12),
