@@ -316,6 +316,22 @@ def test_c06_energy_conservation(fine_trajectories):
     )
 
 
+@pytest.mark.parametrize("entry", desksuite.NONSINGULAR, ids=lambda entry: entry.name)
+def test_c06_step_halving_ratio_is_the_analytic_rk4_ratio(entry):
+    # On a unit-rate rotation RK4's amplification factor has
+    # |R(ih)|^2 = 1 - h^6/72 + h^8/576, so the drift over a fixed time goes as
+    # h^5 (1 - h^2/8) and halving the step divides it by
+    # 32 (1 - h^2/8) / (1 - h^2/32): 31.9699906 at h = 0.1, 0.03 inside C06's
+    # window.  Roundoff moves the ratio by far less than 1e-4 (C06's drift at
+    # dt = 1e-3 is about 2e-6 of the smallest fine drift); a change of the
+    # integrator, the step grid or the drift measure moves it by more.
+    h, half = desksuite.RATIO_STEPS
+    system, s0 = desksuite.build(entry.name), desksuite.initial_state(entry)
+    coarse, fine = (_energy_drift(integrate(system, s0, 10.0, dt)) for dt in (h, half))
+    assert half == h / 2
+    assert coarse / fine == pytest.approx(32 * (1 - h**2 / 8) / (1 - h**2 / 32), abs=1e-4)
+
+
 def test_c07_constraint_drift(fine_trajectories):
     worst = 0.0
     samples = 0
