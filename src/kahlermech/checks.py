@@ -174,7 +174,7 @@ def run_check_suite(
                 ("drift", inf if failed else report.max_energy_drift, along),
                 ("constraint", inf if failed else report.max_constraint_residual, along)]
     return [_result(name, value, thresholds[name], note)
-            for name, value, note in measured[:6 if system.r else 5]]
+            for name, value, note in measured if system.r or name != "constraint"]
 
 
 def _result(name: str, measured: float, threshold: float, note: str) -> CheckResult:
