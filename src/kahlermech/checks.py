@@ -32,10 +32,10 @@ that stopped mirroring.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ._numpy import np
+from ._record import record
 from .constraints import sample_points
 from .dynamics import (
     InconsistentConstraints,
@@ -63,7 +63,7 @@ DEFAULT_THRESHOLDS: Dict[str, float] = {
 DEFAULT_CHECK_SAMPLES = 20  # sampled states besides the initial one
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckResult:
     name: str
     measured: float

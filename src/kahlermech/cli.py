@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -184,19 +183,12 @@ def cmd_simulate(args) -> int:
 
 
 def _classification_json(spec: SystemSpec, closed, cls: Classification) -> dict:
-    witness = None
-    if cls.witness is not None:
-        w = cls.witness
-        witness = {
-            "form": spec.constraint_names[w.form_index],
-            "z": [_complex_json(c) for c in w.z],
-            "w": [_complex_json(c) for c in w.w],
-            "x_hol": [_complex_json(c) for c in w.x.hol],
-            "x_fib": [_complex_json(c) for c in w.x.fib],
-            "y_hol": [_complex_json(c) for c in w.y.hol],
-            "y_fib": [_complex_json(c) for c in w.y.fib],
-            "value": w.value,
-        }
+    w = cls.witness
+    witness = None if w is None else {
+        "form": spec.constraint_names[w.form_index], "value": w.value,
+        **{key: [_complex_json(c) for c in part] for key, part in (
+            ("z", w.z), ("w", w.w), ("x_hol", w.x.hol), ("x_fib", w.x.fib),
+            ("y_hol", w.y.hol), ("y_fib", w.y.fib))}}
     return {
         "defaults": _defaults_block(),
         "system": {"name": spec.name, "m": spec.m, "r": spec.r},
@@ -265,7 +257,7 @@ def cmd_check(args) -> int:
             "defaults": _defaults_block(),
             "system": {"name": spec.name, "m": spec.m, "r": spec.r},
             "parameters": {"t1": t1, "dt": dt, "samples": samples, "seed": seed},
-            "checks": [asdict(r) for r in results],  # name, measured, threshold, passed, note
+            "checks": [{name: getattr(r, name) for name in r.__match_args__} for r in results],
             "all_passed": all(r.passed for r in results),
         },
     )

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from ._numpy import np
+from ._record import record
 from .expressions import (
     EvalDomainError, GeneratedFunction, as_expr, check_expression, overflow_error)
 from .exterior import OneForm, VectorField, exterior_derivative
@@ -64,7 +64,7 @@ class Verdict(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConstraintSet:
     """Named one-forms defining a distribution by their common kernel."""
 
@@ -120,7 +120,7 @@ def constraint_set(forms: Sequence[OneForm], names: Optional[Sequence[str]] = No
     return ConstraintSet(tuple(forms), tuple(names))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Witness:
     """A kernel pair with a bracket value above tolerance."""
 
@@ -132,7 +132,7 @@ class Witness:
     value: float  # |d omega(x, y)| relative to the form's coefficient scale
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Classification:
     verdict: Verdict
     closed: Tuple[bool, ...]

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._numpy import np
+from ._record import record
 from . import linalg
 from .expressions import (
     Conj,
@@ -88,7 +88,7 @@ class InconsistentConstraints(Exception):
         self.condition_estimate = condition_estimate
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PhaseState:
     """A point of the phase chart at time t."""
 
@@ -288,7 +288,7 @@ def _bookkeeping_kernel(m: int, r: int) -> Callable:
     return compile_function("S, rhs, L, vec, w", body, (), abs=abs)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SemispraySolution:
     """Solved field components, multipliers, and pointwise bookkeeping.
 
@@ -315,14 +315,14 @@ def _solution(m: int, vec, book, energy) -> SemispraySolution:
                              *book, energy)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrajectorySample:
     state: PhaseState
     solution: SemispraySolution
     energy: complex
 
 
-@dataclass
+@record
 class Trajectory:
     """An integrated trajectory in columns, one entry per sample: times,
     positions z, velocities w, stage-one saddle vectors (field, then
@@ -348,7 +348,7 @@ class Trajectory:
                                                       self.bookkeeping, self.energies)]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiagnosticsReport:
     status: str
     samples: int

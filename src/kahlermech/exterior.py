@@ -18,11 +18,11 @@ antisymmetric matrix K[p][q] = d_p c_q - d_q c_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, List, Mapping, Sequence, Tuple, Union
 
 from ._numpy import np
+from ._record import record
 from .expressions import Add, Expr, Mul, Neg, Num, Sub, Sym, as_expr, diff, evaluate, fold, simplify
 
 Coef = Union[Expr, complex]
@@ -49,7 +49,7 @@ def _coef_sum(terms: Sequence[Coef]) -> Coef:
     return sum(terms, 0j)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VectorField:
     """A tangent vector at a point: m holomorphic and m fibre components."""
 
@@ -73,7 +73,7 @@ def vector(hol: Sequence[complex], fib: Sequence[complex]) -> VectorField:
     return VectorField(tuple(complex(c) for c in hol), tuple(complex(c) for c in fib))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OneForm:
     """A one-form: coefficients a_k on dz_k and b_k on dw_k."""
 
@@ -216,7 +216,7 @@ def contract(phi: TwoForm, v: VectorField) -> OneForm:
 # Metric compatibility
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompatibilityReport:
     """Sampled deviations of a Hermitian pairing from J-invariance."""
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from ._record import record
 from .checks import DEFAULT_THRESHOLDS
 from .constraints import DEFAULT_SEED, ConstraintSet
 from .dynamics import LagrangianSystem, PhaseState
@@ -77,7 +77,7 @@ def parse_complex_literal(text: str) -> complex:
     return complex(float(sign + real), float(isign + (imag or "1")))
 
 
-@dataclass
+@record(factories={"tolerances": dict})
 class SystemSpec:
     """Validated contents of a system file."""
 
@@ -92,7 +92,7 @@ class SystemSpec:
     t1: float = DEFAULT_T1
     dt: float = DEFAULT_DT
     seed: int = DEFAULT_SEED
-    tolerances: Dict[str, float] = field(default_factory=dict)
+    tolerances: Dict[str, float]  # a new {} by default
 
     @property
     def r(self) -> int:

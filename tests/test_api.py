@@ -151,6 +151,7 @@ def test_records_keep_their_dataclass_behaviour(cls, args, text, defaults):
     assert a.__eq__(object()) is NotImplemented
     # Frozen records hash as their field tuple and refuse assignment.
     if cls in MUTABLE:
+        assert cls.__hash__ is None
         with pytest.raises(TypeError):
             hash(a)
         setattr(b, names[0], args[0])

@@ -747,16 +747,19 @@ def test_console_entry_point_round_trip(tmp_path):
     assert (tmp_path / "bilinear_pair_summary.json").exists()
 
     # A fresh interpreter: simulate never loads numpy, not even to report
-    # an input error; the other commands load it at first use.
+    # an input error; the other commands load it at first use.  Neither
+    # the import nor simulate loads dataclasses or inspect.
     out = str(tmp_path / "fresh")
     code = f"""
 import sys
 from kahlermech.cli import main
 assert "numpy" not in sys.modules
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
 assert main(["simulate", "--system", {BILINEAR!r}, "--out", {out!r}, "--t1", "0.2"]) == 0
 assert "numpy" not in sys.modules
 assert main(["simulate", "--system", {out + "/nope.system"!r}, "--out", {out!r}]) == 1
 assert "numpy" not in sys.modules
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
 for command, system in (("classify", {EXCHANGE!r}), ("check", {BILINEAR!r}),
                         ("derive", {BILINEAR!r})):
     assert main([command, "--system", system, "--out", {out!r}]) == 0, command
