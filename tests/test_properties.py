@@ -584,11 +584,17 @@ _NEAR_SINGULAR = [0j, complex(-0.0, 0.0), 1e-9 + 0j, complex(0.0, -1e-12), 0.062
 _start = st.one_of(_entry, st.sampled_from(_NEAR_SINGULAR))
 
 
-# A pole of log(x - a) or 1/(x - a) in one coordinate x (a slot of
-# _SYMBOLS), at a nonzero a on the grid, and the RK stage (2, 3 or 4) of the
-# first step whose state the start is aimed to put on it.
-_poles = st.tuples(st.sampled_from([Log, functools.partial(Div, Num(1))]), st.integers(0, 3),
-                   st.sampled_from([0.5 + 0j, -0.25 + 0.5j, 1j, 0.75 - 0.125j]), st.integers(2, 4))
+# A pole term at a nonzero a on the grid, and the RK stage (2, 3 or 4) of
+# the first step whose state the start is aimed to put on it.  The term is
+# log(x - a) or 1/(x - a) in one coordinate x (a slot of _SYMBOLS), which
+# puts the pole in A = L_zz or B = L_ww only, or w_j log(z_i - a), whose
+# L_zw = 1/(z_i - a) puts it in H and so in Phi_L itself.
+_at = st.sampled_from([0.5 + 0j, -0.25 + 0.5j, 1j, 0.75 - 0.125j])
+_poles = st.one_of(
+    st.tuples(st.sampled_from([Log, functools.partial(Div, Num(1))]), st.integers(0, 3), _at,
+              st.integers(2, 4)),
+    st.tuples(st.sampled_from([functools.partial(lambda w, x: Mul(w, Log(x)), w)
+                               for w in _SYMBOLS[2:]]), st.integers(0, 1), _at, st.integers(2, 4)))
 # A start: four coordinates, or four on the grid of eighths and a pole to aim at.
 _starts = st.one_of(st.tuples(st.lists(_start, min_size=4, max_size=4), st.none()),
                     st.tuples(st.lists(_entry, min_size=4, max_size=4), _poles))
@@ -618,7 +624,7 @@ def _aimed(system, s0, dt, slot, pole, stage):
     x0 = x1 = [*s0.z, *s0.w][slot]
     f0 = None
     try:
-        for _ in range(8):
+        for _ in range(16):
             f1 = miss(x1)
             if f1 == 0 or f1 == f0:
                 break
