@@ -9,18 +9,17 @@ def record(cls=None, *, frozen=False, factories=None):
     if cls is None:
         return lambda cls: record(cls, frozen=frozen, factories=factories)
     names = tuple(vars(cls).get("__annotations__", {}))
-    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
-    factories = factories or {}
+    defaults = {name: (lambda value=vars(cls)[name]: value) for name in names if name in vars(cls)}
+    defaults.update(factories or {})
     post_init = getattr(cls, "__post_init__", None)
     fields = lambda self: tuple([getattr(self, name) for name in names])
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
             given = {**dict(zip(names, args)), **kwargs}  # drops an extra or repeated argument
-            if len(given) != len(args) + len(kwargs) or {*given, *defaults, *factories} != {*names}:
+            if len(given) != len(args) + len(kwargs) or {*given, *defaults} != {*names}:
                 raise TypeError(f"{cls.__qualname__}() takes {names}; got {len(args)}, {[*kwargs]}")
-            args = [given[name] if name in given else factories[name]() if name in factories
-                    else defaults[name] for name in names]
+            args = [given[name] if name in given else defaults[name]() for name in names]
         self.__dict__.update(zip(names, args))
         if post_init is not None:
             self.__post_init__()
