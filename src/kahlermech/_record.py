@@ -16,7 +16,7 @@ def record(cls=None, *, frozen=False, factories=None):
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
-            given = {**dict(zip(names, args)), **kwargs}  # drops an extra or repeated argument
+            given = dict(zip(names, args), **kwargs)  # drops an extra or repeated argument
             if len(given) != len(args) + len(kwargs) or {*given, *defaults} != {*names}:
                 raise TypeError(f"{cls.__qualname__}() takes {names}; got {len(args)}, {[*kwargs]}")
             args = [given[name] if name in given else defaults[name]() for name in names]
