@@ -50,15 +50,7 @@ from .dynamics import (
 from .expressions import Add, EvalDomainError, GeneratedFunction, Sub, diff, fold
 from .exterior import coordinate_symbol
 from .real_oracle import oracle_solve
-
-DEFAULT_THRESHOLDS: Dict[str, float] = {
-    "antisymmetry": 1e-12,
-    "closedness": 1e-6,
-    "solve": 1e-10,
-    "oracle": 1e-9,
-    "drift": 1e-6,
-    "constraint": 1e-8,
-}
+from .systemfile import DEFAULT_THRESHOLDS
 
 DEFAULT_CHECK_SAMPLES = 20  # sampled states besides the initial one
 

@@ -24,15 +24,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from ._numpy import np
-from .checks import DEFAULT_CHECK_SAMPLES, run_check_suite
-from .constraints import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    DEFAULT_TOL,
-    Classification,
-    closedness_test,
-    frobenius_test,
-)
 from .dynamics import (
     InconsistentConstraints,
     NonHolomorphicLagrangian,
@@ -45,7 +36,16 @@ from .dynamics import (
     solve_semispray,
 )
 from .expressions import EvalDomainError, ParseError
-from .systemfile import DEFAULT_DT, SystemFileError, SystemSpec, parse_system_file, read_number
+from .systemfile import (
+    DEFAULT_DT,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
+    SystemFileError,
+    SystemSpec,
+    parse_system_file,
+    read_number,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -182,7 +182,7 @@ def cmd_simulate(args) -> int:
     return EXIT_RUNTIME
 
 
-def _classification_json(spec: SystemSpec, closed, cls: Classification) -> dict:
+def _classification_json(spec: SystemSpec, closed, cls) -> dict:
     w = cls.witness
     witness = None if w is None else {
         "form": spec.constraint_names[w.form_index], "value": w.value,
@@ -205,6 +205,8 @@ def _classification_json(spec: SystemSpec, closed, cls: Classification) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from .constraints import closedness_test, frobenius_test  # simulate never loads them
+
     spec = parse_system_file(args.system)
     try:
         cs = spec.constraint_set()
@@ -228,6 +230,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import DEFAULT_CHECK_SAMPLES, run_check_suite  # simulate never loads them
+
     spec = parse_system_file(args.system)
     t1 = spec.t1 if args.t1 is None else args.t1
     dt = spec.dt if args.dt is None else args.dt

@@ -37,13 +37,9 @@ from ._record import record
 from .expressions import (
     EvalDomainError, GeneratedFunction, as_expr, check_expression, overflow_error)
 from .exterior import OneForm, VectorField, exterior_derivative
+from .systemfile import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL
 
 RANK_RTOL = 1e-10
-
-# Sample count, seed and tolerance of closedness_test and frobenius_test.
-DEFAULT_SAMPLES = 50
-DEFAULT_SEED = 0
-DEFAULT_TOL = 1e-8
 
 
 class RankDeficientConstraints(Exception):

@@ -10,9 +10,10 @@ The complex structure J acts on vectors by multiplying holomorphic
 components by i and fibre components by -i, and on covectors by dz -> i dz,
 dw -> -i dw.  The vertical differential of a scalar field f is
 
-    d_J f = i (df/dz_k) dz_k - i (df/dw_k) dw_k,
+    d_J f = i (df/dz_k) dz_k - i (df/dw_k) dw_k
 
-and the exterior derivative of a one-form with coefficients c_p is the
+(the Kahler form's test reference builds Phi_L = -d d_J L from it), and
+the exterior derivative of a one-form with coefficients c_p is the
 antisymmetric matrix K[p][q] = d_p c_q - d_q c_p.
 """
 
@@ -176,14 +177,6 @@ def apply_J_covector(alpha: OneForm) -> OneForm:
         tuple(_coef_scale(c, 1j) for c in alpha.a),
         tuple(_coef_scale(c, -1j) for c in alpha.b),
     )
-
-
-def vertical_d(f: Expr, m: int) -> OneForm:
-    """The twisted differential i (df/dz_k) dz_k - i (df/dw_k) dw_k."""
-    f = simplify(f)
-    a = tuple(fold(Mul, Num(1j), diff(f, Sym("z", k))) for k in range(1, m + 1))
-    b = tuple(fold(Mul, Num(-1j), diff(f, Sym("w", k))) for k in range(1, m + 1))
-    return OneForm(a, b)
 
 
 def exterior_derivative(alpha: OneForm) -> TwoForm:

@@ -31,14 +31,6 @@ from .dynamics import (
 PIVOT_RTOL = 1e-12
 
 
-class EliminationFailure(Exception):
-    """Full-pivot elimination hit a pivot below the relative threshold."""
-
-    def __init__(self, condition_estimate: float):
-        super().__init__(f"rank deficiency (condition estimate {condition_estimate:.3e})")
-        self.condition_estimate = condition_estimate
-
-
 def realify(matrix: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Double a complex linear system, or a stack of them, into real ones."""
     a = np.asarray(matrix, dtype=complex)
@@ -110,15 +102,6 @@ def gauss_jordan_stack(matrices: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarra
     x[rows[:, None], col_of] = b
     x[~np.isnan(cond)] = np.nan
     return x, cond
-
-
-def gauss_jordan_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve one real system as a stack of one; raises
-    :class:`EliminationFailure` on a pivot below the relative threshold."""
-    x, cond = gauss_jordan_stack(np.asarray(matrix)[None], np.asarray(rhs)[None])
-    if not np.isnan(cond[0]):
-        raise EliminationFailure(float(cond[0]))
-    return x[0]
 
 
 def oracle_solve(K: np.ndarray, S: np.ndarray, rhs: np.ndarray):

@@ -25,17 +25,32 @@ import math
 import re
 from itertools import islice
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ._record import record
-from .checks import DEFAULT_THRESHOLDS
-from .constraints import DEFAULT_SEED, ConstraintSet
 from .dynamics import LagrangianSystem, PhaseState
 from .expressions import NUMBER, Expr, ParseError, parse_expression
 from .exterior import OneForm
 
+if TYPE_CHECKING:
+    from .constraints import ConstraintSet
+
 DEFAULT_T1 = 10.0
 DEFAULT_DT = 1e-3
+# Sample count, seed and tolerance of closedness_test and frobenius_test;
+# every command writes them in its ``defaults`` block.
+DEFAULT_SAMPLES = 50
+DEFAULT_SEED = 0
+DEFAULT_TOL = 1e-8
+# The check suite's thresholds; [tolerances] overrides them one by one.
+DEFAULT_THRESHOLDS: Dict[str, float] = {
+    "antisymmetry": 1e-12,
+    "closedness": 1e-6,
+    "solve": 1e-10,
+    "oracle": 1e-9,
+    "drift": 1e-6,
+    "constraint": 1e-8,
+}
 # The most missing [initial] coordinates an error names; it counts the rest.
 MISSING_NAMED = 20
 
@@ -105,6 +120,8 @@ class SystemSpec:
         return PhaseState(0.0, self.initial_z, self.initial_w)
 
     def constraint_set(self) -> ConstraintSet:
+        from .constraints import ConstraintSet  # only classify loads constraints
+
         if not self.constraint_forms:
             raise ValueError(f"system {self.name!r} declares no constraints")
         return ConstraintSet(self.constraint_forms, self.constraint_names)

@@ -5,6 +5,7 @@ stacked: the antisymmetry and closedness of the assembled two-form, the
 primary solve, then the real-split re-solve with a per-matrix full-pivot
 Gauss-Jordan elimination (numpy row operations, one matrix at a time).
 ``gauss_jordan_stack`` and ``run_check_suite`` must agree with it bitwise.
+``gauss_jordan_solve`` runs the stack on one system, as the tests call it.
 """
 
 import math
@@ -21,7 +22,23 @@ from kahlermech.dynamics import (
     solve_semispray,
 )
 from kahlermech.expressions import EvalDomainError
-from kahlermech.real_oracle import EliminationFailure
+
+
+class EliminationFailure(Exception):
+    """Full-pivot elimination hit a pivot below the relative threshold."""
+
+    def __init__(self, condition_estimate: float):
+        super().__init__(f"rank deficiency (condition estimate {condition_estimate:.3e})")
+        self.condition_estimate = condition_estimate
+
+
+def gauss_jordan_solve(matrix, rhs):
+    """Solve one real system as a stack of one; raises
+    :class:`EliminationFailure` on a pivot below the relative threshold."""
+    x, cond = real_oracle.gauss_jordan_stack(np.asarray(matrix)[None], np.asarray(rhs)[None])
+    if not np.isnan(cond[0]):
+        raise EliminationFailure(float(cond[0]))
+    return x[0]
 
 
 def reference_gauss_jordan(matrix, rhs):

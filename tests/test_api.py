@@ -1,7 +1,10 @@
 """The package's public names and the README quick start's imports."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,41 @@ def test_every_public_name_resolves():
     missing = [name for name in kahlermech.__all__ if not hasattr(kahlermech, name)]
     assert missing == []
     assert len(set(kahlermech.__all__)) == len(kahlermech.__all__)
+
+
+def test_a_star_import_binds_each_name_to_its_home_modules_object():
+    namespace = {}
+    exec("from kahlermech import *", namespace)
+    assert [name for name in kahlermech.__all__ if name not in namespace] == []
+    moved = [name for name in kahlermech.__all__
+             if namespace[name] is not getattr(sys.modules[namespace[name].__module__], name)]
+    assert moved == []
+
+
+def test_the_package_resolves_its_exports_on_first_access():
+    # A fresh interpreter, since this process has loaded every module.
+    src = str(Path(kahlermech.__file__).resolve().parents[1])
+    code = """
+import sys
+import kahlermech
+loaded = lambda: sorted(name for name in sys.modules if name.startswith("kahlermech."))
+assert loaded() == [], loaded()
+assert set(kahlermech.__all__) <= set(dir(kahlermech)) and "__all__" in dir(kahlermech)
+assert loaded() == [], loaded()
+try:
+    kahlermech.no_such_name
+except AttributeError as err:
+    assert str(err) == "module 'kahlermech' has no attribute 'no_such_name'", err
+else:
+    raise AssertionError("no AttributeError")
+assert kahlermech.constraints is sys.modules["kahlermech.constraints"]
+assert kahlermech.Verdict is kahlermech.constraints.Verdict
+assert "kahlermech.checks" not in sys.modules
+"""
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
 
 
 def test_the_readme_imports_only_public_names():

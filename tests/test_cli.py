@@ -383,7 +383,7 @@ def test_linear_algebra_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(cli, "frobenius_test", fail)
+    monkeypatch.setattr(constraints, "frobenius_test", fail)
     code = main(["classify", "--system", EXCHANGE, "--out", str(tmp_path)])
     assert code == 2
     assert "error: LinAlgError: SVD did not converge" in capsys.readouterr().err
@@ -748,21 +748,28 @@ def test_console_entry_point_round_trip(tmp_path):
 
     # A fresh interpreter: simulate never loads numpy, not even to report
     # an input error; the other commands load it at first use.  Neither
-    # the import nor simulate loads dataclasses or inspect.
+    # the import nor simulate loads dataclasses or inspect.  Only check
+    # loads the check suite and the real oracle, and only check and
+    # classify load the constraint analysis.
     out = str(tmp_path / "fresh")
     code = f"""
 import sys
+loaded = lambda *names: [name for name in names if "kahlermech." + name in sys.modules]
 from kahlermech.cli import main
 assert "numpy" not in sys.modules
 assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
+assert loaded("checks", "constraints", "real_oracle") == []
 assert main(["simulate", "--system", {BILINEAR!r}, "--out", {out!r}, "--t1", "0.2"]) == 0
 assert "numpy" not in sys.modules
 assert main(["simulate", "--system", {out + "/nope.system"!r}, "--out", {out!r}]) == 1
 assert "numpy" not in sys.modules
 assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
-for command, system in (("classify", {EXCHANGE!r}), ("check", {BILINEAR!r}),
-                        ("derive", {BILINEAR!r})):
-    assert main([command, "--system", system, "--out", {out!r}]) == 0, command
+assert loaded("checks", "constraints", "real_oracle") == []
+assert main(["derive", "--system", {BILINEAR!r}, "--out", {out!r}]) == 0
+assert loaded("checks", "constraints", "real_oracle") == []
+assert main(["classify", "--system", {EXCHANGE!r}, "--out", {out!r}]) == 0
+assert loaded("checks", "real_oracle") == []
+assert main(["check", "--system", {BILINEAR!r}, "--out", {out!r}]) == 0
 assert "numpy" in sys.modules
 """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -14,7 +14,6 @@ from kahlermech.exterior import (
     exterior_derivative,
     one_form,
     vector,
-    vertical_d,
 )
 from kahlermech.expressions import (
     Num,
@@ -24,6 +23,7 @@ from kahlermech.expressions import (
     parse_expression,
 )
 from fdtools import expr_evaluator, first_fd
+from kahler_reference import vertical_d
 
 
 def _random_vector(rng: random.Random, m: int):

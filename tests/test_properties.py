@@ -56,21 +56,17 @@ from kahlermech.expressions import (
     simplify,
     walk,
 )
-from kahlermech.exterior import exterior_derivative, one_form, vertical_d
-from kahlermech.real_oracle import (
-    EliminationFailure,
-    gauss_jordan_solve,
-    gauss_jordan_stack,
-    realify_and_solve,
-)
+from kahlermech.exterior import exterior_derivative, one_form
+from kahlermech.real_oracle import gauss_jordan_stack, realify_and_solve
 from kahlermech.systemfile import KNOWN_TOLERANCES, SystemFileError, parse_system_file
 
 import desksuite
-from check_reference import reference_gauss_jordan
+from check_reference import EliminationFailure, gauss_jordan_solve, reference_gauss_jordan
 from expressions_reference import reference_diff, reference_simplify
 from linalg_reference import reference_lu_factor, reference_lu_solve
 from fdtools import expr_evaluator, first_fd
 from integrate_reference import record, reference_integrate
+from kahler_reference import vertical_d
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 

@@ -12,14 +12,9 @@ from kahlermech.dynamics import (
 )
 from kahlermech.exterior import one_form
 from kahlermech.expressions import parse_expression
-from kahlermech.real_oracle import (
-    EliminationFailure,
-    derealify,
-    gauss_jordan_solve,
-    realify,
-    realify_and_solve,
-)
+from kahlermech.real_oracle import derealify, realify, realify_and_solve
 import desksuite
+from check_reference import EliminationFailure, gauss_jordan_solve
 
 
 # ------------------------------------------------------------ real splitting
