@@ -14,20 +14,19 @@ _EXPORTS = {
         "EvalDomainError", "Expr", "ParseError", "Sym",
         "diff", "evaluate", "make_point", "parse_expression", "simplify"),
     "exterior": (
-        "CompatibilityReport", "OneForm", "TwoForm", "VectorField",
-        "apply_J_covector", "apply_J_vector", "check_hermitian_compatibility",
+        "OneForm", "TwoForm", "VectorField", "apply_J_covector", "apply_J_vector",
         "contract", "exterior_derivative", "one_form", "vector"),
     "dynamics": (
         "DiagnosticsReport", "InconsistentConstraints", "LagrangianSystem",
         "NonHolomorphicLagrangian", "PhaseState", "SemispraySolution",
         "SingularKahlerMatrix", "Trajectory", "TrajectorySample",
-        "assemble_kahler_matrix", "diagnostics",
-        "el_residual", "energy_differential", "integrate", "solve_semispray"),
+        "assemble_kahler_matrix", "diagnostics", "energy_differential", "integrate",
+        "solve_semispray"),
     "constraints": (
         "Classification", "ConstraintSet", "RankDeficientConstraints",
         "Verdict", "Witness", "annihilator_basis", "closedness_test",
         "constraint_set", "frobenius_test"),
-    "real_oracle": ("derealify", "realify", "realify_and_solve"),
+    "real_oracle": ("derealify", "realify"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -292,9 +292,8 @@ def _bookkeeping_kernel(m: int, r: int) -> Callable:
 class SemispraySolution:
     """Solved field components, multipliers, and pointwise bookkeeping.
 
-    Both solvers of the generated assembly fill every field; a solution
-    built by hand, such as a field to test :func:`el_residual` on, may
-    leave out the last two.
+    A solve fills every field; a solution built by hand, such as a field
+    to test the Euler-Lagrange residuals on, may leave out the last two.
     """
 
     xi: VectorField
@@ -419,32 +418,6 @@ def solve_semispray(system: LagrangianSystem, state: PhaseState) -> SemispraySol
     if err is not None:
         raise err
     return _solution(system.m, vectors[0], *kept)
-
-
-def el_residual(
-    system: LagrangianSystem,
-    state: PhaseState,
-    solution: SemispraySolution,
-) -> Tuple[complex, ...]:
-    """Constrained Euler-Lagrange residuals at a state.
-
-    The time derivative of the momenta is expanded by the chain rule along
-    the supplied field, so the residuals are algebraic in (state, xi,
-    multipliers).  Component order is (z-equations, w-equations); with no
-    constraints the w-entries coincide with the unconstrained equations and
-    the z-entries with their negatives.
-    """
-    m = system.m
-    if solution.xi.m != m:
-        raise ValueError("field dimension does not match the system")
-    if len(solution.multipliers) != system.r:
-        raise ValueError(f"got {len(solution.multipliers)} multipliers for {system.r} constraints")
-    dL, A, H, B, W = _derivative_blocks(system, state)
-    xih, xif = np.asarray(solution.xi.hol), np.asarray(solution.xi.fib)
-    z_eqs = dL[:m] - 1j * (A @ xih + H @ xif)
-    w_eqs = dL[m:] + 1j * (H.T @ xih + B @ xif)
-    lam_terms = W @ np.asarray(solution.multipliers, dtype=complex)
-    return tuple(complex(v) for v in np.concatenate([z_eqs, w_eqs]) - lam_terms)
 
 
 def _checked_step(system: LagrangianSystem, state: PhaseState, dt: float = 0.0,

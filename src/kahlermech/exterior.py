@@ -203,56 +203,3 @@ def contract(phi: TwoForm, v: VectorField) -> OneForm:
     for q in range(n):
         out.append(_coef_sum([_coef_scale(phi.entries[p][q], comps[p]) for p in range(n)]))
     return OneForm(tuple(out[: phi.m]), tuple(out[phi.m:]))
-
-
-# ---------------------------------------------------------------------------
-# Metric compatibility
-
-
-@record(frozen=True)
-class CompatibilityReport:
-    """Sampled deviations of a Hermitian pairing from J-invariance."""
-
-    max_metric_deviation: float
-    max_form_antisymmetry: float
-    samples_checked: int
-
-    @property
-    def compatible(self) -> bool:
-        return self.max_metric_deviation <= 1e-12
-
-
-def _pair(g: np.ndarray, x: VectorField, y: VectorField) -> complex:
-    xv = np.asarray(x.components)
-    yv = np.asarray(y.components)
-    return complex(np.conj(xv) @ g @ yv)
-
-
-def check_hermitian_compatibility(
-    g: np.ndarray,
-    samples: Sequence[Tuple[VectorField, VectorField]],
-) -> CompatibilityReport:
-    """Check g(JX, JY) = g(X, Y) on sample vector pairs.
-
-    ``g`` is a 2m x 2m Hermitian matrix defining the sesquilinear pairing
-    g(X, Y) = conj(X)^T g Y.  The report also records how far the induced
-    form Phi(X, Y) = g(X, JY) is from Hermitian antisymmetry, which
-    vanishes exactly when g commutes with J (no dz/dw sector mixing).
-    """
-    g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    if g.shape != (n, n) or n % 2:
-        raise ValueError("metric must be square with even size 2m")
-    if not np.allclose(g, g.conj().T, rtol=0, atol=1e-12):
-        raise ValueError("metric matrix is not Hermitian")
-    dev_metric = 0.0
-    dev_form = 0.0
-    count = 0
-    for x, y in samples:
-        jx, jy = apply_J_vector(x), apply_J_vector(y)
-        dev_metric = max(dev_metric, abs(_pair(g, jx, jy) - _pair(g, x, y)))
-        phi_xy = _pair(g, x, jy)
-        phi_yx = _pair(g, y, jx)
-        dev_form = max(dev_form, abs(phi_xy + phi_yx.conjugate()))
-        count += 1
-    return CompatibilityReport(dev_metric, dev_form, count)

@@ -18,15 +18,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from ._numpy import np
-from .dynamics import (
-    InconsistentConstraints,
-    LagrangianSystem,
-    PhaseState,
-    SemispraySolution,
-    SingularKahlerMatrix,
-    _bookkeeping_kernel,
-    _solution,
-)
 
 PIVOT_RTOL = 1e-12
 
@@ -117,20 +108,3 @@ def oracle_solve(K: np.ndarray, S: np.ndarray, rhs: np.ndarray):
     _, k_cond = gauss_jordan_stack(Kr, zero)
     x, s_cond = gauss_jordan_stack(*realify(S, rhs))
     return derealify(x), k_cond, s_cond
-
-
-def realify_and_solve(system: LagrangianSystem, state: PhaseState) -> SemispraySolution:
-    """Re-solve the saddle problem through the doubled real system.
-
-    Mirrors :func:`kahlermech.dynamics.solve_semispray`: the same generated
-    assembly, error types and bookkeeping, energy included, but eliminated
-    with the independent full-pivot routine.
-    """
-    K, S, rhs, L = system._blocks_at(state)
-    vec, k_cond, s_cond = oracle_solve(*(np.array([x], dtype=complex) for x in (K, S, rhs)))
-    if not np.isnan(k_cond[0]):
-        raise SingularKahlerMatrix(state, float(k_cond[0]))
-    if not np.isnan(s_cond[0]):
-        raise InconsistentConstraints(state, float(s_cond[0]))
-    vec, bookkeep = vec[0].tolist(), _bookkeeping_kernel(system.m, system.r)
-    return _solution(system.m, vec, *bookkeep(S, rhs, L, vec, state.w))

@@ -5,7 +5,8 @@ stacked: the antisymmetry and closedness of the assembled two-form, the
 primary solve, then the real-split re-solve with a per-matrix full-pivot
 Gauss-Jordan elimination (numpy row operations, one matrix at a time).
 ``gauss_jordan_stack`` and ``run_check_suite`` must agree with it bitwise.
-``gauss_jordan_solve`` runs the stack on one system, as the tests call it.
+``gauss_jordan_solve`` runs the stack on one system, as the tests call it,
+and ``realify_and_solve`` re-solves one state through ``oracle_solve``.
 """
 
 import math
@@ -16,12 +17,18 @@ from kahlermech import checks, real_oracle
 from kahlermech.checks import CheckResult, DEFAULT_THRESHOLDS
 from kahlermech.dynamics import (
     InconsistentConstraints,
+    LagrangianSystem,
+    PhaseState,
+    SemispraySolution,
     SingularKahlerMatrix,
+    _bookkeeping_kernel,
+    _solution,
     diagnostics,
     integrate,
     solve_semispray,
 )
 from kahlermech.expressions import EvalDomainError
+from kahlermech.real_oracle import oracle_solve
 
 
 class EliminationFailure(Exception):
@@ -39,6 +46,23 @@ def gauss_jordan_solve(matrix, rhs):
     if not np.isnan(cond[0]):
         raise EliminationFailure(float(cond[0]))
     return x[0]
+
+
+def realify_and_solve(system: LagrangianSystem, state: PhaseState) -> SemispraySolution:
+    """Re-solve the saddle problem through the doubled real system.
+
+    Mirrors :func:`kahlermech.dynamics.solve_semispray`: the same generated
+    assembly, error types and bookkeeping, energy included, but eliminated
+    with the independent full-pivot routine.
+    """
+    K, S, rhs, L = system._blocks_at(state)
+    vec, k_cond, s_cond = oracle_solve(*(np.array([x], dtype=complex) for x in (K, S, rhs)))
+    if not np.isnan(k_cond[0]):
+        raise SingularKahlerMatrix(state, float(k_cond[0]))
+    if not np.isnan(s_cond[0]):
+        raise InconsistentConstraints(state, float(s_cond[0]))
+    vec, bookkeep = vec[0].tolist(), _bookkeeping_kernel(system.m, system.r)
+    return _solution(system.m, vec, *bookkeep(S, rhs, L, vec, state.w))
 
 
 def reference_gauss_jordan(matrix, rhs):

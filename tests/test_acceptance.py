@@ -20,6 +20,7 @@ import pytest
 
 import conftest
 import desksuite
+from check_reference import realify_and_solve
 from fdtools import (
     expr_evaluator,
     fd_closure_defect,
@@ -27,6 +28,7 @@ from fdtools import (
     first_fd,
     second_fd,
 )
+from kahler_reference import check_hermitian_compatibility, el_residual
 
 from kahlermech.cli import main
 from kahlermech.constraints import (
@@ -44,7 +46,6 @@ from kahlermech.dynamics import (
     SingularKahlerMatrix,
     Trajectory,
     assemble_kahler_matrix,
-    el_residual,
     energy_differential,
     integrate,
     solve_semispray,
@@ -52,13 +53,11 @@ from kahlermech.dynamics import (
 from kahlermech.exterior import (
     apply_J_covector,
     apply_J_vector,
-    check_hermitian_compatibility,
     contract,
     one_form,
     vector,
 )
 from kahlermech.expressions import Sym, make_point, parse_expression
-from kahlermech.real_oracle import realify_and_solve
 
 
 def record(num: int, name: str, ok: bool, detail: str) -> None:

@@ -11,10 +11,11 @@ import pytest
 
 import kahlermech
 from kahlermech import (
-    Classification, CompatibilityReport, ConstraintSet, DiagnosticsReport, OneForm, PhaseState,
+    Classification, ConstraintSet, DiagnosticsReport, OneForm, PhaseState,
     SemispraySolution, Sym, Trajectory, TrajectorySample, VectorField, Verdict, Witness)
 from kahlermech.checks import CheckResult
 from kahlermech.systemfile import SystemSpec
+from kahler_reference import CompatibilityReport
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,9 +35,16 @@ def test_a_star_import_binds_each_name_to_its_home_modules_object():
     assert moved == []
 
 
+def _fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    src = str(Path(kahlermech.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_the_package_resolves_its_exports_on_first_access():
     # A fresh interpreter, since this process has loaded every module.
-    src = str(Path(kahlermech.__file__).resolve().parents[1])
     code = """
 import sys
 import kahlermech
@@ -54,10 +62,39 @@ assert kahlermech.constraints is sys.modules["kahlermech.constraints"]
 assert kahlermech.Verdict is kahlermech.constraints.Verdict
 assert "kahlermech.checks" not in sys.modules
 """
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path})
+    result = _fresh(code)
     assert result.returncode == 0, result.stderr
+
+
+# Checkers and references that only the tests call, by their former home
+# module; they live in tests/kahler_reference.py and tests/check_reference.py.
+MOVED_TO_TESTS = {
+    "CompatibilityReport": "exterior",
+    "check_hermitian_compatibility": "exterior",
+    "vertical_d": "exterior",
+    "el_residual": "dynamics",
+    "realify_and_solve": "real_oracle",
+    "gauss_jordan_solve": "real_oracle",
+    "EliminationFailure": "real_oracle",
+}
+
+
+@pytest.mark.parametrize("name, home", MOVED_TO_TESTS.items())
+def test_the_test_only_checkers_are_not_shipped(name, home):
+    assert name not in kahlermech.__all__
+    for module in (kahlermech, getattr(kahlermech, home)):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
+
+
+def test_the_real_oracle_imports_only_numpy():
+    result = _fresh("""
+import sys
+import kahlermech.real_oracle
+print(*sorted(name for name in sys.modules if name.startswith("kahlermech.")))
+""")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["kahlermech._numpy", "kahlermech.real_oracle"]
 
 
 def test_the_readme_imports_only_public_names():

@@ -13,9 +13,8 @@ from kahlermech.constraints import sample_points
 from kahlermech.expressions import (
     Add, Div, Expr, GeneratedFunction, Mul, Num, Sub, Sym, parse_expression,
 )
-from kahlermech.real_oracle import realify_and_solve
 from kahlermech.systemfile import parse_system_file
-from check_reference import reference_suite
+from check_reference import realify_and_solve, reference_suite
 import desksuite
 
 

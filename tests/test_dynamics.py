@@ -18,7 +18,6 @@ from kahlermech.dynamics import (
     SingularKahlerMatrix,
     assemble_kahler_matrix,
     diagnostics,
-    el_residual,
     energy_differential,
     integrate,
     solve_semispray,
@@ -44,6 +43,7 @@ import desksuite
 from bookkeeping_reference import reference_solution_from
 from integrate_reference import record, reference_integrate
 from fdtools import expr_evaluator, fd_kahler_matrix
+from kahler_reference import el_residual
 
 
 def _system(text: str, m: int = 1, constraints=()) -> LagrangianSystem:

@@ -8,7 +8,6 @@ import pytest
 from kahlermech.exterior import (
     apply_J_covector,
     apply_J_vector,
-    check_hermitian_compatibility,
     contract,
     coordinate_symbol,
     exterior_derivative,
@@ -23,7 +22,7 @@ from kahlermech.expressions import (
     parse_expression,
 )
 from fdtools import expr_evaluator, first_fd
-from kahler_reference import vertical_d
+from kahler_reference import check_hermitian_compatibility, vertical_d
 
 
 def _random_vector(rng: random.Random, m: int):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kahlermech import cli, linalg
+from kahlermech import cli, dynamics, linalg
 from kahlermech.constraints import closedness_test, constraint_set, frobenius_test
 from kahlermech.dynamics import (
     InconsistentConstraints,
@@ -57,11 +57,12 @@ from kahlermech.expressions import (
     walk,
 )
 from kahlermech.exterior import exterior_derivative, one_form
-from kahlermech.real_oracle import gauss_jordan_stack, realify_and_solve
+from kahlermech.real_oracle import gauss_jordan_stack
 from kahlermech.systemfile import KNOWN_TOLERANCES, SystemFileError, parse_system_file
 
 import desksuite
-from check_reference import EliminationFailure, gauss_jordan_solve, reference_gauss_jordan
+from check_reference import (
+    EliminationFailure, gauss_jordan_solve, realify_and_solve, reference_gauss_jordan)
 from expressions_reference import reference_diff, reference_simplify
 from linalg_reference import reference_lu_factor, reference_lu_solve
 from fdtools import expr_evaluator, first_fd
@@ -657,6 +658,22 @@ def test_integrate_records_what_its_reference_loop_records(e, weight, constraine
         except Exception as err:  # an untyped error: the same type and message
             outcomes.append((type(err), str(err)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_a_pole_in_phi_l_aimed_at_rk_stage_three_fails_k_there():
+    # A draw of the kind above, w1 log(z1 - a) with L_zw = 1/(z1 - a) in
+    # Phi_L itself, aimed at stage 3.  Stages 2 and 3 both sit at t + dt/2,
+    # so the stage is told by the vectors solved before K failed: two.
+    e = Add(Mul(Add(Num(0j), _SYMBOLS[0]), Add(Num(0j), _SYMBOLS[2])), Num(0j))
+    pole = Mul(_SYMBOLS[2], Log(Sub(_SYMBOLS[0], Num(0.5 + 0j))))
+    lagrangian = Add(Add(parse_expression("z1*w1 + z2*w2", 2), Mul(Num(1.0), e)), pole)
+    system, dt = LagrangianSystem(2, lagrangian), 0.5
+    s0 = _aimed(system, PhaseState(0.0, (0.5 + 0.5j, -0.25j), (0.125, 1.0)), dt, 0, 0.5 + 0j, 3)
+    _, vectors, err = dynamics._checked_step(system, s0, dt, last=False)
+    assert len(vectors) == 2 and type(err) is SingularKahlerMatrix and err.state.t == dt / 2
+    outcomes = [record(run(system, s0, dt, dt)) for run in (integrate, reference_integrate)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2:] == ("solver_failure", repr(dt / 2), "SingularKahlerMatrix")
 
 
 # ------------------------------------------------ classify under rescaling
