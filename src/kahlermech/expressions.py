@@ -716,27 +716,6 @@ def overflow_error(entries: Sequence[Expr], magnitudes) -> EvalDomainError:
 COMPILED_DOMAIN_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
 
-def _repr_is_exact(v: complex) -> bool:
-    """Whether ``repr(v)`` of a finite ``v`` evaluates back to ``v``:
-    ``(-0-1j)`` is ``-0 - 1j``, whose real part is +0.0."""
-    imag_positive = math.copysign(1.0, v.imag) > 0
-    if v.real == 0:
-        return imag_positive and math.copysign(1.0, v.real) > 0
-    return imag_positive or v.imag != 0
-
-
-def _literal(v: complex) -> str:
-    """Source for exactly ``v``, signs of zeros included: a constant the
-    compiler folds where ``repr`` spells it, else a ``complex`` call."""
-    if not cmath.isfinite(v):
-        return f"complex({str(v)!r})"
-    if _repr_is_exact(v):
-        return f"({v!r})"
-    if _repr_is_exact(-v):
-        return f"(-{-v!r})"
-    return f"complex({v.real!r}, {v.imag!r})"  # a zero real part repr cannot sign
-
-
 def emit(value, named: Sequence[Tuple[str, Expr]] = ()) -> tuple:
     """The body of a function of the locals z1.., w1.. that returns ``value``,
     an expression or a list of values: one line ``t<k> = a op b`` per distinct
@@ -747,18 +726,18 @@ def emit(value, named: Sequence[Tuple[str, Expr]] = ()) -> tuple:
     per level.  The error names the first of the ``named`` (name, subtree of
     ``value``) pairs, emitted first, that is too deep, else "a derived expression".
     An operation on constants is done here by the tree walker, as the code
-    would do it, unless it raises or its value is not finite; a constant that
-    :func:`_literal` spells as a call is bound to a name.  Returns the lines,
-    the names to bind, and the value of each constant node of ``value`` by id."""
+    would do it, unless it raises or its value is not finite.  Every constant
+    is a name ``c<k>`` bound to its exact value, one name per pair of bit
+    patterns of its parts.  Returns the lines, the names to bind, and the
+    value of each constant node of ``value`` by id."""
     names: Dict[str, str] = {}  # a line's right-hand side -> the name it assigns
-    tokens: Dict[int, str] = {}  # id(node) -> the name or literal that holds it
+    tokens: Dict[int, str] = {}  # id(node) -> the name that holds it
     constants: Dict[int, complex] = {}  # id(node) -> the value of a constant node
-    bound: Dict[str, Tuple[str, complex]] = {}  # a complex(...) call -> a name and its value
+    # The bits of a value's parts, which keep the signs of zeros apart -> its name and value.
+    bound: Dict[Tuple[str, str], Tuple[str, complex]] = {}
 
     def constant(e: Expr, v: complex) -> str:
-        text = _literal(v)
-        if text.startswith("complex("):  # a call per run: bind a name once instead
-            text = bound.setdefault(text, (f"c{len(bound)}", v))[0]
+        text = bound.setdefault((v.real.hex(), v.imag.hex()), (f"c{len(bound)}", v))[0]
         constants[id(e)], tokens[id(e)] = v, text
         return text
 
@@ -769,7 +748,7 @@ def emit(value, named: Sequence[Tuple[str, Expr]] = ()) -> tuple:
             return known
         left = tokens.get(id(args[0])) or token(args[0])
         right = tokens.get(id(args[-1])) or token(args[-1])  # left again for one argument
-        if left[0] in "(c" and right[0] in "(c":  # literals and bound names are constants
+        if left[0] == "c" and right[0] == "c":  # bound names are the constants
             try:
                 v = type(e)(*(Num(constants[id(a)]) for a in args), *e._payload()).evaluate({})
             except EvalDomainError:
@@ -809,14 +788,15 @@ def compile_function(signature: str, body: List[str], symbols, **names) -> Calla
 
     ``signature`` starts with the value tuples ``z, w``; each symbol in
     ``symbols`` is unpacked from them into the local :func:`emit` names.
-    ``names`` are further globals of the generated code.
+    ``names`` are the only globals of the generated code besides the function
+    values, no builtins: the constants :func:`emit` binds, or a kernel's helpers.
     """
     unpack = [
         f"{s.name} = {s.kind}[{s.index - 1}]"
         for s in sorted(set(symbols), key=lambda s: (s.kind, s.index))
     ]
     source = "\n    ".join([f"def f({signature}):"] + unpack + body)
-    namespace = dict(__builtins__={}, complex=complex, **names,
+    namespace = dict(__builtins__={}, **names,
                      **{f"_{name}": kind.value for name, kind in _FUNCTIONS.items()})
     exec(compile(source, "<generated>", "exec"), namespace)
     return namespace["f"]
@@ -834,8 +814,9 @@ class GeneratedFunction:
     instead the tree walker's :class:`EvalDomainError` for the first entry
     without a finite value; ``value`` is made of the entries, so the two
     agree on every value and every domain error.  ``named`` names the
-    subtrees that :func:`emit` reports when one is too deep.  ``constants``
-    holds emit's value of each constant node, by id (valid while ``value`` lives).
+    subtrees that :func:`emit` reports when one is too deep.  Each constant
+    of the code is a global bound to its exact value; ``constants`` holds
+    emit's value of each constant node, by id (valid while ``value`` lives).
     """
 
     def __init__(self, value, entries: Sequence[Expr], m: int,

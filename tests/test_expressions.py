@@ -1,9 +1,11 @@
 """Parser, evaluator, formal derivative and simplifier behavior."""
 
 import cmath
+import io
 import math
 import re
 import random
+import tokenize
 
 import pytest
 
@@ -38,7 +40,10 @@ from kahlermech.expressions import (
     simplify,
     walk,
 )
+from kahlermech.checks import _closure_terms
+from kahlermech.systemfile import parse_system_file
 from fdtools import domain_clear, expr_evaluator, first_fd
+import desksuite
 
 Z1, W1 = Sym("z", 1), Sym("w", 1)
 
@@ -388,7 +393,7 @@ def test_operations_on_constants_are_done_where_the_code_is_generated():
                Sub(minus_zero, zero), Div(minus_zero, Num(2j)), Exp(Neg(zero)), Pow(Num(-2j), 3),
                Mul(Z1, Neg(Num(1)))]
     lines, names, constants = emit(entries)
-    assert lines[:-1] == ["t0 = z1 * (-(1+0j))"]
+    assert lines[:-1] == ["t0 = z1 * c9"] and _same(names["c9"], complex(-1.0, -0.0))
     assert [constants[id(e)] for e in entries[:-1]] == [e.evaluate({}) for e in entries[:-1]]
     got = GeneratedFunction(entries, entries, 1).at((0.5,), (0.0,))
     assert all(_same(a, e.evaluate(make_point((0.5,), (0.0,)))) for a, e in zip(got, entries))
@@ -407,15 +412,55 @@ def test_a_constant_repr_cannot_spell_is_a_name_bound_once():
     assert all(_same(a, b.evaluate(make_point((2.0,), (3.0,)))) for a, b in zip(got, entries))
 
 
+def _constant_spellings(lines):
+    """The complex literals and ``complex`` names among the tokens of ``lines``."""
+    tokens = tokenize.generate_tokens(io.StringIO("\n".join(lines) + "\n").readline)
+    return [t.string for t in tokens if t.string == "complex"
+            or (t.type == tokenize.NUMBER and t.string[-1] in "jJ")]
+
+
+def _bits(v: complex):
+    return v.real.hex(), v.imag.hex()
+
+
+def test_every_emitted_constant_is_one_name_per_bit_pattern(monkeypatch, tmp_path):
+    # A repeated 1.5 is one name; 0 and -0 are two, since the signs of
+    # zeros are bits of the value.
+    entries = [Mul(Num(0.0), Z1), Mul(Num(-0.0), Z1), Mul(Num(1.5), Z1), Mul(Num(1.5), W1)]
+    lines, names, _ = emit(entries)
+    assert lines[:-1] == ["t0 = c0 * z1", "t1 = c1 * z1", "t2 = c2 * z1", "t3 = c2 * w1"]
+    assert list(names) == ["c0", "c1", "c2"]
+    assert [_bits(v) for v in names.values()] == [_bits(0j), _bits(complex(-0.0)), _bits(1.5 + 0j)]
+    # The generated code of a shipped system's assembly, a constraint
+    # evaluator and the closure sums of a generated state_sweep system.
+    built = []
+    monkeypatch.setattr(expressions, "compile_function", lambda signature, body, symbols, **names:
+                        built.append((body, names)) or compile_function(signature, body, symbols,
+                                                                        **names))
+    spec = parse_system_file(desksuite.SYSTEM_DIR / "exchange_constrained.system")
+    spec.build_system()
+    spec.constraint_set()._evaluate
+    op = desksuite.benchmark_inputs().state_sweep(7, tmp_path)[-1]
+    _closure_terms(parse_system_file(op.path).build_system())
+    assert len(built) == 4  # the two assemblies, the evaluator, the closure sums
+    for body, names in built:
+        assert names and _constant_spellings(body) == []
+        assert list(names) == [f"c{k}" for k in range(len(names))]
+        assert len({_bits(v) for v in names.values()}) == len(names)
+
+
 def test_a_constant_line_that_raises_or_is_not_finite_runs_at_call_time():
     # 1/0 is left to raise its ZeroDivisionError, so GeneratedFunction
     # names it; 1e308 * 1e308 is left to overflow to inf.
     quotient, product = Div(Num(1), Num(0)), Mul(Num(1e308), Num(1e308))
-    lines, _, constants = emit(product)
-    assert lines[0] == "t0 = ((1e+308+0j)) * ((1e+308+0j))" and id(product) not in constants
+    lines, names, constants = emit(product)
+    assert lines[0] == "t0 = c0 * c0" and id(product) not in constants
+    assert list(names) == ["c0"] and _same(names["c0"], complex(1e308, 0.0))
     assert not cmath.isfinite(_compiled(product)((), ()))
-    lines, _, constants = emit([quotient, Z1])
-    assert lines[0] == "t0 = ((1+0j)) / (0j)" and id(quotient) not in constants
+    lines, names, constants = emit([quotient, Z1])
+    assert lines[0] == "t0 = c0 / c1" and id(quotient) not in constants
+    assert list(names) == ["c0", "c1"]
+    assert _same(names["c0"], complex(1.0, 0.0)) and _same(names["c1"], complex(0.0, 0.0))
     with pytest.raises(ZeroDivisionError):
         _compiled(quotient)((), ())
     with pytest.raises(EvalDomainError, match="division by zero"):
